@@ -100,10 +100,13 @@ impl FlatMc {
     /// Panics if `trials == 0`.
     pub fn run(&self, trials: usize, seed: u64) -> Result<FlatResult, PgError> {
         assert!(trials > 0, "need at least one trial");
+        let singular = |e| PgError::Mna(emgrid_spice::mna::MnaError::Singular(e));
         let dc = self.grid.dc();
-        let base_solver = IncrementalSolver::new(dc.matrix())
-            .map_err(|e| PgError::Mna(emgrid_spice::mna::MnaError::Singular(e)))?;
+        let mut base_solver = IncrementalSolver::new(dc.matrix()).map_err(singular)?;
         let base_rhs = dc.rhs().to_vec();
+        // Solve the failure-free grid once; every trial's clone starts with
+        // that base solution.
+        base_solver.solve(&base_rhs).map_err(singular)?;
         let mut rng = emgrid_stats::seeded_rng(seed);
         let mut ttf_seconds = Vec::with_capacity(trials);
         for _ in 0..trials {

@@ -143,6 +143,19 @@ impl SiteFields {
     }
 }
 
+/// Per-run state shared read-only by every trial (see
+/// [`PowerGridMc::prepare`]).
+struct RunSetup {
+    /// Base solver of the failure-free grid, its base solution cached.
+    solver: IncrementalSolver,
+    /// Failure-free right-hand side.
+    rhs: Vec<f64>,
+    /// Characterization per via site.
+    site_rels: Vec<ViaArrayReliability>,
+    /// Nominal current density per via site, floored.
+    nominal_j: Vec<f64>,
+}
+
 /// Checkpoint/resume/cancellation controls for one
 /// [`PowerGridMc::run_session`] call; the default is a plain fresh run.
 #[derive(Default)]
@@ -340,8 +353,11 @@ impl PowerGridMc {
     /// Resolves the assignment to one characterization per via site, using
     /// the nominal (failure-free) via currents.
     pub fn site_reliabilities(&self) -> Vec<ViaArrayReliability> {
-        let currents = self.grid.via_currents(self.grid.nominal_solution());
-        currents
+        self.assign_sites(&self.grid.via_currents(self.grid.nominal_solution()))
+    }
+
+    fn assign_sites(&self, nominal_currents: &[f64]) -> Vec<ViaArrayReliability> {
+        nominal_currents
             .iter()
             .map(|i| match self.assignment {
                 SiteAssignment::Uniform(rel) => rel,
@@ -358,6 +374,49 @@ impl PowerGridMc {
                 }
             })
             .collect()
+    }
+
+    /// Builds the state every trial of a run starts from: the base solver
+    /// (with the failure-free solution already cached, so no trial's clone
+    /// repeats that solve), the site characterizations and the nominal
+    /// current densities. Both scheduling paths share it.
+    fn prepare(&self) -> Result<RunSetup, PgError> {
+        let singular = |e| PgError::Mna(emgrid_spice::mna::MnaError::Singular(e));
+        let dc = self.grid.dc();
+        let mut solver =
+            IncrementalSolver::with_options(dc.matrix(), &self.factor).map_err(singular)?;
+        let rhs = dc.rhs().to_vec();
+        solver.solve(&rhs).map_err(singular)?;
+        let nominal_currents = self.grid.via_currents(self.grid.nominal_solution());
+        let site_rels = self.assign_sites(&nominal_currents);
+        let nominal_j = nominal_currents
+            .iter()
+            .zip(&site_rels)
+            .map(|(i, rel)| {
+                let j_floor = rel.reference_current_density * self.current_floor_fraction;
+                (i / rel.config.effective_area_m2()).max(j_floor)
+            })
+            .collect();
+        Ok(RunSetup {
+            solver,
+            rhs,
+            site_rels,
+            nominal_j,
+        })
+    }
+
+    /// Whether `checkpoint` can resume a `trials`-trial run of this Monte
+    /// Carlo: at most `trials` outcomes, a stream over exactly those
+    /// outcomes, and failures only at active sites in range.
+    fn resume_fits(&self, checkpoint: &GridCheckpoint, trials: usize) -> bool {
+        let sites = self.grid.via_sites().len();
+        let is_active = |k: usize| k < sites && self.active.as_ref().is_none_or(|a| a[k]);
+        checkpoint.outcomes.len() <= trials
+            && checkpoint.stream.count() == checkpoint.outcomes.len() as u64
+            && checkpoint
+                .outcomes
+                .iter()
+                .all(|(_, failed)| failed.iter().all(|&k| is_active(k)))
     }
 
     /// Runs `trials` trials with a deterministic seed.
@@ -433,15 +492,18 @@ impl PowerGridMc {
     /// returns the committed prefix with `report().cancelled` set (after a
     /// final checkpoint callback).
     ///
+    /// A resume checkpoint that does not fit the run — more trials than the
+    /// budget, a stream count that does not match its outcomes, or a failed
+    /// site that is out of range or inactive — is ignored, and the run
+    /// starts at trial zero.
+    ///
     /// # Errors
     ///
     /// As [`PowerGridMc::run_with`].
     ///
     /// # Panics
     ///
-    /// As [`PowerGridMc::run_with`], plus if the resume checkpoint is
-    /// inconsistent (more trials than the budget, or a stream count that
-    /// does not match its outcomes).
+    /// As [`PowerGridMc::run_with`].
     pub fn run_session(
         &self,
         trials: usize,
@@ -451,20 +513,7 @@ impl PowerGridMc {
     ) -> Result<McResult, PgError> {
         assert!(trials > 0, "need at least one trial");
         let _span = emgrid_runtime::obs::span("grid-mc");
-        let dc = self.grid.dc();
-        let base_solver = IncrementalSolver::with_options(dc.matrix(), &self.factor)
-            .map_err(|e| PgError::Mna(emgrid_spice::mna::MnaError::Singular(e)))?;
-        let base_rhs = dc.rhs().to_vec();
-        let site_rels = self.site_reliabilities();
-        let nominal_currents = self.grid.via_currents(self.grid.nominal_solution());
-        let nominal_j: Vec<f64> = nominal_currents
-            .iter()
-            .zip(&site_rels)
-            .map(|(i, rel)| {
-                let j_floor = rel.reference_current_density * self.current_floor_fraction;
-                (i / rel.config.effective_area_m2()).max(j_floor)
-            })
-            .collect();
+        let setup = self.prepare()?;
 
         let mut on_checkpoint = session.on_checkpoint;
         let mut adapter = |outputs: &[TrialOutcome], stream: &emgrid_stats::OnlineStats| {
@@ -475,11 +524,18 @@ impl PowerGridMc {
                 });
             }
         };
-        let trial_session = TrialSession {
-            resume: session.resume.map(|cp| SessionState {
+        // A checkpoint that does not fit this run is dropped, as the daemon
+        // drops an undecodable one: the run starts at trial zero and still
+        // lands on the uninterrupted result.
+        let resume = session
+            .resume
+            .filter(|cp| self.resume_fits(cp, trials))
+            .map(|cp| SessionState {
                 outputs: cp.outcomes,
                 stream: cp.stream,
-            }),
+            });
+        let trial_session = TrialSession {
+            resume,
             cancel: session.cancel,
             checkpoint_every: session.checkpoint_every,
             on_checkpoint: Some(&mut adapter),
@@ -488,26 +544,10 @@ impl PowerGridMc {
             trials,
             runtime,
             trial_session,
-            |t| self.run_one_trial(seed, t, &base_solver, &base_rhs, &nominal_j, &site_rels),
+            |t| self.run_one_trial(seed, t, &setup),
             |(ttf, _): &(f64, Vec<usize>)| ttf.max(f64::MIN_POSITIVE).ln(),
         )?;
-
-        let mut ttf_seconds = Vec::with_capacity(outcomes.len());
-        let mut failures_per_trial = Vec::with_capacity(outcomes.len());
-        let mut site_failure_counts = vec![0usize; self.grid.via_sites().len()];
-        for (ttf, failed_sites) in outcomes {
-            ttf_seconds.push(ttf);
-            failures_per_trial.push(failed_sites.len());
-            for k in failed_sites {
-                site_failure_counts[k] += 1;
-            }
-        }
-        Ok(McResult {
-            ttf_seconds,
-            failures_per_trial,
-            site_failure_counts,
-            report,
-        })
+        Ok(self.collect(outcomes, report))
     }
 
     /// Static-chunking baseline kept for the scheduling ablation in the
@@ -534,27 +574,10 @@ impl PowerGridMc {
     ) -> Result<McResult, PgError> {
         assert!(trials > 0, "need at least one trial");
         assert!(threads > 0, "need at least one thread");
-        let dc = self.grid.dc();
-        let base_solver = IncrementalSolver::with_options(dc.matrix(), &self.factor)
-            .map_err(|e| PgError::Mna(emgrid_spice::mna::MnaError::Singular(e)))?;
-        let base_rhs = dc.rhs().to_vec();
-        let site_rels = self.site_reliabilities();
-        let nominal_currents = self.grid.via_currents(self.grid.nominal_solution());
-        let nominal_j: Vec<f64> = nominal_currents
-            .iter()
-            .zip(&site_rels)
-            .map(|(i, rel)| {
-                let j_floor = rel.reference_current_density * self.current_floor_fraction;
-                (i / rel.config.effective_area_m2()).max(j_floor)
-            })
-            .collect();
+        let setup = self.prepare()?;
 
         let run_range = |range: std::ops::Range<usize>| -> Result<Vec<TrialOutcome>, PgError> {
-            range
-                .map(|t| {
-                    self.run_one_trial(seed, t, &base_solver, &base_rhs, &nominal_j, &site_rels)
-                })
-                .collect()
+            range.map(|t| self.run_one_trial(seed, t, &setup)).collect()
         };
         let chunk = trials.div_ceil(threads);
         let results: Vec<Result<Vec<TrialOutcome>, PgError>> = std::thread::scope(|scope| {
@@ -575,7 +598,11 @@ impl PowerGridMc {
         for r in results {
             outcomes.extend(r?);
         }
+        Ok(self.collect(outcomes, RunReport::unscheduled(trials)))
+    }
 
+    /// Folds trial outcomes, in trial order, into an [`McResult`].
+    fn collect(&self, outcomes: Vec<TrialOutcome>, report: RunReport) -> McResult {
         let mut ttf_seconds = Vec::with_capacity(outcomes.len());
         let mut failures_per_trial = Vec::with_capacity(outcomes.len());
         let mut site_failure_counts = vec![0usize; self.grid.via_sites().len()];
@@ -586,12 +613,12 @@ impl PowerGridMc {
                 site_failure_counts[k] += 1;
             }
         }
-        Ok(McResult {
+        McResult {
             ttf_seconds,
             failures_per_trial,
             site_failure_counts,
-            report: RunReport::unscheduled(trials),
-        })
+            report,
+        }
     }
 
     /// Dispatches one trial on its `(seed, trial)` randomness: the legacy
@@ -601,15 +628,12 @@ impl PowerGridMc {
         &self,
         seed: u64,
         t: usize,
-        base_solver: &IncrementalSolver,
-        base_rhs: &[f64],
-        nominal_j: &[f64],
-        site_rels: &[ViaArrayReliability],
-    ) -> Result<(f64, Vec<usize>), PgError> {
+        setup: &RunSetup,
+    ) -> Result<TrialOutcome, PgError> {
         match &self.variation {
             None => {
                 let mut rng = emgrid_stats::stream_rng(seed, t as u64);
-                self.one_trial(&mut rng, base_solver, base_rhs, nominal_j, site_rels, None)
+                self.one_trial(&mut rng, setup, None)
             }
             Some(var) => {
                 let s = t as u64;
@@ -622,14 +646,7 @@ impl PowerGridMc {
                     &mut field_rng,
                     &mut geom_rng,
                 );
-                self.one_trial(
-                    &mut void_rng,
-                    base_solver,
-                    base_rhs,
-                    nominal_j,
-                    site_rels,
-                    Some(&fields),
-                )
+                self.one_trial(&mut void_rng, setup, Some(&fields))
             }
         }
     }
@@ -637,16 +654,14 @@ impl PowerGridMc {
     fn one_trial(
         &self,
         rng: &mut (impl Rng + ?Sized),
-        base_solver: &IncrementalSolver,
-        base_rhs: &[f64],
-        nominal_j: &[f64],
-        site_rels: &[ViaArrayReliability],
+        setup: &RunSetup,
         fields: Option<&SiteFields>,
-    ) -> Result<(f64, Vec<usize>), PgError> {
+    ) -> Result<TrialOutcome, PgError> {
+        let site_rels = &setup.site_rels;
         let sites = self.grid.via_sites();
         let m = sites.len();
         let is_active = |k: usize| self.active.as_ref().is_none_or(|a| a[k]);
-        let mut j: Vec<f64> = nominal_j.to_vec();
+        let mut j: Vec<f64> = setup.nominal_j.clone();
         if let Some(f) = fields {
             for (jk, w) in j.iter_mut().zip(&f.inv_width) {
                 *jk *= w;
@@ -685,8 +700,8 @@ impl PowerGridMc {
         };
 
         let mut alive: Vec<bool> = (0..m).map(is_active).collect();
-        let mut rhs = base_rhs.to_vec();
-        let mut solver = base_solver.clone();
+        let mut rhs = setup.rhs.clone();
+        let mut solver = setup.solver.clone();
         let mut failed_sites: Vec<usize> = Vec::new();
         let mut t = 0.0;
         let dc = self.grid.dc();
@@ -1146,6 +1161,76 @@ mod tests {
         assert!(!resumed.report().cancelled);
         assert_eq!(resumed.ttf_seconds(), whole.ttf_seconds());
         assert_eq!(resumed.site_failure_counts(), whole.site_failure_counts());
+    }
+
+    #[test]
+    fn misfit_resume_checkpoints_restart_from_trial_zero() {
+        let rel = reliability(FailureCriterion::OpenCircuit);
+        let mc = PowerGridMc::new(small_grid(), rel);
+        let sites = mc.grid().via_sites().len();
+        let mut snapshot: Option<GridCheckpoint> = None;
+        let mut on_checkpoint = |cp: &GridCheckpoint| {
+            snapshot.get_or_insert_with(|| cp.clone());
+        };
+        mc.run_session(
+            24,
+            55,
+            &RuntimeConfig::sequential(),
+            GridSession {
+                checkpoint_every: 8,
+                on_checkpoint: Some(&mut on_checkpoint),
+                ..GridSession::default()
+            },
+        )
+        .unwrap();
+        let good = snapshot.expect("checkpoint fired");
+
+        let resume = |mc: &PowerGridMc, trials: usize, cp: &GridCheckpoint| {
+            mc.run_session(
+                trials,
+                55,
+                &RuntimeConfig::sequential(),
+                GridSession {
+                    resume: Some(cp.clone()),
+                    ..GridSession::default()
+                },
+            )
+            .unwrap()
+        };
+        let same = |a: &McResult, b: &McResult, label: &str| {
+            assert_eq!(a.ttf_seconds(), b.ttf_seconds(), "{label}");
+            assert_eq!(a.site_failure_counts(), b.site_failure_counts(), "{label}");
+            assert_eq!(a.report().resumed_from, 0, "{label}");
+        };
+
+        let whole = mc.run(24, 55).unwrap();
+        let mut out_of_range = good.clone();
+        out_of_range.outcomes[3].1.push(sites + 7);
+        // The text format carries no grid, so such a checkpoint decodes.
+        let out_of_range = GridCheckpoint::decode(&out_of_range.encode()).unwrap();
+        same(&resume(&mc, 24, &out_of_range), &whole, "site out of range");
+        let mut wrong_stream = good.clone();
+        wrong_stream.stream.push(0.0);
+        same(&resume(&mc, 24, &wrong_stream), &whole, "stream count");
+        same(
+            &resume(&mc, 4, &good),
+            &mc.run(4, 55).unwrap(),
+            "over budget",
+        );
+        let subset = [3usize, 17, 40, 41, 55];
+        let filtered = mc.clone().with_active_sites(&subset);
+        assert!(good
+            .outcomes
+            .iter()
+            .flat_map(|(_, f)| f)
+            .any(|k| !subset.contains(k)));
+        same(
+            &resume(&filtered, 24, &good),
+            &filtered.run(24, 55).unwrap(),
+            "inactive site",
+        );
+        // A fitting checkpoint still resumes.
+        assert_eq!(resume(&mc, 24, &good).report().resumed_from, 8);
     }
 
     #[test]

@@ -637,34 +637,35 @@ mod tests {
         let _ = std::fs::remove_dir_all(store.root());
     }
 
-    #[test]
-    fn analyze_checkpoint_resume_reproduces_the_uninterrupted_result() {
+    /// An analyze job on an inline 8x8 deck with `grid_trials` level-2 trials.
+    fn netlist_analyze_spec(grid_trials: usize) -> JobSpec {
         let deck =
             emgrid_spice::writer::write_string(&GridSpec::custom("runner-test", 8, 8).generate());
-        let make_spec = |grid_trials: usize| {
-            JobSpec::from(JobBody::Analyze {
-                mc: McParams {
-                    array: "4x4".into(),
-                    pattern: "plus".into(),
-                    criterion: "rinf".into(),
-                    trials: 120,
-                    seed: 9,
-                    threads: 2,
-                    target_ci: None,
-                    current_density: None,
-                    variation: None,
-                },
-                deck: DeckSource::Netlist(deck.clone()),
-                grid_trials,
-                repair_vias: None,
-                screening: None,
-                solver: SolverSpec::default(),
-            })
-        };
+        JobSpec::from(JobBody::Analyze {
+            mc: McParams {
+                array: "4x4".into(),
+                pattern: "plus".into(),
+                criterion: "rinf".into(),
+                trials: 120,
+                seed: 9,
+                threads: 2,
+                target_ci: None,
+                current_density: None,
+                variation: None,
+            },
+            deck: DeckSource::Netlist(deck),
+            grid_trials,
+            repair_vias: None,
+            screening: None,
+            solver: SolverSpec::default(),
+        })
+    }
 
+    #[test]
+    fn analyze_checkpoint_resume_reproduces_the_uninterrupted_result() {
         // Reference: 40 grid trials straight through, no checkpointing.
         let store = temp_store("analyze");
-        let (_, reference) = run_to_outcome(make_spec(40), &store, 0);
+        let (_, reference) = run_to_outcome(netlist_analyze_spec(40), &store, 0);
         let JobOutcome::Done(reference) = reference else {
             panic!("reference failed: {reference:?}")
         };
@@ -674,7 +675,7 @@ mod tests {
         // 40-trial run would have written at its first watermark (same
         // seed, and batch ends align to absolute trial-index multiples).
         let store2 = temp_store("analyze-resume");
-        let (prefix_id, prefix) = run_to_outcome(make_spec(8), &store2, 8);
+        let (prefix_id, prefix) = run_to_outcome(netlist_analyze_spec(8), &store2, 8);
         assert!(matches!(prefix, JobOutcome::Done(_)), "{prefix:?}");
         assert!(
             store2.read_checkpoint(prefix_id).is_some(),
@@ -683,7 +684,7 @@ mod tests {
 
         // Resume: the full 40-trial spec under the same id finds the
         // watermark-8 checkpoint and must land on the reference bytes.
-        let (resumed_id, resumed) = run_to_outcome(make_spec(40), &store2, 8);
+        let (resumed_id, resumed) = run_to_outcome(netlist_analyze_spec(40), &store2, 8);
         assert_eq!(resumed_id, prefix_id, "store keying broken");
         let JobOutcome::Done(resumed) = resumed else {
             panic!("resumed run failed: {resumed:?}")
@@ -692,6 +693,34 @@ mod tests {
             resumed, reference,
             "resumed run diverged from the uninterrupted reference"
         );
+        let _ = std::fs::remove_dir_all(store.root());
+        let _ = std::fs::remove_dir_all(store2.root());
+    }
+
+    #[test]
+    fn analyze_resume_from_a_misfit_checkpoint_recomputes_the_result() {
+        let store = temp_store("misfit-reference");
+        let (_, reference) = run_to_outcome(netlist_analyze_spec(40), &store, 0);
+        let JobOutcome::Done(reference) = reference else {
+            panic!("reference failed: {reference:?}")
+        };
+
+        // A well-formed checkpoint naming a site the 64-site grid does not
+        // have: it decodes, but must not steer the resumed run.
+        assert!(reference.contains("\"sites\":64"), "{reference}");
+        let store2 = temp_store("misfit-resume");
+        let (id, _) = run_to_outcome(netlist_analyze_spec(8), &store2, 8);
+        let text = store2.read_checkpoint(id).expect("checkpoint persisted");
+        let mut cp = GridCheckpoint::decode(&text).unwrap();
+        cp.outcomes[2].1.push(107);
+        store2.write_checkpoint(id, &cp.encode()).unwrap();
+
+        let (resumed_id, resumed) = run_to_outcome(netlist_analyze_spec(40), &store2, 8);
+        assert_eq!(resumed_id, id, "store keying broken");
+        let JobOutcome::Done(resumed) = resumed else {
+            panic!("resume from a misfit checkpoint failed: {resumed:?}")
+        };
+        assert_eq!(resumed, reference);
         let _ = std::fs::remove_dir_all(store.root());
         let _ = std::fs::remove_dir_all(store2.root());
     }

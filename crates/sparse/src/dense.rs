@@ -218,8 +218,17 @@ impl LuFactor {
     ///
     /// # Errors
     ///
-    /// Returns [`SparseError::NotSquare`] or [`SparseError::Singular`].
+    /// Returns [`SparseError::NotSquare`], or [`SparseError::Singular`] when
+    /// a pivot is at most `16·ε·n·max|a|` in magnitude.
     pub fn factor(a: &DenseMatrix) -> Result<Self, SparseError> {
+        Self::factor_scaled(a, a.max_abs())
+    }
+
+    /// [`LuFactor::factor`] with the singularity test relative to `scale`
+    /// instead of `max|a|`. For a matrix formed as a sum of terms that may
+    /// cancel, the size of the terms, not of the cancelled entries, says
+    /// which pivot is numerically zero.
+    pub(crate) fn factor_scaled(a: &DenseMatrix, scale: f64) -> Result<Self, SparseError> {
         if a.rows != a.cols {
             return Err(SparseError::NotSquare {
                 rows: a.rows,
@@ -227,6 +236,9 @@ impl LuFactor {
             });
         }
         let n = a.rows;
+        // Relative, so the verdict does not change when the matrix is
+        // rescaled.
+        let tiny = f64::EPSILON * 16.0 * (n as f64).max(1.0) * scale;
         let mut lu = a.data.clone();
         let mut perm: Vec<usize> = (0..n).collect();
         for k in 0..n {
@@ -240,7 +252,7 @@ impl LuFactor {
                     p = i;
                 }
             }
-            if pmax < f64::EPSILON * 16.0 * (n as f64).max(1.0) {
+            if pmax <= tiny {
                 return Err(SparseError::Singular { column: k });
             }
             if p != k {
@@ -328,6 +340,37 @@ mod tests {
         let a = DenseMatrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
         let err = a.solve(&[1.0, 1.0]).unwrap_err();
         assert!(matches!(err, SparseError::Singular { .. }));
+    }
+
+    #[test]
+    fn tiny_but_well_conditioned_matrix_solves() {
+        let a = DenseMatrix::from_rows(&[&[1e-18, 0.0], &[0.0, 1e-18]]);
+        let x = a.solve(&[1e-18, -2e-18]).unwrap();
+        assert_eq!(x, vec![1.0, -2.0]);
+    }
+
+    #[test]
+    fn huge_numerically_singular_matrix_is_reported() {
+        // Condition number ~1.6e16: singular to working precision, although
+        // its last pivot (256) is far above any absolute threshold.
+        let a = DenseMatrix::from_rows(&[&[1e18, 1e18], &[1e18, 1e18 + 256.0]]);
+        let err = a.solve(&[1.0, 1.0]).unwrap_err();
+        assert!(matches!(err, SparseError::Singular { column: 1 }));
+    }
+
+    #[test]
+    fn singularity_verdict_is_scale_invariant() {
+        let near = DenseMatrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0 + 1e-15]]);
+        let fine = DenseMatrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]);
+        for scale in [1e-200, 1e-18, 1.0, 1e18, 1e200] {
+            let mut a = DenseMatrix::zeros(2, 2);
+            a.axpy(scale, &near);
+            assert!(LuFactor::factor(&a).is_err(), "scale {scale}");
+            let mut a = DenseMatrix::zeros(2, 2);
+            a.axpy(scale, &fine);
+            assert!(LuFactor::factor(&a).is_ok(), "scale {scale}");
+        }
+        assert!(LuFactor::factor(&DenseMatrix::zeros(3, 3)).is_err());
     }
 
     #[test]

@@ -236,10 +236,15 @@ impl LdlFactor {
                 Ordering::Nd => nested_dissection(a),
             }
         };
-        Self::factor_impl(a, perm, opts)
+        Self::factor_permuted(a, perm, opts)
     }
 
-    fn factor_impl(
+    /// [`LdlFactor::factor_with`] minus the ordering phase: factors `a`
+    /// under `perm`. When `perm` comes from an earlier factor, under the
+    /// same options, of a matrix with the same pattern, the result has the
+    /// same bits as `factor_with`: every [`Ordering`] is a function of the
+    /// pattern alone.
+    pub(crate) fn factor_permuted(
         a: &CsrMatrix,
         perm: Permutation,
         opts: &FactorOptions,

@@ -9,10 +9,22 @@
 //!
 //! `(A + U C Uᵀ)⁻¹ b = A⁻¹ b − Z (C⁻¹ + Uᵀ Z)⁻¹ Uᵀ A⁻¹ b`, with `Z = A⁻¹ U`.
 //!
-//! Each update costs one base solve plus a small dense factorization; each
-//! subsequent system solve costs one base solve plus `O(n·k)` work, where `k`
-//! is the number of accumulated updates. The `smw_ablation` bench compares
-//! this against full refactorization.
+//! Cost model, with `k` accumulated updates:
+//!
+//! * each update costs one base solve (`z_k = A⁻¹ u_k`) plus an `O(k³)` LU
+//!   of the `k × k` capacitance matrix;
+//! * each system solve costs `O(n·k)` for the correction. The base solution
+//!   `y = A⁻¹ b` is kept, and recomputed (one more base solve) only when
+//!   `b` or the base factor changes;
+//! * a rebase folds the updates into the matrix. Updates that land on
+//!   existing entries keep the pattern, so only the numeric factorization
+//!   reruns, under the base factor's permutation.
+//!
+//! None of this changes a bit of the result: the orderings depend on the
+//! pattern alone, `y` is the same expression evaluated once, and the
+//! row-blocked correction subtracts the same terms from each `x_i` in the
+//! same order as a column-by-column sweep. The `smw_ablation` bench
+//! compares the incremental path against full refactorization.
 
 use crate::csr::CsrMatrix;
 use crate::dense::{DenseMatrix, LuFactor};
@@ -21,6 +33,10 @@ use crate::ldl::{FactorOptions, LdlFactor};
 
 /// A sparse update vector: a short list of `(index, coefficient)` pairs.
 pub type UpdateVector = Vec<(usize, f64)>;
+
+/// Rows per block of the Woodbury correction `x = y − Z t`: a block of `x`
+/// stays in L1 while every update column is subtracted from it.
+const ROW_BLOCK: usize = 256;
 
 /// A factored SPD system that accepts rank-1 updates without refactoring.
 ///
@@ -62,6 +78,9 @@ pub struct IncrementalSolver {
     z: Vec<Vec<f64>>,
     /// LU of the capacitance matrix `S = C⁻¹ + Uᵀ Z`.
     s_lu: Option<LuFactor>,
+    /// The last right-hand side `b` and its base solution `A⁻¹ b`, valid
+    /// until the base factor changes.
+    base_solution: Option<(Vec<f64>, Vec<f64>)>,
 }
 
 impl IncrementalSolver {
@@ -92,6 +111,7 @@ impl IncrementalSolver {
             cs: Vec::new(),
             z: Vec::new(),
             s_lu: None,
+            base_solution: None,
         })
     }
 
@@ -178,6 +198,11 @@ impl IncrementalSolver {
             return Ok(());
         }
         let mut s = DenseMatrix::zeros(k, k);
+        // Largest term magnitude. An update that disconnects part of the
+        // grid cancels a diagonal entry (`1/c_k + u_kᵀ z_k = −R + R = 0`), so
+        // the pivot test is relative to the terms, not to what is left of
+        // them.
+        let mut scale = 0.0f64;
         for (row, u) in self.us.iter().enumerate() {
             for (col, zc) in self.z.iter().enumerate() {
                 let mut acc = 0.0;
@@ -185,34 +210,49 @@ impl IncrementalSolver {
                     acc += v * zc[i];
                 }
                 s[(row, col)] = acc;
+                scale = scale.max(acc.abs());
             }
         }
         for (i, &c) in self.cs.iter().enumerate() {
             if c == 0.0 {
                 return Err(SparseError::Singular { column: i });
             }
-            s[(i, i)] += 1.0 / c;
+            let inv = 1.0 / c;
+            s[(i, i)] += inv;
+            scale = scale.max(inv.abs());
         }
-        self.s_lu = Some(LuFactor::factor(&s)?);
+        self.s_lu = Some(LuFactor::factor_scaled(&s, scale)?);
         Ok(())
     }
 
     /// Solves the **updated** system `(A + Σ c_k u_k u_kᵀ) x = b`.
     ///
+    /// Takes `&mut self` to keep the base solution `A⁻¹ b`: repeated solves
+    /// with the same `b` between updates pay no base solve at all.
+    ///
     /// # Errors
     ///
     /// Returns [`SparseError::DimensionMismatch`] if `b` has the wrong
     /// length.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, SparseError> {
+    pub fn solve(&mut self, b: &[f64]) -> Result<Vec<f64>, SparseError> {
         if b.len() != self.n {
             return Err(SparseError::DimensionMismatch {
                 expected: self.n,
                 found: b.len(),
             });
         }
-        let y = self.base.solve(b);
+        let stale = self.base_solution.as_ref().is_none_or(|(cached, _)| {
+            cached
+                .iter()
+                .zip(b)
+                .any(|(u, v)| u.to_bits() != v.to_bits())
+        });
+        if stale {
+            self.base_solution = Some((b.to_vec(), self.base.solve(b)));
+        }
+        let (_, y) = self.base_solution.as_ref().expect("base solution cached");
         let Some(s_lu) = &self.s_lu else {
-            return Ok(y);
+            return Ok(y.clone());
         };
         let k = self.us.len();
         // w = Uᵀ y.
@@ -221,51 +261,51 @@ impl IncrementalSolver {
             w[row] = u.iter().map(|&(i, v)| v * y[i]).sum();
         }
         let t = s_lu.solve(&w)?;
-        // x = y − Z t.
-        let mut x = y;
-        for (col, zc) in self.z.iter().enumerate() {
-            let tc = t[col];
-            if tc != 0.0 {
-                for i in 0..self.n {
-                    x[i] -= zc[i] * tc;
+        // x = y − Z t, a block of rows at a time; within a block every x_i
+        // takes its subtractions in ascending column order.
+        let mut x = y.clone();
+        for (block, xb) in x.chunks_mut(ROW_BLOCK).enumerate() {
+            for (zc, &tc) in self.z.iter().zip(&t) {
+                if tc != 0.0 {
+                    for (xi, zi) in xb.iter_mut().zip(&zc[block * ROW_BLOCK..]) {
+                        *xi -= zi * tc;
+                    }
                 }
             }
         }
         Ok(x)
     }
 
-    /// Folds all accumulated updates into the matrix and refactors from
-    /// scratch, resetting the update rank to zero.
+    /// Folds all accumulated updates into the matrix and refactors,
+    /// resetting the update rank to zero.
     ///
-    /// Useful when many failures have accumulated and per-solve `O(n·k)`
-    /// overhead starts to dominate.
+    /// When every update landed on an existing matrix entry (always the
+    /// case for a conductance change between already-coupled nodes or to
+    /// ground), the folded matrix keeps the base pattern, and only the
+    /// numeric factorization reruns, under the base factor's permutation.
+    /// An update that adds an entry triggers a full
+    /// [`LdlFactor::factor_with`].
     ///
     /// # Errors
     ///
     /// Propagates factorization failures (e.g. if the folded matrix is
     /// singular).
     pub fn rebase(&mut self) -> Result<(), SparseError> {
-        let mut triplets: Vec<(u32, u32, f64)> = Vec::with_capacity(self.a.nnz() + 4 * self.rank());
-        for r in 0..self.n {
-            for (c, v) in self.a.row(r) {
-                triplets.push((r as u32, c as u32, v));
-            }
-        }
-        for (u, &c) in self.us.iter().zip(&self.cs) {
-            for &(i, vi) in u {
-                for &(j, vj) in u {
-                    triplets.push((i as u32, j as u32, c * vi * vj));
-                }
-            }
-        }
-        let folded = CsrMatrix::from_triplets(self.n, self.n, &triplets);
-        let base = LdlFactor::factor_with(&folded, &self.opts)?;
+        let folded = self.to_matrix();
+        let same_pattern =
+            folded.row_ptr() == self.a.row_ptr() && folded.col_idx() == self.a.col_idx();
+        let base = if same_pattern {
+            LdlFactor::factor_permuted(&folded, self.base.permutation().clone(), &self.opts)?
+        } else {
+            LdlFactor::factor_with(&folded, &self.opts)?
+        };
         self.a = folded;
         self.base = base;
         self.us.clear();
         self.cs.clear();
         self.z.clear();
         self.s_lu = None;
+        self.base_solution = None;
         Ok(())
     }
 
@@ -315,10 +355,175 @@ mod tests {
         t.to_csr()
     }
 
+    /// A `nx × ny` resistor mesh of unit conductances with a 0.5
+    /// conductance from every node to ground: a stand-in for a power grid.
+    fn mesh(nx: usize, ny: usize) -> CsrMatrix {
+        let id = |x: usize, y: usize| y * nx + x;
+        let mut t = TripletMatrix::new(nx * ny, nx * ny);
+        let mut diag = vec![0.5; nx * ny];
+        for y in 0..ny {
+            for x in 0..nx {
+                for (dx, dy) in [(1, 0), (0, 1)] {
+                    if x + dx < nx && y + dy < ny {
+                        let (i, j) = (id(x, y), id(x + dx, y + dy));
+                        t.push_sym(i, j, -1.0);
+                        diag[i] += 1.0;
+                        diag[j] += 1.0;
+                    }
+                }
+            }
+        }
+        for (i, d) in diag.iter().enumerate() {
+            t.push(i, i, *d);
+        }
+        t.to_csr()
+    }
+
+    /// Partial cuts of existing mesh edges and ground ties, as a grid Monte
+    /// Carlo applies them: every update lands on an existing entry.
+    fn apply_mixed_updates(solver: &mut IncrementalSolver, nx: usize, salt: usize) {
+        for k in 0..12 {
+            let i = (k * 37 + salt * 11) % (solver.len() - nx - 1);
+            if k % 3 == 2 {
+                solver.update_ground(i, -0.2).unwrap();
+            } else if k % 2 == 0 {
+                solver.update_edge(i, i + 1, -0.3).unwrap();
+            } else {
+                solver.update_edge(i, i + nx, -0.4).unwrap();
+            }
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The Woodbury solve without the kept base solution or the row
+    /// blocking: a fresh base solve, then one pass over `x` per column.
+    fn textbook_solve(solver: &IncrementalSolver, b: &[f64]) -> Vec<f64> {
+        let mut x = solver.base.solve(b);
+        let Some(s_lu) = &solver.s_lu else {
+            return x;
+        };
+        let w: Vec<f64> = solver
+            .us
+            .iter()
+            .map(|u| u.iter().map(|&(i, v)| v * x[i]).sum())
+            .collect();
+        let t = s_lu.solve(&w).unwrap();
+        for (zc, &tc) in solver.z.iter().zip(&t) {
+            if tc != 0.0 {
+                for i in 0..x.len() {
+                    x[i] -= zc[i] * tc;
+                }
+            }
+        }
+        x
+    }
+
+    #[test]
+    fn rebase_keeps_the_ordering_and_matches_a_fresh_factor() {
+        use crate::ldl::Ordering;
+        let (nx, ny) = (23, 17);
+        let a = mesh(nx, ny);
+        for ordering in [
+            Ordering::Natural,
+            Ordering::Rcm,
+            Ordering::Amd,
+            Ordering::Nd,
+        ] {
+            for supernodal in [false, true] {
+                let opts = FactorOptions {
+                    ordering,
+                    supernodal,
+                    ..FactorOptions::default()
+                };
+                let mut solver = IncrementalSolver::with_options(&a, &opts).unwrap();
+                for round in 0..2 {
+                    apply_mixed_updates(&mut solver, nx, round);
+                    let folded = solver.to_matrix();
+                    assert_eq!(folded.col_idx(), a.col_idx(), "pattern must not grow");
+                    let fresh = LdlFactor::factor_with(&folded, &opts).unwrap();
+                    solver.rebase().unwrap();
+                    let label = format!("{ordering:?} supernodal={supernodal} round {round}");
+                    assert_eq!(
+                        solver.base.permutation().as_slice(),
+                        fresh.permutation().as_slice(),
+                        "{label}"
+                    );
+                    let (cp, ri, va, di) = solver.base.factor_parts();
+                    let (fcp, fri, fva, fdi) = fresh.factor_parts();
+                    assert_eq!((cp, ri), (fcp, fri), "{label}");
+                    assert_eq!(bits(va), bits(fva), "{label}");
+                    assert_eq!(bits(di), bits(fdi), "{label}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pattern_growing_update_refactors_from_scratch() {
+        let a = chain(40);
+        let opts = FactorOptions::default();
+        let mut solver = IncrementalSolver::with_options(&a, &opts).unwrap();
+        // Nodes 3 and 30 share no entry: the folded pattern grows, so the
+        // kept ordering no longer applies.
+        solver.update_edge(3, 30, 0.5).unwrap();
+        solver.update_edge(10, 11, -0.25).unwrap();
+        let folded = solver.to_matrix();
+        assert!(folded.nnz() > a.nnz());
+        let fresh = LdlFactor::factor_with(&folded, &opts).unwrap();
+        let b: Vec<f64> = (0..40).map(|i| (i as f64 * 0.3).sin()).collect();
+        let x_smw = solver.solve(&b).unwrap();
+        solver.rebase().unwrap();
+        assert_eq!(
+            solver.base.permutation().as_slice(),
+            fresh.permutation().as_slice()
+        );
+        assert_eq!(solver.base.factor_parts(), fresh.factor_parts());
+        let x = solver.solve(&b).unwrap();
+        assert_eq!(bits(&x), bits(&fresh.solve(&b)));
+        for (u, v) in x.iter().zip(&x_smw) {
+            assert!((u - v).abs() < 1e-9, "{u} vs {v}");
+        }
+        assert!(folded.residual_norm(&x, &b) < 1e-9);
+    }
+
+    #[test]
+    fn kept_base_solution_and_row_blocks_do_not_move_bits() {
+        // More rows than one correction block, so blocks split the sweep.
+        let (nx, ny) = (31, 19);
+        assert!(nx * ny > 2 * ROW_BLOCK);
+        let a = mesh(nx, ny);
+        let mut solver = IncrementalSolver::new(&a).unwrap();
+        let mut b: Vec<f64> = (0..nx * ny).map(|i| ((i * 7) % 13) as f64 - 6.0).collect();
+        let check = |solver: &mut IncrementalSolver, b: &[f64], step: &str| {
+            let expected = textbook_solve(solver, b);
+            assert_eq!(bits(&solver.solve(b).unwrap()), bits(&expected), "{step}");
+            // A repeat solve reuses the kept base solution.
+            assert_eq!(bits(&solver.solve(b).unwrap()), bits(&expected), "{step}");
+        };
+        check(&mut solver, &b, "base");
+        for k in 0..20 {
+            let i = (k * 53) % (nx * ny - nx - 1);
+            solver.update_edge(i, i + nx, -0.6).unwrap();
+            if k % 5 == 4 {
+                // A ground update with a pinned endpoint changes the rhs.
+                solver.update_ground(i + 1, -0.1).unwrap();
+                b[i + 1] -= 0.1 * 1.2;
+            }
+            check(&mut solver, &b, &format!("update {k}"));
+            if k == 9 {
+                solver.rebase().unwrap();
+                check(&mut solver, &b, "after rebase");
+            }
+        }
+    }
+
     #[test]
     fn no_update_matches_base_solve() {
         let a = chain(8);
-        let solver = IncrementalSolver::new(&a).unwrap();
+        let mut solver = IncrementalSolver::new(&a).unwrap();
         let b = vec![1.0; 8];
         let x = solver.solve(&b).unwrap();
         assert!(a.residual_norm(&x, &b) < 1e-10);
@@ -393,6 +598,31 @@ mod tests {
         let b = vec![1.0, 0.0, 0.0];
         let x = solver.solve(&b).unwrap();
         assert!(a.residual_norm(&x, &b) < 1e-10);
+    }
+
+    #[test]
+    fn disconnecting_update_is_detected_at_any_conductance_scale() {
+        // A 5-node chain grounded only at node 0: cutting edge 1-2 floats
+        // nodes 2..4, whatever the units of the conductances.
+        for g in [1e-6, 1e-3, 0.7, 1e3, 1e6] {
+            let mut t = TripletMatrix::new(5, 5);
+            t.push(0, 0, 2.0 * g);
+            for i in 0..4 {
+                t.push_sym(i, i + 1, -g);
+                if i > 0 {
+                    t.push(i, i, 2.0 * g);
+                }
+            }
+            t.push(4, 4, g);
+            let mut solver = IncrementalSolver::new(&t.to_csr()).unwrap();
+            solver.update_edge(3, 4, -0.5 * g).unwrap();
+            let err = solver.update_edge(1, 2, -g);
+            assert!(
+                matches!(err, Err(SparseError::Singular { .. })),
+                "g = {g}: {err:?}"
+            );
+            assert_eq!(solver.rank(), 1, "g = {g}");
+        }
     }
 
     #[test]

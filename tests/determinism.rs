@@ -316,3 +316,61 @@ fn fea_stress_field_is_thread_count_invariant() {
         assert_eq!(par.per_via_peak_stress(), seq.per_via_peak_stress());
     }
 }
+
+/// FNV-1a over the little-endian bytes of `words`: the digest the pinned
+/// result tests below compare against.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Pins every bit of a sequential PG1 level-2 run: system TTFs, failures
+/// per trial and the per-site failure histogram. PG1 takes ~140 failures
+/// per trial, so each trial crosses two SMW rebases. A solver change that
+/// reorders any floating-point operation of the re-solves moves the
+/// Table 2 numbers, and fails here.
+#[test]
+fn grid_mc_result_bits_are_pinned() {
+    let rel = via_mc()
+        .characterize(200, 3)
+        .reliability(FailureCriterion::OpenCircuit)
+        .unwrap();
+    let grid = PowerGrid::from_netlist(GridSpec::pg1().generate()).unwrap();
+    let r = PowerGridMc::new(grid, rel).run(12, 29).unwrap();
+    let digest = fnv1a(
+        r.ttf_seconds()
+            .iter()
+            .map(|t| t.to_bits())
+            .chain(r.failures_per_trial().iter().map(|&f| f as u64))
+            .chain(r.site_failure_counts().iter().map(|&c| c as u64)),
+    );
+    assert_eq!(
+        digest, 0xda51_af55_445d_cb5a,
+        "PG1 grid Monte Carlo result moved"
+    );
+}
+
+/// The same pin for the flat per-via Monte Carlo, whose every via failure
+/// is an SMW update and re-solve of the whole grid.
+#[test]
+fn flat_mc_result_bits_are_pinned() {
+    let grid = PowerGrid::from_netlist(GridSpec::custom("flat", 6, 6).generate()).unwrap();
+    let r = emgrid::pg::FlatMc::new(
+        grid,
+        ViaArrayConfig::paper_4x4(IntersectionPattern::Plus),
+        Technology::default(),
+    )
+    .run(6, 11)
+    .unwrap();
+    let digest = fnv1a(r.ttf_seconds().iter().map(|t| t.to_bits()));
+    assert_eq!(
+        digest, 0x5646_d5c8_8d36_078a,
+        "flat Monte Carlo result moved"
+    );
+}
