@@ -1,5 +1,6 @@
-//! Direct LDLᵀ vs Jacobi-PCG on grid Laplacians of increasing size — the
-//! solver trade-off behind both the FEA engine and the MNA analysis.
+//! Direct LDLᵀ vs Jacobi- and IC(0)-PCG on grid Laplacians of increasing
+//! size — the solver trade-off behind both the FEA engine and the MNA
+//! analysis.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use emgrid::sparse::{
@@ -46,18 +47,18 @@ fn bench_solvers(c: &mut Criterion) {
             bench.iter(|| black_box(factored.solve(black_box(&b))))
         });
         group.bench_with_input(BenchmarkId::new("pcg_jacobi", n * n), &n, |bench, _| {
+            let opts = CgOptions {
+                preconditioner: Preconditioner::Jacobi,
+                ..CgOptions::default()
+            };
+            bench.iter(|| black_box(conjugate_gradient(black_box(&a), &b, None, &opts).unwrap()))
+        });
+        group.bench_with_input(BenchmarkId::new("pcg_ic0", n * n), &n, |bench, _| {
             bench.iter(|| {
                 black_box(
                     conjugate_gradient(black_box(&a), &b, None, &CgOptions::default()).unwrap(),
                 )
             })
-        });
-        group.bench_with_input(BenchmarkId::new("pcg_ic0", n * n), &n, |bench, _| {
-            let opts = CgOptions {
-                preconditioner: Preconditioner::IncompleteCholesky,
-                ..CgOptions::default()
-            };
-            bench.iter(|| black_box(conjugate_gradient(black_box(&a), &b, None, &opts).unwrap()))
         });
     }
     group.finish();

@@ -3,10 +3,10 @@
 
 use std::collections::HashMap;
 
-use emgrid_sparse::{CsrMatrix, TripletMatrix};
+use emgrid_sparse::CsrMatrix;
 
 use crate::element::{hex_element, ElementMatrices};
-use crate::mesh::HexMesh;
+use crate::mesh::{HexMesh, HEX_CORNERS};
 
 /// Kinematic condition applied to one face of the bounding box.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,16 +167,20 @@ pub struct AssembledSystem {
     pub dof_map: DofMap,
 }
 
-/// Cells scattered per work chunk by [`assemble_with`]. Large enough that
-/// the per-chunk element cache gets real reuse, small enough to load-balance
-/// the few-thousand-cell meshes typical at figure resolutions.
-const CELL_CHUNK: usize = 128;
+/// Consecutive mesh nodes gathered per work chunk by [`assemble_with`]:
+/// up to 768 equation rows, enough to amortize the per-chunk buffers and
+/// small enough to load-balance the meshes typical at figure resolutions.
+const NODE_CHUNK: usize = 256;
+
+/// Local node index of the corner at offset `(x, y, z)`, keyed by
+/// `x + 2y + 4z` (the inverse of [`HEX_CORNERS`]).
+const LOCAL: [usize; 8] = [0, 1, 3, 2, 4, 5, 7, 6];
 
 /// Assembles the stiffness matrix and thermal load for a uniform
 /// temperature change `delta_t` (K) from the anneal/stress-free state.
 ///
 /// Identical elements (same size and material — the common case on a graded
-/// tensor grid) share one element-matrix computation via a cache.
+/// tensor grid) share one element-matrix computation.
 ///
 /// Equivalent to [`assemble_with`] at one thread.
 pub fn assemble(mesh: &HexMesh, bc: &BoundaryConditions, delta_t: f64) -> AssembledSystem {
@@ -185,14 +189,19 @@ pub fn assemble(mesh: &HexMesh, bc: &BoundaryConditions, delta_t: f64) -> Assemb
 
 /// [`assemble`] across `threads` worker threads.
 ///
-/// The element-scatter loop is split into fixed [`CELL_CHUNK`]-cell chunks;
-/// each chunk computes its element matrices (with a chunk-local cache for
-/// identical elements) and buffers its stiffness triplets and load
-/// contributions locally. Buffers are then merged **in chunk order** on the
-/// calling thread, reproducing the exact serial scatter sequence — both the
-/// triplet order fed to the CSR builder and the floating-point order of
-/// load-vector accumulation — so the assembled system is **bit-identical
-/// for any thread count**.
+/// The CSR matrix is built row by row, with no triplet list. Equations are
+/// numbered node by node, so the rows of one node are consecutive and
+/// share one pattern: the free DOFs of every node that shares an occupied
+/// cell with it, in ascending node order. Each row gathers its values from
+/// the node's (up to eight) incident occupied cells **in ascending cell
+/// order**, so every stiffness entry and every load entry is the sum of
+/// its element contributions in cell order, starting from zero. The load
+/// vector is bit-identical to a serial element-by-element scatter.
+///
+/// Nodes are split into fixed `NODE_CHUNK`-node chunks whose rows are
+/// concatenated in chunk order. A row's value never depends on the chunk
+/// that computed it, so the assembled system is **bit-identical for any
+/// thread count**.
 pub fn assemble_with(
     mesh: &HexMesh,
     bc: &BoundaryConditions,
@@ -201,62 +210,154 @@ pub fn assemble_with(
 ) -> AssembledSystem {
     let dof_map = DofMap::build(mesh, bc);
     let n = dof_map.free_count();
-    let cells: Vec<(usize, usize, usize, u8)> = mesh.occupied_cells().collect();
+    let (elements, cell_element) = element_table(mesh, delta_t, threads);
+    let (nx, ny, nz) = mesh.dims();
+    let (npx, npy) = (nx + 1, ny + 1);
+    let plane = npx * npy;
+    let free_dofs = |node: usize| {
+        let mut dofs = [(0usize, 0u32); 3];
+        let mut count = 0;
+        for axis in 0..3 {
+            if let Some(eq) = dof_map.dof(node, axis) {
+                dofs[count] = (axis, eq as u32);
+                count += 1;
+            }
+        }
+        (dofs, count)
+    };
 
     let chunks =
-        emgrid_runtime::parallel_map_chunks(cells.len(), CELL_CHUNK, threads, |_, range| {
-            let mut triplets: Vec<(usize, usize, f64)> = Vec::with_capacity(range.len() * 300);
-            let mut loads: Vec<(usize, f64)> = Vec::with_capacity(range.len() * 24);
-            let mut cache: HashMap<(u64, u64, u64, u8), ElementMatrices> = HashMap::new();
-            for &(i, j, kk, mat_idx) in &cells[range] {
-                let size = mesh.cell_size(i, j, kk);
-                let key = (
-                    size[0].to_bits(),
-                    size[1].to_bits(),
-                    size[2].to_bits(),
-                    mat_idx,
-                );
-                let el = cache.entry(key).or_insert_with(|| {
-                    // Element matrices depend only on the cell extents, not
-                    // its position, for an axis-aligned hexahedron.
-                    let coords = local_coords(size);
-                    hex_element(&coords, &mesh.materials()[mat_idx as usize], delta_t)
-                });
-                let nodes = mesh.cell_nodes(i, j, kk);
-                let mut eqs = [None; 24];
-                for (a, &node) in nodes.iter().enumerate() {
-                    for axis in 0..3 {
-                        eqs[3 * a + axis] = dof_map.dof(node, axis);
-                    }
+        emgrid_runtime::parallel_map_chunks(mesh.node_count(), NODE_CHUNK, threads, |_, nodes| {
+            let mut lens: Vec<usize> = Vec::with_capacity(3 * nodes.len());
+            let mut cols: Vec<u32> = Vec::with_capacity(3 * 81 * nodes.len());
+            let mut vals: Vec<f64> = Vec::with_capacity(3 * 81 * nodes.len());
+            let mut load: Vec<f64> = Vec::with_capacity(3 * nodes.len());
+            for node in nodes {
+                let (rows, nrows) = free_dofs(node);
+                if nrows == 0 {
+                    continue;
                 }
-                for r in 0..24 {
-                    let Some(er) = eqs[r] else { continue };
-                    loads.push((er, el.thermal_load[r]));
-                    for c in 0..24 {
-                        if let Some(ec) = eqs[c] {
-                            triplets.push((er, ec, el.stiffness[r][c]));
+                let (i, j, k) = (node % npx, (node / npx) % npy, node / plane);
+                // Incident occupied cells in ascending cell order, each with
+                // the node's local index in it and the cell's lowest node.
+                let mut cells = [(0usize, 0usize, 0usize); 8];
+                let mut ncells = 0;
+                for ck in k.saturating_sub(1)..=k.min(nz - 1) {
+                    for cj in j.saturating_sub(1)..=j.min(ny - 1) {
+                        for ci in i.saturating_sub(1)..=i.min(nx - 1) {
+                            let e = cell_element[(ck * ny + cj) * nx + ci];
+                            if e != u32::MAX {
+                                let la = LOCAL[(i - ci) + 2 * (j - cj) + 4 * (k - ck)];
+                                let origin = (ck * npy + cj) * npx + ci;
+                                cells[ncells] = (e as usize, la, origin);
+                                ncells += 1;
+                            }
                         }
                     }
                 }
+                // Neighbor `t = 9(z+1) + 3(y+1) + (x+1)` sits at grid offset
+                // (x, y, z) ∈ {-1, 0, 1}³; ascending `t` is ascending node
+                // order, hence ascending column order.
+                let neighbor = |la: usize, lb: usize| {
+                    let (a, b) = (HEX_CORNERS[la], HEX_CORNERS[lb]);
+                    9 * (1 + b[2] - a[2]) + 3 * (1 + b[1] - a[1]) + (1 + b[0] - a[0])
+                };
+                let mut coupled = [false; 27];
+                for &(_, la, _) in &cells[..ncells] {
+                    for lb in 0..8 {
+                        coupled[neighbor(la, lb)] = true;
+                    }
+                }
+                // Row slot of each coupled neighbor's first free DOF.
+                let mut slot = [0usize; 27];
+                let first_col = cols.len();
+                for t in (0..27).filter(|&t| coupled[t]) {
+                    slot[t] = cols.len() - first_col;
+                    let m = node + t / 9 * plane + t / 3 % 3 * npx + t % 3 - plane - npx - 1;
+                    let (dofs, count) = free_dofs(m);
+                    cols.extend(dofs[..count].iter().map(|&(_, eq)| eq));
+                }
+                let len = cols.len() - first_col;
+                for _ in 1..nrows {
+                    cols.extend_from_within(first_col..first_col + len);
+                }
+                let first_val = vals.len();
+                vals.resize(first_val + nrows * len, 0.0);
+                let row_vals = &mut vals[first_val..];
+                let mut f = [0.0f64; 3];
+                for &(e, la, origin) in &cells[..ncells] {
+                    let el = &elements[e];
+                    for (lb, [x, y, z]) in HEX_CORNERS.into_iter().enumerate() {
+                        let (dofs, count) = free_dofs(origin + x + y * npx + z * plane);
+                        let s = slot[neighbor(la, lb)];
+                        for (r, &(axis, _)) in rows[..nrows].iter().enumerate() {
+                            let k_row = &el.stiffness[3 * la + axis];
+                            let row = &mut row_vals[r * len + s..];
+                            for (q, &(b, _)) in dofs[..count].iter().enumerate() {
+                                row[q] += k_row[3 * lb + b];
+                            }
+                        }
+                    }
+                    for (r, &(axis, _)) in rows[..nrows].iter().enumerate() {
+                        f[r] += el.thermal_load[3 * la + axis];
+                    }
+                }
+                lens.extend(std::iter::repeat_n(len, nrows));
+                load.extend_from_slice(&f[..nrows]);
             }
-            (triplets, loads)
+            (lens, cols, vals, load)
         });
 
-    let mut k = TripletMatrix::with_capacity(n, n, mesh.occupied_count() * 300);
-    let mut f = vec![0.0f64; n];
-    for (triplets, loads) in chunks {
-        for (r, c, v) in triplets {
-            k.push(r, c, v);
+    let nnz: usize = chunks.iter().map(|c| c.1.len()).sum();
+    let mut row_ptr = Vec::with_capacity(n + 1);
+    row_ptr.push(0);
+    let mut col_idx = Vec::with_capacity(nnz);
+    let mut values = Vec::with_capacity(nnz);
+    let mut f = Vec::with_capacity(n);
+    for (lens, cols, vals, load) in chunks {
+        for len in lens {
+            row_ptr.push(row_ptr[row_ptr.len() - 1] + len);
         }
-        for (eq, v) in loads {
-            f[eq] += v;
-        }
+        col_idx.extend_from_slice(&cols);
+        values.extend_from_slice(&vals);
+        f.extend_from_slice(&load);
     }
     AssembledSystem {
-        stiffness: k.to_csr(),
+        stiffness: CsrMatrix::from_parts(n, n, row_ptr, col_idx, values),
         load: f,
         dof_map,
     }
+}
+
+/// The distinct element matrices of the mesh and, per cell, the index of
+/// its matrix (`u32::MAX` for void cells). Element matrices depend only on
+/// the cell extents and material, not its position, for an axis-aligned
+/// hexahedron, so a graded tensor grid needs only a few hundred of them.
+fn element_table(mesh: &HexMesh, delta_t: f64, threads: usize) -> (Vec<ElementMatrices>, Vec<u32>) {
+    let mut index: HashMap<(u64, u64, u64, u8), u32> = HashMap::new();
+    let mut distinct: Vec<([f64; 3], u8)> = Vec::new();
+    let mut cell_element = vec![u32::MAX; mesh.cell_count()];
+    for (idx, e) in cell_element.iter_mut().enumerate() {
+        let Some(mat) = mesh.cell_material(idx) else {
+            continue;
+        };
+        let (i, j, k) = mesh.cell_coords(idx);
+        let size = mesh.cell_size(i, j, k);
+        let key = (size[0].to_bits(), size[1].to_bits(), size[2].to_bits(), mat);
+        *e = *index.entry(key).or_insert_with(|| {
+            distinct.push((size, mat));
+            distinct.len() as u32 - 1
+        });
+    }
+    let elements = emgrid_runtime::parallel_map_chunks(distinct.len(), 1, threads, |_, r| {
+        let (size, mat) = distinct[r.start];
+        hex_element(
+            &local_coords(size),
+            &mesh.materials()[mat as usize],
+            delta_t,
+        )
+    });
+    (elements, cell_element)
 }
 
 /// Node coordinates of an axis-aligned hex with extents `size`, placed at
@@ -279,7 +380,7 @@ pub(crate) fn local_coords(size: [f64; 3]) -> [[f64; 3]; 8] {
 mod tests {
     use super::*;
     use crate::material::{table1, MaterialKind};
-    use emgrid_sparse::{FactorOptions, LdlFactor};
+    use emgrid_sparse::{FactorOptions, LdlFactor, TripletMatrix};
 
     fn solid_block(n: usize) -> HexMesh {
         let planes: Vec<f64> = (0..=n).map(|i| i as f64 / n as f64).collect();
@@ -335,7 +436,7 @@ mod tests {
 
     #[test]
     fn assembly_is_bit_identical_across_thread_counts() {
-        // 6³ block = 216 cells: spans several CELL_CHUNK=128 chunks.
+        // 6³ block = 343 nodes: spans two NODE_CHUNK=256 chunks.
         let m = solid_block(6);
         let bc = BoundaryConditions::confined_stack();
         let serial = assemble(&m, &bc, -220.0);
@@ -345,6 +446,119 @@ mod tests {
             assert_eq!(par.stiffness.values(), serial.stiffness.values());
             assert_eq!(par.stiffness.col_idx(), serial.stiffness.col_idx());
             assert_eq!(par.stiffness.row_ptr(), serial.stiffness.row_ptr());
+        }
+    }
+
+    /// An element-scatter build: every element's 24×24 block pushed as
+    /// triplets in cell order, then summed by `TripletMatrix::to_csr`. The
+    /// oracle for the row gather.
+    fn assemble_triplets(mesh: &HexMesh, bc: &BoundaryConditions, delta_t: f64) -> AssembledSystem {
+        let dof_map = DofMap::build(mesh, bc);
+        let n = dof_map.free_count();
+        let mut k = TripletMatrix::new(n, n);
+        let mut f = vec![0.0f64; n];
+        for (i, j, kk, mat) in mesh.occupied_cells() {
+            let coords = local_coords(mesh.cell_size(i, j, kk));
+            let el = hex_element(&coords, &mesh.materials()[mat as usize], delta_t);
+            let eqs: Vec<Option<usize>> = mesh
+                .cell_nodes(i, j, kk)
+                .iter()
+                .flat_map(|&node| (0..3).map(move |axis| (node, axis)))
+                .map(|(node, axis)| dof_map.dof(node, axis))
+                .collect();
+            for (r, er) in eqs.iter().enumerate() {
+                let Some(er) = *er else { continue };
+                f[er] += el.thermal_load[r];
+                for (c, ec) in eqs.iter().enumerate() {
+                    if let Some(ec) = *ec {
+                        k.push(er, ec, el.stiffness[r][c]);
+                    }
+                }
+            }
+        }
+        AssembledSystem {
+            stiffness: k.to_csr(),
+            load: f,
+            dof_map,
+        }
+    }
+
+    #[test]
+    fn row_gather_matches_the_triplet_oracle() {
+        use crate::geometry::{CharacterizationModel, ViaArrayGeometry};
+        use crate::mesh::graded_planes;
+        use FaceBc::{Fixed, Free, Sliding};
+
+        // Graded planes, four materials and void pockets: a hollow core and
+        // a corner column cut away under a top cell left with edge contacts
+        // only.
+        let mut holey = HexMesh::new(
+            graded_planes(&[0.0, 0.3, 1.0, 1.7], 0.25),
+            graded_planes(&[0.0, 0.45, 1.2], 0.2),
+            graded_planes(&[0.0, 0.1, 0.6, 0.9], 0.15),
+            MaterialKind::ALL[..4].iter().map(|&m| table1(m)).collect(),
+        );
+        holey.fill_where(0, |_, _, z| z < 0.1);
+        holey.fill_where(1, |x, _, z| z >= 0.1 && x < 1.0);
+        holey.fill_where(2, |x, _, z| z >= 0.1 && x >= 1.0);
+        holey.fill_where(3, |x, y, z| z > 0.6 && (x - y).abs() < 0.3);
+        let (nx, ny, nz) = holey.dims();
+        for k in 1..nz - 1 {
+            holey.set_cell(nx / 2, ny / 2, k, None);
+            holey.set_cell(nx - 1, ny - 1, k, None);
+        }
+        holey.set_cell(nx - 2, ny - 1, nz - 1, None);
+        holey.set_cell(nx - 1, ny - 2, nz - 1, None);
+        let stack = CharacterizationModel {
+            array: ViaArrayGeometry::square(2, 0.5, 1.0),
+            margin: 0.5,
+            resolution: 0.4,
+            ..CharacterizationModel::default()
+        }
+        .build_mesh();
+
+        let mixed = BoundaryConditions {
+            x_min: Fixed,
+            x_max: Free,
+            y_min: Sliding,
+            y_max: Fixed,
+            z_min: Sliding,
+            z_max: Free,
+        };
+        let flipped = BoundaryConditions {
+            x_min: Sliding,
+            x_max: Fixed,
+            y_min: Free,
+            y_max: Sliding,
+            z_min: Free,
+            z_max: Fixed,
+        };
+        for (label, mesh) in [("holey", &holey), ("stack", &stack)] {
+            for bc in [BoundaryConditions::confined_stack(), mixed, flipped] {
+                let oracle = assemble_triplets(mesh, &bc, -220.0);
+                let (want, a) = (&oracle.stiffness, oracle.stiffness.values());
+                for threads in [1, 2, 8] {
+                    let got = assemble_with(mesh, &bc, -220.0, threads);
+                    let ctx = format!("{label}, {bc:?}, threads = {threads}");
+                    assert_eq!(got.stiffness.row_ptr(), want.row_ptr(), "{ctx}");
+                    assert_eq!(got.stiffness.col_idx(), want.col_idx(), "{ctx}");
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got.load), bits(&oracle.load), "{ctx}");
+                    let b = got.stiffness.values();
+                    for w in want.row_ptr().windows(2) {
+                        let row = w[0]..w[1];
+                        let scale = a[row.clone()].iter().fold(0.0f64, |m, v| m.max(v.abs()));
+                        for p in row {
+                            assert!(
+                                (a[p] - b[p]).abs() <= 4.0 * f64::EPSILON * scale,
+                                "{ctx}: entry {p}: {} vs {}",
+                                b[p],
+                                a[p]
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -8,6 +8,19 @@
 
 use crate::material::Material;
 
+/// Grid offsets `(x, y, z)` of a cell's eight nodes in standard hex order:
+/// counter-clockwise bottom face, then top face.
+pub(crate) const HEX_CORNERS: [[usize; 3]; 8] = [
+    [0, 0, 0],
+    [1, 0, 0],
+    [1, 1, 0],
+    [0, 1, 0],
+    [0, 0, 1],
+    [1, 0, 1],
+    [1, 1, 1],
+    [0, 1, 1],
+];
+
 /// A structured hexahedral mesh on a tensor-product grid.
 ///
 /// Grid planes are given by the coordinate arrays `xs`, `ys`, `zs`
@@ -170,16 +183,7 @@ impl HexMesh {
     /// The 8 node indices of cell `(i, j, k)` in standard hex order
     /// (counter-clockwise bottom face, then top face).
     pub fn cell_nodes(&self, i: usize, j: usize, k: usize) -> [usize; 8] {
-        [
-            self.node_index(i, j, k),
-            self.node_index(i + 1, j, k),
-            self.node_index(i + 1, j + 1, k),
-            self.node_index(i, j + 1, k),
-            self.node_index(i, j, k + 1),
-            self.node_index(i + 1, j, k + 1),
-            self.node_index(i + 1, j + 1, k + 1),
-            self.node_index(i, j + 1, k + 1),
-        ]
+        HEX_CORNERS.map(|[x, y, z]| self.node_index(i + x, j + y, k + z))
     }
 
     /// The center of cell `(i, j, k)`.

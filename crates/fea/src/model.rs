@@ -7,8 +7,7 @@ use std::time::{Duration, Instant};
 
 use emgrid_runtime::obs;
 use emgrid_sparse::{
-    conjugate_gradient, CgOptions, FactorOptions, KernelBackend, LdlFactor, Ordering,
-    Preconditioner, SparseError,
+    conjugate_gradient, CgOptions, FactorOptions, KernelBackend, LdlFactor, Ordering, SparseError,
 };
 
 use crate::assembly::{assemble_with, AssembledSystem};
@@ -58,7 +57,7 @@ pub enum SolveMethod {
     },
     /// Always use the sparse direct factorization.
     Direct,
-    /// Always use Jacobi-preconditioned conjugate gradient.
+    /// Always use IC(0)-preconditioned conjugate gradient.
     Iterative {
         /// Relative residual target.
         tolerance: f64,
@@ -208,9 +207,9 @@ impl ThermalStressAnalysis {
         let cg_opts = |tolerance, max_iterations| CgOptions {
             tolerance,
             max_iterations,
-            preconditioner: Preconditioner::IncompleteCholesky,
             threads: self.threads,
             kernels: self.kernels,
+            ..CgOptions::default()
         };
         let solve_start = Instant::now();
         let solve_span = obs::span("solve");

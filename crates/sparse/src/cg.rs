@@ -1,28 +1,28 @@
 //! Preconditioned conjugate gradient solver.
 //!
 //! The finite-element systems produced when characterizing via-array stress
-//! can reach hundreds of thousands of unknowns; a Jacobi-preconditioned CG
-//! keeps memory linear in the number of nonzeros where a direct factorization
-//! would fill in.
+//! can reach hundreds of thousands of unknowns, and chip-scale power grids
+//! millions; CG preconditioned by the zero-fill incomplete Cholesky factor
+//! ([`Ic0`], the default) keeps memory linear in the number of nonzeros
+//! where a direct factorization would fill in.
 
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
 use crate::ic0::Ic0;
 use crate::kernels::{axpy_with, dot_with, norm_with, xpby_with, VEC_CHUNK};
-use crate::panel::{self, KernelBackend};
+use crate::panel::KernelBackend;
 use emgrid_runtime::{obs, parallel_fill};
 use std::time::{Duration, Instant};
 
 /// Preconditioner selection for [`conjugate_gradient`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Preconditioner {
-    /// No preconditioning.
-    Identity,
     /// Diagonal (Jacobi) scaling — cheap, helps badly scaled systems.
     Jacobi,
     /// Zero-fill incomplete Cholesky ([`Ic0`]) — costs one structured
     /// factorization up front, typically cuts iteration counts several-fold
-    /// on FEM/grid matrices.
+    /// on FEM/grid matrices (the default).
+    #[default]
     IncompleteCholesky,
 }
 
@@ -33,7 +33,7 @@ pub struct CgOptions {
     pub tolerance: f64,
     /// Hard iteration cap.
     pub max_iterations: usize,
-    /// Preconditioner (default: Jacobi).
+    /// Preconditioner (default: IC(0)).
     pub preconditioner: Preconditioner,
     /// Worker threads for the SpMV / dot / axpy kernels (default 1).
     ///
@@ -41,8 +41,7 @@ pub struct CgOptions {
     /// count, so the solve — iterates, iteration count and residual — is
     /// **bit-identical** whatever value is used.
     pub threads: usize,
-    /// Microkernel backend for the dot/axpy/xpby chunk bodies and the
-    /// IC(0) preconditioner's multi-RHS row operations
+    /// Microkernel backend for the dot/axpy/xpby chunk bodies
     /// ([`crate::panel`]). Backends are bit-identical, so this — like
     /// `threads` — only moves wall time.
     pub kernels: KernelBackend,
@@ -53,7 +52,7 @@ impl Default for CgOptions {
         CgOptions {
             tolerance: 1e-10,
             max_iterations: 10_000,
-            preconditioner: Preconditioner::Jacobi,
+            preconditioner: Preconditioner::default(),
             threads: 1,
             kernels: KernelBackend::Auto,
         }
@@ -71,11 +70,12 @@ pub struct CgOutcome {
     pub residual: f64,
     /// Wall time spent building the preconditioner (the IC(0)
     /// factorization for [`Preconditioner::IncompleteCholesky`]; near
-    /// zero for the diagonal choices).
+    /// zero for Jacobi).
     pub precond_time: Duration,
 }
 
-/// Solves the SPD system `A x = b` by (Jacobi-)preconditioned CG.
+/// Solves the SPD system `A x = b` by preconditioned CG (IC(0) unless
+/// `options` picks Jacobi).
 ///
 /// `x0` provides a warm start; pass `None` to start from zero.
 ///
@@ -141,7 +141,6 @@ pub fn conjugate_gradient(
     let precond_span = obs::span("precondition");
     let precond_start = Instant::now();
     let prec = match options.preconditioner {
-        Preconditioner::Identity => Prec::Diagonal(vec![1.0; n]),
         Preconditioner::Jacobi => Prec::Diagonal(
             (0..n)
                 .map(|i| {
@@ -158,21 +157,11 @@ pub fn conjugate_gradient(
     };
     let precond_time = precond_start.elapsed();
     drop(precond_span);
-    let apply_prec = |r: &[f64]| -> Vec<f64> {
-        match &prec {
-            Prec::Diagonal(d) => {
-                let mut z = vec![0.0; r.len()];
-                parallel_fill(&mut z, VEC_CHUNK, threads, |i, zi| *zi = r[i] * d[i]);
-                z
-            }
-            // Triangular solves are inherently sequential across rows, but
-            // the row bodies route through the microkernel backend —
-            // dispatched concretely here so they inline per nonzero.
-            Prec::Ic(f) => match options.kernels.resolve() {
-                KernelBackend::Scalar => f.apply_with(r, &panel::SCALAR),
-                _ => f.apply_with(r, &panel::BLOCKED),
-            },
-        }
+    // Writes z = M⁻¹ r into a buffer reused across iterations.
+    let apply_prec = |r: &[f64], z: &mut [f64]| match &prec {
+        Prec::Diagonal(d) => parallel_fill(z, VEC_CHUNK, threads, |i, zi| *zi = r[i] * d[i]),
+        // Triangular solves are inherently sequential across rows.
+        Prec::Ic(f) => f.apply_into(r, z),
     };
 
     let mut x = match x0 {
@@ -190,7 +179,8 @@ pub fn conjugate_gradient(
     let mut r = vec![0.0; n];
     a.par_matvec_into(&x, &mut r, threads);
     parallel_fill(&mut r, VEC_CHUNK, threads, |i, ri| *ri = b[i] - *ri);
-    let mut z: Vec<f64> = apply_prec(&r);
+    let mut z = vec![0.0; n];
+    apply_prec(&r, &mut z);
     let mut p = z.clone();
     let mut rz = dot_with(&r, &z, threads, kern);
     let mut ap = vec![0.0; n];
@@ -227,7 +217,7 @@ pub fn conjugate_gradient(
                 precond_time,
             });
         }
-        z = apply_prec(&r);
+        apply_prec(&r, &mut z);
         let rz_new = dot_with(&r, &z, threads, kern);
         let beta = rz_new / rz;
         rz = rz_new;
@@ -302,7 +292,6 @@ mod tests {
         let opts = CgOptions {
             tolerance: 1e-14,
             max_iterations: 2,
-            preconditioner: Preconditioner::Identity,
             ..CgOptions::default()
         };
         let err = conjugate_gradient(&a, &b, None, &opts).unwrap_err();
@@ -403,8 +392,8 @@ mod tests {
 
     #[test]
     fn solve_is_bit_identical_across_kernel_backends() {
-        // The full CG pipeline — dots, axpys, SpMV, and the IC(0) panel
-        // apply — must give the same iterates whatever backend runs it.
+        // The full CG pipeline — dots, axpys, SpMV, and the IC(0) apply —
+        // must give the same iterates whatever backend runs it.
         let a = laplacian_2d(20, 20);
         let b: Vec<f64> = (0..400).map(|i| ((i * 11) % 17) as f64 - 8.0).collect();
         let run = |kernels| {
@@ -414,7 +403,6 @@ mod tests {
                 None,
                 &CgOptions {
                     kernels,
-                    preconditioner: Preconditioner::IncompleteCholesky,
                     ..CgOptions::default()
                 },
             )
@@ -469,7 +457,6 @@ mod tests {
             let run = |kernels| {
                 conjugate_gradient(&a, &b, None, &CgOptions {
                     kernels,
-                    preconditioner: Preconditioner::IncompleteCholesky,
                     tolerance: 1e-9,
                     ..CgOptions::default()
                 })

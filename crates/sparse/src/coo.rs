@@ -1,9 +1,11 @@
 //! Coordinate-format (triplet) matrix builder.
 //!
-//! Assembly codes — the finite-element engine and the MNA stamper — produce
-//! entries in arbitrary order with duplicates; [`TripletMatrix`] collects them
-//! and converts to compressed sparse row storage, summing duplicates, which is
-//! exactly the assembly semantics both producers need.
+//! Stamping codes — the MNA stamper and the via-array electrical model —
+//! produce entries in arbitrary order with duplicates; [`TripletMatrix`]
+//! collects them and converts to compressed sparse row storage, summing
+//! duplicates, which is exactly the assembly semantics they need. (The
+//! finite-element engine builds its CSR directly; see
+//! [`CsrMatrix::from_parts`].)
 
 use crate::csr::CsrMatrix;
 

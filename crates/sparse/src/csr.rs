@@ -90,6 +90,42 @@ impl CsrMatrix {
         }
     }
 
+    /// Wraps CSR arrays built directly by an assembler.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `row_ptr` has `rows + 1` non-decreasing entries from 0
+    /// to `col_idx.len() == values.len()` and every row's column indices
+    /// are strictly increasing and below `cols`.
+    pub fn from_parts(
+        rows: usize,
+        cols: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<u32>,
+        values: Vec<f64>,
+    ) -> Self {
+        assert_eq!(row_ptr.len(), rows + 1, "row_ptr length");
+        assert_eq!(row_ptr[0], 0, "row_ptr must start at 0");
+        assert_eq!(row_ptr[rows], col_idx.len(), "row_ptr must end at nnz");
+        assert_eq!(col_idx.len(), values.len(), "col_idx/values length");
+        for w in row_ptr.windows(2) {
+            assert!(w[0] <= w[1], "row_ptr must be non-decreasing");
+            let row = &col_idx[w[0]..w[1]];
+            assert!(
+                row.windows(2).all(|c| c[0] < c[1])
+                    && row.last().is_none_or(|&c| (c as usize) < cols),
+                "row columns must be strictly increasing and in bounds"
+            );
+        }
+        CsrMatrix {
+            rows,
+            cols,
+            row_ptr,
+            col_idx,
+            values,
+        }
+    }
+
     /// Creates an `n x n` identity matrix.
     pub fn identity(n: usize) -> Self {
         CsrMatrix {
@@ -334,6 +370,16 @@ mod tests {
         t.push(2, 0, 1.0);
         t.push(2, 2, 4.0);
         t.to_csr()
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly increasing")]
+    fn from_parts_wraps_valid_arrays_and_rejects_unsorted_rows() {
+        let m = sample();
+        let (row_ptr, col_idx) = (m.row_ptr().to_vec(), m.col_idx().to_vec());
+        let rebuilt = CsrMatrix::from_parts(3, 3, row_ptr, col_idx, m.values().to_vec());
+        assert_eq!(rebuilt, m);
+        CsrMatrix::from_parts(3, 3, vec![0, 2, 3, 5], vec![2, 0, 1, 0, 2], vec![1.0; 5]);
     }
 
     #[test]

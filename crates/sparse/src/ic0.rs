@@ -13,7 +13,6 @@
 
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
-use crate::panel::{PanelKernels, SCALAR};
 
 /// A zero-fill incomplete Cholesky factor `L` with `A ≈ L Lᵀ`.
 #[derive(Debug, Clone)]
@@ -81,44 +80,12 @@ impl Ic0 {
 
         // Up-looking IC(0): process rows in order; for entry (i, j) subtract
         // the dot product of the already-computed prefixes of rows i and j.
+        // `pos` maps each column of row i to its slot, so the dot walks row
+        // j's stored prefix alone and picks up the shared columns in
+        // ascending order.
+        let mut pos = vec![usize::MAX; n];
         for i in 0..n {
             let (ri_start, ri_end) = (row_ptr[i], row_ptr[i + 1]);
-            for idx in ri_start..ri_end {
-                let j = col_idx[idx] as usize;
-                let (rj_start, rj_end) = (row_ptr[j], row_ptr[j + 1]);
-                // dot(L[i, :j], L[j, :j]) over the stored patterns.
-                let mut dot = 0.0;
-                let mut p = ri_start;
-                let mut q = rj_start;
-                while p < idx && q + 1 < rj_end {
-                    let cp = col_idx[p];
-                    let cq = col_idx[q];
-                    match cp.cmp(&cq) {
-                        std::cmp::Ordering::Less => p += 1,
-                        std::cmp::Ordering::Greater => q += 1,
-                        std::cmp::Ordering::Equal => {
-                            dot += values[p] * values[q];
-                            p += 1;
-                            q += 1;
-                        }
-                    }
-                }
-                if j < i {
-                    // Off-diagonal: L_ij = (a_ij - dot) / L_jj.
-                    let ljj = values[rj_end - 1];
-                    values[idx] = (values[idx] - dot) / ljj;
-                } else {
-                    // Diagonal: L_ii = sqrt(a_ii - dot).
-                    let d = values[idx] - dot;
-                    if d <= 0.0 || !d.is_finite() {
-                        return Err(SparseError::NotPositiveDefinite {
-                            column: i,
-                            pivot: d,
-                        });
-                    }
-                    values[idx] = d.sqrt();
-                }
-            }
             // The diagonal must be the last stored entry of the row; a
             // missing diagonal means the pattern cannot support IC(0).
             if ri_end == ri_start || col_idx[ri_end - 1] as usize != i {
@@ -127,6 +94,35 @@ impl Ic0 {
                     pivot: 0.0,
                 });
             }
+            for idx in ri_start..ri_end - 1 {
+                let j = col_idx[idx] as usize;
+                let rj_end = row_ptr[j + 1];
+                // dot(L[i, :j], L[j, :j]) over the stored patterns.
+                let mut dot = 0.0;
+                for q in row_ptr[j]..rj_end - 1 {
+                    let p = pos[col_idx[q] as usize];
+                    if p != usize::MAX {
+                        dot += values[p] * values[q];
+                    }
+                }
+                // Off-diagonal: L_ij = (a_ij - dot) / L_jj.
+                values[idx] = (values[idx] - dot) / values[rj_end - 1];
+                pos[j] = idx;
+            }
+            // Diagonal: L_ii = sqrt(a_ii - dot(L[i, :i], L[i, :i])).
+            let mut dot = 0.0;
+            for p in ri_start..ri_end - 1 {
+                dot += values[p] * values[p];
+                pos[col_idx[p] as usize] = usize::MAX;
+            }
+            let d = values[ri_end - 1] - dot;
+            if d <= 0.0 || !d.is_finite() {
+                return Err(SparseError::NotPositiveDefinite {
+                    column: i,
+                    pivot: d,
+                });
+            }
+            values[ri_end - 1] = d.sqrt();
         }
 
         // Transpose for the backward sweep.
@@ -178,92 +174,57 @@ impl Ic0 {
         self.shift
     }
 
+    /// The lower-triangular factor in CSR: `(row_ptr, col_idx, values)`,
+    /// columns ascending with the diagonal last in each row. Exposed for
+    /// byte-level determinism checks.
+    pub fn factor_parts(&self) -> (&[usize], &[u32], &[f64]) {
+        (&self.row_ptr, &self.col_idx, &self.values)
+    }
+
     /// Applies the preconditioner: solves `L Lᵀ z = r`.
     ///
     /// # Panics
     ///
     /// Panics if `r.len()` differs from the matrix dimension.
     pub fn apply(&self, r: &[f64]) -> Vec<f64> {
-        self.apply_with(r, &SCALAR)
-    }
-
-    /// [`Ic0::apply`] with an explicit microkernel backend. Backends are
-    /// bit-identical ([`crate::panel`]), so the result never depends on the
-    /// choice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r.len()` differs from the matrix dimension.
-    pub fn apply_with<K: PanelKernels + ?Sized>(&self, r: &[f64], kernels: &K) -> Vec<f64> {
-        assert_eq!(r.len(), self.n, "rhs length mismatch");
-        let mut z = r.to_vec();
-        self.apply_panel(&mut z, 1, kernels);
+        let mut z = vec![0.0; self.n];
+        self.apply_into(r, &mut z);
         z
     }
 
-    /// Applies the preconditioner to several residuals at once via the
-    /// blocked multi-RHS panel path: one pass over the factor per batch
-    /// instead of one per vector. Each column of the result is
-    /// bit-identical to a separate [`Ic0::apply`] of that vector.
+    /// [`Ic0::apply`] into a caller-provided buffer (no allocation).
+    ///
+    /// Each row keeps its running value in a local accumulator: the
+    /// forward sweep computes `z[i] = (r[i] - Σ L[i,c]·z[c]) / L[i,i]` and
+    /// the backward sweep `z[i] = (z[i] - Σ L[c,i]·z[c]) / L[i,i]`, with the
+    /// terms subtracted one at a time in ascending stored order.
     ///
     /// # Panics
     ///
-    /// Panics if any vector's length differs from the matrix dimension.
-    pub fn apply_many<K: PanelKernels + ?Sized>(
-        &self,
-        rhs: &[Vec<f64>],
-        kernels: &K,
-    ) -> Vec<Vec<f64>> {
-        let k = rhs.len();
-        if k == 0 {
-            return Vec::new();
-        }
-        let mut panel = vec![0.0f64; self.n * k];
-        for (c, r) in rhs.iter().enumerate() {
-            assert_eq!(r.len(), self.n, "rhs length mismatch");
-            for i in 0..self.n {
-                panel[i * k + c] = r[i];
-            }
-        }
-        self.apply_panel(&mut panel, k, kernels);
-        (0..k)
-            .map(|c| (0..self.n).map(|i| panel[i * k + c]).collect())
-            .collect()
-    }
-
-    /// Triangular sweeps over a row-major `n × k` panel: each of the `k`
-    /// columns is an independent right-hand side, so the row operations
-    /// route through the microkernel backend, which may vectorize across
-    /// them. With `k == 1` this runs exactly the historical scalar sweep's
-    /// operation sequence.
-    fn apply_panel<K: PanelKernels + ?Sized>(&self, panel: &mut [f64], k: usize, kernels: &K) {
-        debug_assert_eq!(panel.len(), self.n * k);
-        debug_assert!(k > 0);
+    /// Panics if `r.len()` or `z.len()` differs from the matrix dimension.
+    pub fn apply_into(&self, r: &[f64], z: &mut [f64]) {
+        assert_eq!(r.len(), self.n, "rhs length mismatch");
+        assert_eq!(z.len(), self.n, "output length mismatch");
         // Forward: L y = r (CSR rows, diagonal last). Row i reads only
         // finalized rows c < i.
         for i in 0..self.n {
             let (start, end) = (self.row_ptr[i], self.row_ptr[i + 1]);
-            let (head, rest) = panel.split_at_mut(i * k);
-            let row = &mut rest[..k];
+            let mut acc = r[i];
             for idx in start..end - 1 {
-                let c = self.col_idx[idx] as usize;
-                kernels.row_update(row, &head[c * k..(c + 1) * k], self.values[idx]);
+                acc -= self.values[idx] * z[self.col_idx[idx] as usize];
             }
-            kernels.row_div(row, self.values[end - 1]);
+            z[i] = acc / self.values[end - 1];
         }
         // Backward: Lᵀ z = y (transposed CSR rows are the columns of L; the
         // diagonal is the first stored entry of each transposed row). Row i
         // reads only finalized rows c > i.
         for i in (0..self.n).rev() {
             let (start, end) = (self.t_row_ptr[i], self.t_row_ptr[i + 1]);
-            let (head, tail) = panel.split_at_mut((i + 1) * k);
-            let row = &mut head[i * k..];
+            let mut acc = z[i];
             for idx in start + 1..end {
-                let c = self.t_col_idx[idx] as usize;
-                let src = &tail[(c - i - 1) * k..(c - i) * k];
-                kernels.row_update(row, src, self.t_values[idx]);
+                acc -= self.t_values[idx] * z[self.t_col_idx[idx] as usize];
             }
-            kernels.row_div(row, self.t_values[start]);
+            z[i] = acc / self.t_values[start];
         }
     }
 }
@@ -341,26 +302,19 @@ mod tests {
     }
 
     #[test]
-    fn panel_apply_matches_single_apply_bitwise_across_backends() {
-        use crate::panel::BLOCKED;
+    fn apply_into_overwrites_a_reused_buffer() {
+        // CG hands the same `z` buffer back every iteration: stale contents
+        // must never leak into the result.
         let a = laplacian_2d(9, 11);
         let f = Ic0::factor(&a).unwrap();
-        let rhs: Vec<Vec<f64>> = (0..5)
-            .map(|s| {
-                (0..99)
-                    .map(|i| ((i * 29 + s * 13) % 17) as f64 * 0.5 - 4.0)
-                    .collect()
-            })
-            .collect();
-        let singles: Vec<Vec<f64>> = rhs.iter().map(|r| f.apply(r)).collect();
-        for kernels in [&SCALAR as &dyn PanelKernels, &BLOCKED] {
-            for (r, expect) in rhs.iter().zip(&singles) {
-                assert_eq!(&f.apply_with(r, kernels), expect, "{}", kernels.label());
-            }
-            let batched = f.apply_many(&rhs, kernels);
-            assert_eq!(batched, singles, "{}", kernels.label());
+        let mut z = vec![f64::NAN; 99];
+        for s in 0..3 {
+            let r: Vec<f64> = (0..99)
+                .map(|i| ((i * 29 + s * 13) % 17) as f64 * 0.5 - 4.0)
+                .collect();
+            f.apply_into(&r, &mut z);
+            assert_eq!(z, f.apply(&r));
         }
-        assert!(f.apply_many(&[], &SCALAR).is_empty());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! matrix dimension alone, so every knob surface (CLI, job specs, screen
 //! options) can thread one label through to [`solve_spd`].
 
-use crate::cg::{conjugate_gradient, CgOptions, Preconditioner};
+use crate::cg::{conjugate_gradient, CgOptions};
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
 use crate::ldl::{FactorOptions, LdlFactor};
@@ -68,10 +68,7 @@ impl Method {
 /// Solves the SPD system `A x = b` with the engine `method` resolves to.
 ///
 /// The direct path factors with `factor` and runs one triangular solve;
-/// the CG path runs IC(0)-preconditioned CG under `cg` (the caller's
-/// preconditioner choice is overridden to IC(0) only when left at the
-/// default Jacobi, which is never the right choice at the sizes that
-/// resolve to CG).
+/// the CG path runs CG under `cg` (IC(0)-preconditioned by default).
 ///
 /// # Errors
 ///
@@ -86,13 +83,7 @@ pub fn solve_spd(
 ) -> Result<Vec<f64>, SparseError> {
     match method.resolve(a.rows()) {
         Method::Direct => Ok(LdlFactor::factor_with(a, factor)?.solve(b)),
-        Method::Cg => {
-            let mut options = cg.clone();
-            if options.preconditioner == Preconditioner::Jacobi {
-                options.preconditioner = Preconditioner::IncompleteCholesky;
-            }
-            Ok(conjugate_gradient(a, b, None, &options)?.x)
-        }
+        Method::Cg => Ok(conjugate_gradient(a, b, None, cg)?.x),
         Method::Auto => unreachable!("resolve never returns Auto"),
     }
 }

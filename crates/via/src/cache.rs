@@ -39,9 +39,12 @@ use emgrid_fea::stress::StressField;
 use emgrid_runtime::obs;
 use emgrid_sparse::Ordering as FactorOrdering;
 
-/// Format tag written as the first line of every entry; bump on any layout
-/// change so stale entries read as misses instead of garbage.
-const FORMAT: &str = "emgrid-stress-cache-v1";
+/// Format tag written as the first line of every entry and hashed into
+/// every key. Bump it on any layout change, and on any solver change that
+/// moves the stored bits, so stale entries read as misses instead of
+/// garbage or another build's rounding. v2: the FEA assembly sums each
+/// stiffness entry in cell order.
+pub(crate) const FORMAT: &str = "emgrid-stress-cache-v2";
 
 /// Tie-breaker for concurrent writers of the same key (see
 /// [`StressCache::store`]).

@@ -663,6 +663,46 @@ mod tests {
     }
 
     #[test]
+    fn stale_v1_cache_entries_are_recomputed() {
+        // A v1 entry has today's layout but the previous assembly's
+        // rounding; planted at the current key it must read as a miss,
+        // be solved afresh and be overwritten — never served, never an
+        // error.
+        let dir =
+            std::env::temp_dir().join(format!("emgrid-table-v1-cache-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = StressCache::new(&dir);
+        let models = [(coarse_model(0.5), LayerPair::IntermediateTop)];
+        let defaults = FeaOptions::default();
+        let key = StressCache::key(&models[0].0, &defaults.method, defaults.ordering);
+        let stale = CacheEntry {
+            per_via_stress: vec![1.0; 4],
+            displacements: vec![],
+        };
+        let path = cache.store(key, &stale).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let v1 = text.replacen(crate::cache::FORMAT, "emgrid-stress-cache-v1", 1);
+        assert_ne!(v1, text);
+        std::fs::write(&path, v1).unwrap();
+        assert!(cache.load(key).is_none(), "a v1 entry must be a miss");
+
+        let opts = FeaOptions {
+            cache: Some(cache.clone()),
+            ..FeaOptions::default()
+        };
+        let (table, report) = StressTable::characterize_with_fea_opts(&models, &opts).unwrap();
+        assert_eq!(report.cache_hits, 0);
+        assert_ne!(report.primitives[0].solver, "cache");
+        let (fresh, _) =
+            StressTable::characterize_with_fea_opts(&models, &FeaOptions::default()).unwrap();
+        assert_eq!(table.entries(), fresh.entries());
+        let stored = cache.load(key).expect("the recomputed entry is stored");
+        assert_eq!(stored.per_via_stress, fresh.entries()[0].per_via_stress);
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn cache_hits_across_kernel_backends() {
         // The microkernel backend is not part of the cache key — backends
         // are bit-identical, so an entry written under the scalar backend

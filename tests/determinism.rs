@@ -374,3 +374,86 @@ fn flat_mc_result_bits_are_pinned() {
         "flat Monte Carlo result moved"
     );
 }
+
+/// A mixed-weight 3-D stencil on a 12×10×8 grid: every node links to all
+/// 26 neighbours of its 3×3×3 block, weights cycling over eleven values and
+/// shrinking with the link's length in grid steps. The diagonal is 1% above
+/// the row's link sum plus 0.05, so IC(0) factors without a shift. Rows
+/// share several lower neighbours, so the factor's dot products and the
+/// preconditioner sweeps have many terms whose order shows in the bits.
+fn mixed_stencil() -> (emgrid::sparse::CsrMatrix, Vec<f64>) {
+    use emgrid::sparse::TripletMatrix;
+    let (nx, ny, nz) = (12usize, 10usize, 8usize);
+    let n = nx * ny * nz;
+    let mut t = TripletMatrix::new(n, n);
+    let mut diag = vec![0.0f64; n];
+    for i in 0..n {
+        let (x, y, z) = (i % nx, (i / nx) % ny, i / (nx * ny));
+        // The 13 forward neighbours (higher index) of the 3×3×3 block.
+        for s in 14..27usize {
+            let (dx, dy, dz) = (s % 3, s / 3 % 3, s / 9);
+            if x + dx < 1 || x + dx > nx || y + dy < 1 || y + dy > ny || z + dz < 1 || z + dz > nz {
+                continue;
+            }
+            let j = ((z + dz - 1) * ny + (y + dy - 1)) * nx + (x + dx - 1);
+            let steps = (dx.abs_diff(1) + dy.abs_diff(1) + dz.abs_diff(1)) as f64;
+            let w = (0.25 + ((i * 7 + s * 3) % 11) as f64 * 0.2) / steps;
+            t.push_sym(i, j, -w);
+            diag[i] += w;
+            diag[j] += w;
+        }
+    }
+    for (i, d) in diag.iter().enumerate() {
+        t.push(i, i, d * 1.01 + 0.05);
+    }
+    let b = (0..n).map(|i| ((i * 37) % 23) as f64 - 11.0).collect();
+    (t.to_csr(), b)
+}
+
+/// Pins the IC(0) factor and the IC(0)-CG solve bit for bit: the factor's
+/// CSR arrays, and the solution, iteration count and residual at every
+/// thread count and kernel backend. Any reordering of the factor's dot
+/// products or of the preconditioner sweeps fails here.
+#[test]
+fn ic0_factor_and_cg_bits_are_pinned() {
+    use emgrid::sparse::{conjugate_gradient, CgOptions, Ic0, KernelBackend, Preconditioner};
+
+    let (a, b) = mixed_stencil();
+    let f = Ic0::factor(&a).unwrap();
+    assert_eq!(f.shift(), 0.0);
+    let (row_ptr, col_idx, values) = f.factor_parts();
+    let digest = fnv1a(
+        row_ptr
+            .iter()
+            .map(|&p| p as u64)
+            .chain(col_idx.iter().map(|&c| u64::from(c)))
+            .chain(values.iter().map(|v| v.to_bits())),
+    );
+    assert_eq!(digest, 0x5f5d_1075_a4f0_ed7a, "IC(0) factor moved");
+
+    for kernels in [KernelBackend::Scalar, KernelBackend::Blocked] {
+        for threads in [1, 2] {
+            let options = CgOptions {
+                tolerance: 1e-10,
+                preconditioner: Preconditioner::IncompleteCholesky,
+                threads,
+                kernels,
+                ..CgOptions::default()
+            };
+            let out = conjugate_gradient(&a, &b, None, &options).unwrap();
+            let label = format!("kernels = {}, threads = {threads}", kernels.label());
+            assert_eq!(out.iterations, 19, "{label}");
+            assert_eq!(out.residual.to_bits(), 0x3dd6_6b28_9279_000d, "{label}");
+            let digest = fnv1a(
+                out.x
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .chain([out.iterations as u64, out.residual.to_bits()]),
+            );
+            assert_eq!(
+                digest, 0x6f35_f5b1_19f0_ca7d,
+                "IC(0)-CG solve moved: {label}"
+            );
+        }
+    }
+}
