@@ -5,18 +5,16 @@
 //! 4x4 array) and a large synthetic power-grid Laplacian.
 //!
 //! Results land machine-readably in `BENCH_sparse.json`; each `factor`
-//! benchmark id embeds the factor's fill (`fill_nnz=`) so the CI smoke
-//! job can assert AMD never fills more than RCM without re-running the
-//! factorization. Set `EMGRID_BENCH_SMALL=1` (CI) to shrink both
-//! matrices and sample counts.
+//! benchmark id embeds the factor's fill (`fill_nnz=`). The fill
+//! comparisons themselves are unit tests (`emgrid-sparse`'s ordering and
+//! LDL tests on grids, `emgrid-fea`'s `ordering_fill` test on the FEA
+//! matrix). Set `EMGRID_BENCH_SMALL=1` (CI) to shrink both matrices and
+//! sample counts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use emgrid::fea::assembly::{assemble, BoundaryConditions};
 use emgrid::prelude::*;
-use emgrid::sparse::{
-    conjugate_gradient, CgOptions, CsrMatrix, FactorOptions, KernelBackend, LdlFactor, Ordering,
-    Preconditioner, TripletMatrix,
-};
+use emgrid::sparse::{CsrMatrix, FactorOptions, LdlFactor, Ordering, TripletMatrix};
 use std::hint::black_box;
 
 fn grid_laplacian(n: usize) -> CsrMatrix {
@@ -62,7 +60,6 @@ fn configs() -> [(&'static str, FactorOptions); 5] {
         ordering,
         supernodal: false,
         threads: 1,
-        ..FactorOptions::default()
     };
     [
         ("natural", scalar(Ordering::Natural)),
@@ -72,11 +69,6 @@ fn configs() -> [(&'static str, FactorOptions); 5] {
         ("amd_supernodal", FactorOptions::default()),
     ]
 }
-
-/// The microkernel axis: both explicit backends on the default
-/// AMD + supernodal configuration. `auto` is excluded — it is one of
-/// these two, and benching it twice would only add noise.
-const KERNEL_AXIS: [KernelBackend; 2] = [KernelBackend::Scalar, KernelBackend::Blocked];
 
 fn bench_ordering(c: &mut Criterion) {
     c.json_output("BENCH_sparse.json");
@@ -109,74 +101,6 @@ fn bench_ordering(c: &mut Criterion) {
                 |bench, f| bench.iter(|| black_box(f.solve(black_box(&b)))),
             );
         }
-        // The microkernel axis on the default AMD + supernodal
-        // configuration: factor, blocked multi-RHS solves and CG with each
-        // explicit backend. Backends are bit-identical by contract, so any
-        // spread between these ids is pure wall time.
-        let many: Vec<Vec<f64>> = (0..8)
-            .map(|s| {
-                (0..n)
-                    .map(|i| ((i * 29 + s * 13) % 23) as f64 - 11.0)
-                    .collect()
-            })
-            .collect();
-        for kernels in KERNEL_AXIS {
-            let opts = FactorOptions::default().with_kernels(kernels);
-            let klabel = kernels.label();
-            let factored = LdlFactor::factor_with(a, &opts).unwrap();
-            group.bench_with_input(
-                BenchmarkId::new(
-                    format!("factor/{name}/amd_supernodal/kernels={klabel}"),
-                    format!("fill_nnz={}", factored.l_nnz()),
-                ),
-                a,
-                |bench, a| {
-                    bench.iter(|| black_box(LdlFactor::factor_with(black_box(a), &opts).unwrap()))
-                },
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("solve_many8/{name}/kernels={klabel}"), n),
-                &factored,
-                |bench, f| bench.iter(|| black_box(f.solve_many(black_box(&many)))),
-            );
-            let cg_opts = CgOptions {
-                tolerance: 1e-10,
-                preconditioner: Preconditioner::IncompleteCholesky,
-                kernels,
-                ..CgOptions::default()
-            };
-            group.bench_with_input(
-                BenchmarkId::new(format!("cg/{name}/kernels={klabel}"), n),
-                a,
-                |bench, a| {
-                    bench.iter(|| {
-                        black_box(
-                            conjugate_gradient(black_box(a), black_box(&b), None, &cg_opts)
-                                .unwrap(),
-                        )
-                    })
-                },
-            );
-        }
-        // The blocked multi-RHS path against one-at-a-time solves, both on
-        // the default AMD + supernodal factor.
-        let factored = LdlFactor::factor_with(a, &FactorOptions::default()).unwrap();
-        group.bench_with_input(
-            BenchmarkId::new(format!("solve_many8/{name}/blocked"), n),
-            &factored,
-            |bench, f| bench.iter(|| black_box(f.solve_many(black_box(&many)))),
-        );
-        group.bench_with_input(
-            BenchmarkId::new(format!("solve_many8/{name}/one_by_one"), n),
-            &factored,
-            |bench, f| {
-                bench.iter(|| {
-                    many.iter()
-                        .map(|rhs| f.solve(black_box(rhs)))
-                        .collect::<Vec<_>>()
-                })
-            },
-        );
     }
     group.finish();
 }

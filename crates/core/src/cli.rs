@@ -16,7 +16,7 @@ use emgrid_runtime::obs;
 use emgrid_runtime::{EarlyStop, RunReport, RuntimeConfig};
 use emgrid_screen::{screen_grid, ScreenOptions};
 use emgrid_serve::{ServeConfig, Server};
-use emgrid_sparse::{FactorOptions, KernelBackend, Method, Ordering};
+use emgrid_sparse::{FactorOptions, Method, Ordering};
 use emgrid_spice::writer::write_string;
 use emgrid_spice::{lint, parse, repair_shorted_vias, GridSpec};
 use emgrid_via::{
@@ -64,7 +64,6 @@ COMMANDS:
                     [--repair-vias <ohms>] [--threads <n>]
                     [--target-ci <half-width>]
                     [--ordering natural|rcm|amd|nd]
-                    [--kernels auto|scalar|blocked]
                     [--edge-current-factor <f>] [--temperature-sigma <degC>]
                     [--linewidth-sigma <f>]
     screen        linear-time steady-state EM screening: rank every via
@@ -74,7 +73,6 @@ COMMANDS:
                     [--method auto|direct|cg] (default auto: direct small,
                                                IC(0)-CG chip-scale)
                     [--ordering natural|rcm|amd|nd]
-                    [--kernels auto|scalar|blocked]
                     [--repair-vias <ohms>] [--json]
 
     fea           finite-element stress characterization of one primitive
@@ -82,7 +80,6 @@ COMMANDS:
                     --pattern plus|tee|ell (default plus)
                     [--resolution <um>] [--fea-threads <n>] [--no-cache]
                     [--cache-dir <dir>] [--ordering natural|rcm|amd|nd]
-                    [--kernels auto|scalar|blocked]
 
     signoff       traditional current-density signoff (Black's law)
                     <deck.sp> --target-years <y> (default 10)
@@ -107,14 +104,11 @@ COMMANDS:
                     [--max-netlist-lines <n>] (default 400000; raise for
                                                chip-scale inline decks)
                     [--max-connections <n>] (default 256)
-                    [--io threads|poll] (default poll: readiness event loop
-                                         with keep-alive + admission control;
-                                         threads = legacy 1 thread/connection)
-                    [--dispatchers <n>] (default 2; poll-backend handler
-                                         threads, thread 0 interactive-only)
+                    [--dispatchers <n>] (default 2; handler threads,
+                                         thread 0 interactive-only)
                     [--max-in-flight-per-client <n>] (default 64; 0 = off)
                     [--debug-panic-route] (CI only: POST /debug/panic panics
-                                           the connection thread)
+                                           its request handler)
     help          print this message
 
 Every command takes --trace: span timers are collected across all layers
@@ -145,11 +139,7 @@ deterministic document the serve/sweep `screening` block records.
 The analyze, screen and fea commands read the sparse solver's
 fill-reducing ordering from --ordering first, the EMGRID_ORDERING
 environment variable second, and default to amd. The ordering changes factorization wall time
-only, never which statistics come out. They likewise read the dense-panel
-microkernel backend from --kernels first, EMGRID_KERNELS second, and
-default to auto (which picks the register-blocked kernels); every backend
-produces bit-identical factors and solutions, so this too is purely a
-speed knob.
+only, never which statistics come out.
 
 The fea command reads its mesh resolution from --resolution first, the
 EMGRID_RESOLUTION environment variable second, and defaults to 0.25 um.
@@ -355,31 +345,6 @@ fn parse_ordering(args: &[String]) -> Result<(Ordering, &'static str), CliError>
     Ok((Ordering::default(), "default"))
 }
 
-/// Dense-panel microkernel backend precedence: `--kernels` flag, then
-/// the `EMGRID_KERNELS` environment variable, then `auto`. Returns the
-/// value and which source supplied it.
-fn parse_kernels(args: &[String]) -> Result<(KernelBackend, &'static str), CliError> {
-    if let Some(v) = option_value(args, "--kernels") {
-        return KernelBackend::parse(v)
-            .map(|k| (k, "--kernels"))
-            .ok_or_else(|| {
-                CliError(format!(
-                    "unknown kernel backend `{v}` for --kernels (expected auto, scalar or blocked)"
-                ))
-            });
-    }
-    if let Ok(v) = std::env::var("EMGRID_KERNELS") {
-        return KernelBackend::parse(&v)
-            .map(|k| (k, "EMGRID_KERNELS"))
-            .ok_or_else(|| {
-                CliError(format!(
-                    "unknown kernel backend `{v}` in EMGRID_KERNELS (expected auto, scalar or blocked)"
-                ))
-            });
-    }
-    Ok((KernelBackend::default(), "default"))
-}
-
 fn parse_criterion(args: &[String]) -> Result<FailureCriterion, CliError> {
     match option_value(args, "--criterion").unwrap_or("rinf") {
         "wl" | "weakest-link" => Ok(FailureCriterion::WeakestLink),
@@ -583,7 +548,6 @@ fn cmd_analyze(args: &[String]) -> Result<String, CliError> {
     let seed = parse_u64(args, "--seed", 1)?;
     let runtime = parse_runtime(args)?;
     let (ordering, _) = parse_ordering(args)?;
-    let (kernels, _) = parse_kernels(args)?;
     let variation = parse_variation(args)?;
     let mut level1 = ViaArrayMc::from_reference_table(&config, Technology::default(), 1e10);
     if let Some(v) = variation {
@@ -597,11 +561,7 @@ fn cmd_analyze(args: &[String]) -> Result<String, CliError> {
     let sites = grid.via_sites().len();
     let mut mc = PowerGridMc::new(grid, reliability)
         .with_system_criterion(SystemCriterion::IrDropFraction(0.10))
-        .with_factor_options(
-            FactorOptions::default()
-                .with_ordering(ordering)
-                .with_kernels(kernels),
-        );
+        .with_factor_options(FactorOptions::default().with_ordering(ordering));
     if let Some(v) = variation {
         mc = mc.with_variation(GridVariation {
             ttf_ln_sigma: v.grid_ttf_ln_sigma(&Technology::default()),
@@ -671,7 +631,6 @@ fn cmd_screen(args: &[String]) -> Result<String, CliError> {
         None => load_deck(args)?,
     };
     let (ordering, _) = parse_ordering(args)?;
-    let (kernels, _) = parse_kernels(args)?;
     let method = parse_method(args)?;
     let top_k = match option_value(args, "--top-k") {
         None => None,
@@ -700,9 +659,7 @@ fn cmd_screen(args: &[String]) -> Result<String, CliError> {
     let grid = PowerGrid::from_netlist(netlist).map_err(|e| CliError(e.to_string()))?;
     let options = ScreenOptions {
         method,
-        factor: FactorOptions::default()
-            .with_ordering(ordering)
-            .with_kernels(kernels),
+        factor: FactorOptions::default().with_ordering(ordering),
         top_k,
         stress_threshold,
         ..ScreenOptions::default()
@@ -728,7 +685,6 @@ fn cmd_fea(args: &[String]) -> Result<String, CliError> {
     };
     let (resolution, source) = parse_resolution(args)?;
     let (ordering, ordering_source) = parse_ordering(args)?;
-    let (kernels, kernels_source) = parse_kernels(args)?;
     let threads = parse_usize(args, "--fea-threads", 1)?;
     if threads == 0 {
         return Err(CliError("--fea-threads must be at least 1".to_owned()));
@@ -754,7 +710,6 @@ fn cmd_fea(args: &[String]) -> Result<String, CliError> {
     let opts = FeaOptions {
         threads,
         ordering,
-        kernels,
         cache,
         ..FeaOptions::default()
     };
@@ -773,11 +728,6 @@ fn cmd_fea(args: &[String]) -> Result<String, CliError> {
         out,
         "ordering       : {} (from {ordering_source})",
         ordering.label()
-    );
-    let _ = writeln!(
-        out,
-        "kernels        : {} (from {kernels_source})",
-        kernels.label()
     );
     let _ = writeln!(
         out,
@@ -894,12 +844,6 @@ fn serve_config(args: &[String]) -> Result<ServeConfig, CliError> {
         max_connections,
         request_deadline: defaults.request_deadline,
         debug_panic_route: args.iter().any(|a| a == "--debug-panic-route"),
-        io: match option_value(args, "--io") {
-            None => defaults.io,
-            Some(value) => value
-                .parse()
-                .map_err(|e: String| CliError(format!("--io: {e}")))?,
-        },
         dispatchers: {
             let dispatchers = parse_usize(args, "--dispatchers", defaults.dispatchers)?;
             if dispatchers == 0 {
@@ -1102,7 +1046,7 @@ mod tests {
             "--addr 127.0.0.1:0 --workers 3 --queue-depth 9 --checkpoint-every 5 \
              --state-dir /tmp/emgrid-jobs --cache-dir /tmp/emgrid-cache --max-body-bytes 4096 \
              --max-netlist-lines 3000000 --max-connections 17 --debug-panic-route \
-             --io threads --dispatchers 3 --max-in-flight-per-client 8",
+             --dispatchers 3 --max-in-flight-per-client 8",
         ))
         .unwrap();
         assert_eq!(cfg.addr, "127.0.0.1:0");
@@ -1119,7 +1063,6 @@ mod tests {
         assert_eq!(cfg.max_netlist_lines, 3_000_000);
         assert_eq!(cfg.max_connections, 17);
         assert!(cfg.debug_panic_route);
-        assert_eq!(cfg.io, emgrid_serve::IoBackend::Threads);
         assert_eq!(cfg.dispatchers, 3);
         assert_eq!(cfg.max_in_flight_per_client, 8);
 
@@ -1128,14 +1071,6 @@ mod tests {
         assert_eq!(defaults.max_netlist_lines, 400_000);
         assert!(defaults.cache_dir.is_none());
         assert!(!defaults.debug_panic_route);
-        // On Unix the readiness event loop is the default backend.
-        #[cfg(unix)]
-        assert_eq!(defaults.io, emgrid_serve::IoBackend::Poll);
-        assert_eq!(
-            serve_config(&argv("--io poll")).unwrap().io,
-            emgrid_serve::IoBackend::Poll
-        );
-        assert!(serve_config(&argv("--io epoll")).is_err());
         assert!(serve_config(&argv("--workers 0")).is_err());
         assert!(serve_config(&argv("--queue-depth 0")).is_err());
         assert!(serve_config(&argv("--max-connections 0")).is_err());
@@ -1501,22 +1436,6 @@ mod tests {
         assert!(run(&argv("fea --resolution coarse")).is_err());
         assert!(run(&argv("fea --fea-threads 0")).is_err());
         assert!(run(&argv("fea --ordering best")).is_err());
-        assert!(run(&argv("fea --kernels simd")).is_err());
-    }
-
-    #[test]
-    fn kernels_flag_beats_env_var_and_env_beats_default() {
-        // One test mutates EMGRID_KERNELS to avoid races.
-        std::env::set_var("EMGRID_KERNELS", "scalar");
-        let (k, src) = parse_kernels(&argv("--kernels blocked")).unwrap();
-        assert_eq!((k, src), (KernelBackend::Blocked, "--kernels"));
-        let (k, src) = parse_kernels(&argv("")).unwrap();
-        assert_eq!((k, src), (KernelBackend::Scalar, "EMGRID_KERNELS"));
-        std::env::set_var("EMGRID_KERNELS", "fastest");
-        assert!(parse_kernels(&argv("")).is_err());
-        std::env::remove_var("EMGRID_KERNELS");
-        let (k, src) = parse_kernels(&argv("")).unwrap();
-        assert_eq!((k, src), (KernelBackend::Auto, "default"));
     }
 
     #[test]

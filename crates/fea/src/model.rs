@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use emgrid_runtime::obs;
 use emgrid_sparse::{
-    conjugate_gradient, CgOptions, FactorOptions, KernelBackend, LdlFactor, Ordering, SparseError,
+    conjugate_gradient, CgOptions, FactorOptions, LdlFactor, Ordering, SparseError,
 };
 
 use crate::assembly::{assemble_with, AssembledSystem};
@@ -109,7 +109,6 @@ pub struct ThermalStressAnalysis {
     method: SolveMethod,
     ordering: Ordering,
     threads: usize,
-    kernels: KernelBackend,
 }
 
 impl ThermalStressAnalysis {
@@ -120,7 +119,6 @@ impl ThermalStressAnalysis {
             method: SolveMethod::default(),
             ordering: Ordering::default(),
             threads: 1,
-            kernels: KernelBackend::default(),
         }
     }
 
@@ -146,14 +144,6 @@ impl ThermalStressAnalysis {
         self
     }
 
-    /// Selects the dense-panel microkernel backend used by both the direct
-    /// factorization and the CG/IC(0) kernels. Backends are bit-identical
-    /// (the stress field never changes), so this only moves wall time.
-    pub fn with_kernels(mut self, kernels: KernelBackend) -> Self {
-        self.kernels = kernels;
-        self
-    }
-
     /// The model being analyzed.
     pub fn model(&self) -> &CharacterizationModel {
         &self.model
@@ -166,8 +156,7 @@ impl ThermalStressAnalysis {
         let factor_start = Instant::now();
         let opts = FactorOptions::default()
             .with_ordering(self.ordering)
-            .with_threads(self.threads)
-            .with_kernels(self.kernels);
+            .with_threads(self.threads);
         let factor = {
             let _span = obs::span("factorize");
             LdlFactor::factor_with(&sys.stiffness, &opts)?
@@ -208,7 +197,6 @@ impl ThermalStressAnalysis {
             tolerance,
             max_iterations,
             threads: self.threads,
-            kernels: self.kernels,
             ..CgOptions::default()
         };
         let solve_start = Instant::now();

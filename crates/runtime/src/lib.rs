@@ -689,22 +689,32 @@ mod tests {
 
     #[test]
     fn work_is_actually_distributed() {
+        // Trial 0 is claimed first and holds its worker until some other
+        // trial has started. That trial can only have been claimed by a
+        // second worker, so the spread below holds on any core count and
+        // under any scheduling.
+        let other_started = AtomicBool::new(false);
         let (_, report) = run_trials_infallible(
             400,
             &RuntimeConfig::threaded(4),
-            |t| lognormal_trial(1, t),
+            |t| {
+                if t == 0 {
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while !other_started.load(Ordering::SeqCst) {
+                        assert!(Instant::now() < deadline, "no second trial started");
+                        std::thread::yield_now();
+                    }
+                } else {
+                    other_started.store(true, Ordering::SeqCst);
+                }
+                lognormal_trial(1, t)
+            },
             |x| x.ln(),
         );
         assert_eq!(report.trials_per_thread.len(), 4);
         assert_eq!(report.trials_per_thread.iter().sum::<usize>(), 400);
-        // On a single hardware thread one worker may legitimately drain the
-        // whole counter before its siblings are ever scheduled, so only
-        // assert a spread where real parallelism exists.
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if cores >= 2 {
-            let active = report.trials_per_thread.iter().filter(|&&c| c > 0).count();
-            assert!(active >= 2, "only {active} workers ran trials");
-        }
+        let active = report.trials_per_thread.iter().filter(|&&c| c > 0).count();
+        assert!(active >= 2, "only {active} workers ran trials");
     }
 
     #[test]

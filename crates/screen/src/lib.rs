@@ -35,8 +35,8 @@
 //! — direct or IC(0)-CG, picked by problem size), one union-find over
 //! same-layer branches to recover the trees ([`InterconnectTrees`]), and
 //! two passes to form `V̄` and the per-node stresses. Every step is
-//! deterministic and bit-identical across thread counts and kernel
-//! backends, so a screening report is byte-stable run to run.
+//! deterministic and bit-identical across thread counts, so a screening
+//! report is byte-stable run to run.
 
 use std::error::Error;
 use std::fmt;
@@ -395,8 +395,7 @@ fn fmt_num(n: f64) -> String {
 /// tree endpoints and ranks the arrays by criticality.
 ///
 /// Runs in `O(solve + elements)` — no transient analysis and no sampling —
-/// and is bit-deterministic for any thread count or kernel backend in
-/// `options`.
+/// and is bit-deterministic for any thread count in `options`.
 ///
 /// # Errors
 ///
@@ -508,7 +507,6 @@ pub fn screen_grid(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emgrid_sparse::KernelBackend;
     use emgrid_spice::benchgen::GridSpec;
     use proptest::prelude::*;
 
@@ -669,25 +667,21 @@ mod tests {
     }
 
     #[test]
-    fn report_bytes_are_identical_across_threads_and_kernels() {
-        // The screening determinism contract: thread counts and kernel
-        // backends move wall time, never bytes.
+    fn report_bytes_are_identical_across_threads() {
+        // The screening determinism contract: thread counts move wall
+        // time, never bytes.
         let g = grid(12, 11);
         let tech = Technology::default();
         let mut reports = Vec::new();
         for threads in [1usize, 4] {
-            for kernels in [KernelBackend::Scalar, KernelBackend::Blocked] {
-                let mut options = ScreenOptions {
-                    top_k: Some(25),
-                    ..ScreenOptions::default()
-                };
-                options.factor.threads = threads;
-                options.factor.kernels = kernels;
-                options.cg.threads = threads;
-                options.cg.kernels = kernels;
-                let r = screen_grid(&g, &tech, &options).unwrap();
-                reports.push((r.to_json(), r.render()));
-            }
+            let mut options = ScreenOptions {
+                top_k: Some(25),
+                ..ScreenOptions::default()
+            };
+            options.factor.threads = threads;
+            options.cg.threads = threads;
+            let r = screen_grid(&g, &tech, &options).unwrap();
+            reports.push((r.to_json(), r.render()));
         }
         for pair in reports.windows(2) {
             assert_eq!(pair[0].0, pair[1].0, "json bytes differ");

@@ -1,6 +1,5 @@
-//! The readiness-driven serve backend: one `poll(2)` event loop owning
-//! every connection, plus a small dispatcher pool that runs route
-//! handlers.
+//! The daemon's I/O layer: one `poll(2)` event loop owning every
+//! connection, plus a small dispatcher pool that runs route handlers.
 //!
 //! # State machine
 //!
@@ -10,9 +9,8 @@
 //! out first, then up to 1 MiB of the declared body is discarded so the
 //! close is a clean FIN rather than an RST that could destroy the
 //! response in flight. The event loop never blocks on a socket — reads
-//! and writes happen only when `poll` reports readiness, and the
-//! deadline/shed/413 semantics of the threaded backend are re-expressed
-//! as state-machine timeouts.
+//! and writes happen only when `poll` reports readiness, and request
+//! deadlines, sheds and the 413 drain are state-machine timeouts.
 //!
 //! # Admission control
 //!
@@ -25,7 +23,7 @@
 //! client can occupy at once; requests over the cap wait in a deferred
 //! queue — delayed, not rejected.
 //!
-//! # Invariants kept from the threaded backend
+//! # Invariants
 //!
 //! * Handler panics are caught in the dispatcher, counted in
 //!   `emgrid_http_connection_panics_total`, and close the connection
@@ -35,8 +33,6 @@
 //!   counted as a request, so `requests_total ≥ responses_total` always.
 //! * Shed 503s are written nonblocking and can never stall the accept
 //!   path.
-
-#![cfg(unix)]
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -56,8 +52,7 @@ use crate::server::{route, route_label, Shared};
 const WRITE_DEADLINE: Duration = Duration::from_secs(10);
 /// Budget for a shed 503 to drain to a slow client.
 const SHED_WRITE_DEADLINE: Duration = Duration::from_secs(1);
-/// Most bytes of an oversized body discarded before closing (matches the
-/// threaded backend's bounded 413 drain).
+/// Most bytes of an oversized body discarded before closing.
 const MAX_DRAIN_BYTES: usize = 1 << 20;
 /// Per-connection read budget per loop iteration, so one firehose client
 /// cannot monopolize an iteration.
@@ -105,8 +100,8 @@ struct Conn {
     buf: RequestBuffer,
     state: State,
     /// Current state's deadline. Not enforced while a handler runs
-    /// (`Pending`/`Dispatching`) — those states are not time-bounded here,
-    /// matching the threaded backend where the deadline covers the read.
+    /// (`Pending`/`Dispatching`): the request deadline bounds reading a
+    /// request, not serving it.
     deadline: Instant,
     /// Requests fully served on this connection.
     served: u64,
@@ -229,7 +224,7 @@ fn is_interactive(label: &str) -> bool {
 }
 
 /// Runs the event loop until `shared.shutting_down` is observed. This is
-/// the body of the accept thread under `--io poll`.
+/// the body of the daemon's accept thread.
 pub(crate) fn run(listener: TcpListener, shared: Arc<Shared>, opts: EventLoopOptions) {
     if let Err(e) = listener.set_nonblocking(true) {
         eprintln!("emgrid-serve: cannot set listener nonblocking: {e}");
@@ -601,10 +596,6 @@ impl LoopState {
             }
             Err(HttpError::BadRequest(message)) => {
                 self.early_error(token, Response::error(400, message));
-            }
-            // try_parse never returns these.
-            Err(HttpError::Timeout) | Err(HttpError::Closed) | Err(HttpError::Io(_)) => {
-                self.close(token);
             }
         }
     }

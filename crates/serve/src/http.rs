@@ -5,9 +5,9 @@
 //! `Content-Length` bodies bounded by the server's configured maximum,
 //! and response serialization.
 //!
-//! Parsing is incremental: a [`RequestBuffer`] accumulates bytes as they
-//! arrive (from a blocking reader or the nonblocking event loop alike) and
-//! [`RequestBuffer::try_parse`] peels complete requests off the front,
+//! Parsing is incremental: a [`RequestBuffer`] accumulates bytes as the
+//! event loop reads them and [`RequestBuffer::try_parse`] peels complete
+//! requests off the front,
 //! preserving any leftover bytes for the next request on the same
 //! connection — the foundation of HTTP/1.1 keep-alive and pipelining.
 //! The header-terminator scan resumes where the previous chunk left off,
@@ -20,9 +20,6 @@
 //! open when the client asked for keep-alive.
 
 use std::fmt;
-use std::io::{self, Read, Write};
-use std::net::TcpStream;
-use std::time::Instant;
 
 use crate::json::Json;
 
@@ -62,7 +59,7 @@ impl Request {
     }
 }
 
-/// Why a request could not be read.
+/// Why a request could not be parsed.
 #[derive(Debug)]
 pub enum HttpError {
     /// The bytes on the wire are not valid HTTP.
@@ -74,14 +71,6 @@ pub enum HttpError {
         /// The configured cap.
         limit: usize,
     },
-    /// The client did not deliver the full request before the deadline.
-    Timeout,
-    /// The client closed the connection cleanly between requests (no
-    /// buffered bytes) — the normal end of a keep-alive connection, not a
-    /// protocol error.
-    Closed,
-    /// The socket failed mid-read.
-    Io(io::Error),
 }
 
 impl fmt::Display for HttpError {
@@ -91,16 +80,7 @@ impl fmt::Display for HttpError {
             HttpError::BodyTooLarge { declared, limit } => {
                 write!(f, "body too large: {declared} bytes (limit {limit})")
             }
-            HttpError::Timeout => f.write_str("request read deadline exceeded"),
-            HttpError::Closed => f.write_str("connection closed between requests"),
-            HttpError::Io(e) => write!(f, "io error: {e}"),
         }
-    }
-}
-
-impl From<io::Error> for HttpError {
-    fn from(e: io::Error) -> Self {
-        HttpError::Io(e)
     }
 }
 
@@ -249,87 +229,6 @@ impl RequestBuffer {
     }
 }
 
-/// One socket read bounded by the request's overall deadline. A per-read
-/// timeout alone is not enough: a client trickling one byte per interval
-/// would reset it forever (slow-loris), so the remaining wall-clock budget
-/// is re-applied before every read.
-fn bounded_read(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    deadline: Instant,
-) -> Result<usize, HttpError> {
-    let now = Instant::now();
-    if now >= deadline {
-        return Err(HttpError::Timeout);
-    }
-    let _ = stream.set_read_timeout(Some(deadline - now));
-    match stream.read(buf) {
-        Ok(n) => Ok(n),
-        Err(e)
-            if matches!(
-                e.kind(),
-                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-            ) =>
-        {
-            Err(HttpError::Timeout)
-        }
-        Err(e) => Err(HttpError::Io(e)),
-    }
-}
-
-/// Reads one request from the stream into `buffer`; the whole request
-/// (headers and body) must arrive before `deadline`. Bytes beyond the
-/// request stay in `buffer` for the next call — pipelined requests are
-/// preserved, not truncated. This is the blocking (thread-per-connection)
-/// reader; the event loop drives [`RequestBuffer`] directly.
-///
-/// # Errors
-///
-/// [`HttpError::BadRequest`] on malformed framing, [`HttpError::BodyTooLarge`]
-/// when `Content-Length` exceeds `max_body`, [`HttpError::Timeout`] when the
-/// deadline passes mid-request, [`HttpError::Closed`] when the client hangs
-/// up cleanly between requests, [`HttpError::Io`] on socket failures.
-pub fn read_request_buffered(
-    stream: &mut TcpStream,
-    buffer: &mut RequestBuffer,
-    max_body: usize,
-    deadline: Instant,
-) -> Result<Request, HttpError> {
-    let mut chunk = [0u8; 4096];
-    loop {
-        if let Some(request) = buffer.try_parse(max_body)? {
-            return Ok(request);
-        }
-        let n = bounded_read(stream, &mut chunk, deadline)?;
-        if n == 0 {
-            return if buffer.is_empty() {
-                Err(HttpError::Closed)
-            } else {
-                Err(HttpError::BadRequest(
-                    "connection closed mid-request".into(),
-                ))
-            };
-        }
-        buffer.extend(&chunk[..n]);
-    }
-}
-
-/// Reads one request with a fresh buffer (any pipelined leftover is
-/// discarded). Kept for single-shot callers and tests; connection loops
-/// use [`read_request_buffered`] so leftover bytes survive.
-///
-/// # Errors
-///
-/// As [`read_request_buffered`].
-pub fn read_request(
-    stream: &mut TcpStream,
-    max_body: usize,
-    deadline: Instant,
-) -> Result<Request, HttpError> {
-    let mut buffer = RequestBuffer::new();
-    read_request_buffered(stream, &mut buffer, max_body, deadline)
-}
-
 /// An HTTP response ready to serialize.
 #[derive(Debug)]
 pub struct Response {
@@ -400,17 +299,6 @@ impl Response {
         out.extend_from_slice(&self.body);
         out
     }
-
-    /// Serializes the response to the stream, honoring [`Response::close`]
-    /// in the `Connection` header.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket write failures.
-    pub fn write_to(&self, stream: &mut TcpStream) -> io::Result<()> {
-        stream.write_all(&self.to_bytes())?;
-        stream.flush()
-    }
 }
 
 fn reason_phrase(status: u16) -> &'static str {
@@ -431,35 +319,28 @@ fn reason_phrase(status: u16) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::{TcpListener, TcpStream};
+    use proptest::prelude::*;
 
-    /// Runs `read_request` against raw bytes pushed through a real socket
-    /// pair, mirroring production conditions (chunked arrival included).
-    fn read_from_bytes(bytes: &[u8], max_body: usize) -> Result<Request, HttpError> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let bytes = bytes.to_vec();
-        let writer = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            // Two writes exercise the header/body boundary handling.
-            let mid = bytes.len() / 2;
-            s.write_all(&bytes[..mid]).unwrap();
-            s.flush().unwrap();
-            s.write_all(&bytes[mid..]).unwrap();
-            s.flush().unwrap();
-        });
-        let (mut conn, _) = listener.accept().unwrap();
-        let deadline = Instant::now() + std::time::Duration::from_secs(10);
-        let out = read_request(&mut conn, max_body, deadline);
-        writer.join().unwrap();
-        out
+    /// Feeds `bytes` to a fresh buffer in two chunks split at the midpoint,
+    /// the way two socket reads deliver them, parsing after each chunk.
+    /// Panics if the bytes end before a request is complete.
+    fn parse_in_two_chunks(bytes: &[u8], max_body: usize) -> Result<Request, HttpError> {
+        let mut buffer = RequestBuffer::new();
+        let (head, tail) = bytes.split_at(bytes.len() / 2);
+        for chunk in [head, tail] {
+            buffer.extend(chunk);
+            if let Some(request) = buffer.try_parse(max_body)? {
+                return Ok(request);
+            }
+        }
+        panic!("incomplete request: {:?}", String::from_utf8_lossy(bytes));
     }
 
     #[test]
     fn parses_a_post_with_body() {
         let raw =
             b"POST /v1/jobs?x=1 HTTP/1.1\r\nHost: h\r\nContent-Length: 9\r\n\r\n{\"a\":1}\r\n";
-        let req = read_from_bytes(raw, 1024).unwrap();
+        let req = parse_in_two_chunks(raw, 1024).unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path(), "/v1/jobs");
         assert_eq!(req.header("HOST"), Some("h"));
@@ -470,7 +351,7 @@ mod tests {
     #[test]
     fn enforces_the_body_limit() {
         let raw = b"POST / HTTP/1.1\r\nContent-Length: 100\r\n\r\n";
-        match read_from_bytes(raw, 10) {
+        match parse_in_two_chunks(raw, 10) {
             Err(HttpError::BodyTooLarge { declared, limit }) => {
                 assert_eq!((declared, limit), (100, 10));
             }
@@ -481,15 +362,15 @@ mod tests {
     #[test]
     fn rejects_malformed_framing() {
         assert!(matches!(
-            read_from_bytes(b"NOT-HTTP\r\n\r\n", 1024),
+            parse_in_two_chunks(b"NOT-HTTP\r\n\r\n", 1024),
             Err(HttpError::BadRequest(_))
         ));
         assert!(matches!(
-            read_from_bytes(b"GET / SPDY/3\r\n\r\n", 1024),
+            parse_in_two_chunks(b"GET / SPDY/3\r\n\r\n", 1024),
             Err(HttpError::BadRequest(_))
         ));
         assert!(matches!(
-            read_from_bytes(b"GET / HTTP/1.1\r\nbroken header\r\n\r\n", 1024),
+            parse_in_two_chunks(b"GET / HTTP/1.1\r\nbroken header\r\n\r\n", 1024),
             Err(HttpError::BadRequest(_))
         ));
     }
@@ -503,7 +384,7 @@ mod tests {
             (b"GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n", true),
         ];
         for (raw, expect) in cases {
-            let req = read_from_bytes(raw, 1024).unwrap();
+            let req = parse_in_two_chunks(raw, 1024).unwrap();
             assert_eq!(req.keep_alive, *expect, "{:?}", std::str::from_utf8(raw));
         }
     }
@@ -577,41 +458,10 @@ mod tests {
     }
 
     #[test]
-    fn a_stalled_client_hits_the_overall_deadline() {
-        use std::time::Duration;
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let writer = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            // A partial request line, then silence with the socket held
-            // open — the shape of a slow-loris connection.
-            s.write_all(b"GET / HTTP/1.1\r\nHost: h").unwrap();
-            s.flush().unwrap();
-            std::thread::sleep(Duration::from_millis(1500));
-        });
-        let (mut conn, _) = listener.accept().unwrap();
-        let deadline = Instant::now() + Duration::from_millis(250);
-        let out = read_request(&mut conn, 1024, deadline);
-        assert!(matches!(out, Err(HttpError::Timeout)), "{out:?}");
-        writer.join().unwrap();
-    }
-
-    #[test]
     fn response_serializes_with_framing() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let reader = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            let mut text = String::new();
-            s.read_to_string(&mut text).unwrap();
-            text
-        });
-        let (mut conn, _) = listener.accept().unwrap();
-        Response::json(200, &Json::Obj(vec![("ok".into(), Json::Bool(true))]))
-            .write_to(&mut conn)
-            .unwrap();
-        drop(conn);
-        let text = reader.join().unwrap();
+        let bytes =
+            Response::json(200, &Json::Obj(vec![("ok".into(), Json::Bool(true))])).to_bytes();
+        let text = String::from_utf8(bytes).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
         assert!(text.contains("Content-Length: 11\r\n"), "{text}");
         assert!(text.contains("Connection: close"), "{text}");
@@ -625,5 +475,133 @@ mod tests {
         let bytes = response.to_bytes();
         let text = std::str::from_utf8(&bytes).unwrap();
         assert!(text.contains("Connection: keep-alive\r\n"), "{text}");
+    }
+    /// Wire fragments the byte generator mixes with raw bytes, so generated
+    /// input reaches deep into the parser instead of failing at byte one.
+    const WIRE_TOKENS: &[&[u8]] = &[
+        b"GET /a HTTP/1.1",
+        b"POST /v1/jobs HTTP/1.0",
+        b"\r\n",
+        b"\r\n\r\n",
+        b"Content-Length: ",
+        b"Connection: close",
+        b"Connection: keep-alive",
+        b": ",
+        b"7",
+        b"18446744073709551616",
+        b"-1",
+        b" ",
+        b"\xff\xfe",
+        b"\xc3",
+    ];
+
+    prop_compose! {
+        fn wire_bytes()(
+            pieces in collection::vec((0usize..2 * WIRE_TOKENS.len(), 0u16..256), 0..80),
+        ) -> Vec<u8> {
+            let mut out = Vec::new();
+            for (pick, byte) in pieces {
+                match WIRE_TOKENS.get(pick) {
+                    Some(token) => out.extend_from_slice(token),
+                    None => out.push(byte as u8),
+                }
+            }
+            out
+        }
+    }
+
+    /// The comparable parts of a request.
+    type Parts = (String, String, Vec<(String, String)>, Vec<u8>, bool);
+
+    fn parts(r: Request) -> Parts {
+        (r.method, r.target, r.headers, r.body, r.keep_alive)
+    }
+
+    /// Parses every complete request buffered so far.
+    fn drain(buffer: &mut RequestBuffer, out: &mut Vec<Parts>) -> Result<(), HttpError> {
+        while let Some(request) = buffer.try_parse(1024)? {
+            out.push(parts(request));
+        }
+        Ok(())
+    }
+
+    prop_compose! {
+        fn request_bytes()(
+            method in 0usize..4,
+            path in "/[a-z0-9/]{0,12}",
+            version in 0usize..2,
+            connection in 0usize..3,
+            headers in collection::vec(("X-[a-z]{1,8}", "[ -~]{0,16}"), 0..4),
+            body in collection::vec(0u16..256, 0..40),
+        ) -> Vec<u8> {
+            let method = ["GET", "POST", "DELETE", "put"][method];
+            let version = ["HTTP/1.1", "HTTP/1.0"][version];
+            let mut head = format!("{method} {path} {version}\r\n");
+            for (name, value) in headers {
+                head.push_str(&format!("{name}: {value}\r\n"));
+            }
+            head.push_str(["", "Connection: close\r\n", "Connection: keep-alive\r\n"][connection]);
+            if !body.is_empty() {
+                head.push_str(&format!("Content-Length: {}\r\n", body.len()));
+            }
+            head.push_str("\r\n");
+            let mut out = head.into_bytes();
+            out.extend(body.into_iter().map(|b| b as u8));
+            out
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn try_parse_never_panics_on_arbitrary_chunks(
+            wire in wire_bytes(),
+            cuts in collection::vec(0usize..4096, 0..8),
+            max_body in 0usize..64,
+        ) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (wire.len() + 1)).collect();
+            cuts.sort_unstable();
+            cuts.push(wire.len());
+            let mut buffer = RequestBuffer::new();
+            let mut from = 0;
+            'feed: for to in cuts {
+                buffer.extend(&wire[from..to]);
+                from = to;
+                loop {
+                    match buffer.try_parse(max_body) {
+                        Ok(Some(request)) => prop_assert!(request.body.len() <= max_body),
+                        Ok(None) => break,
+                        // The connection closes after a protocol error.
+                        Err(_) => break 'feed,
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn pipelined_pairs_parse_the_same_at_every_split(
+            first in request_bytes(),
+            second in request_bytes(),
+            leftover in "[ -~]{0,24}",
+        ) {
+            let mut wire = first;
+            wire.extend_from_slice(&second);
+            wire.extend_from_slice(leftover.as_bytes());
+            let mut whole = RequestBuffer::new();
+            whole.extend(&wire);
+            let mut expected = Vec::new();
+            prop_assert!(drain(&mut whole, &mut expected).is_ok());
+            prop_assert_eq!(expected.len(), 2);
+            for split in 0..=wire.len() {
+                let mut buffer = RequestBuffer::new();
+                let mut got = Vec::new();
+                buffer.extend(&wire[..split]);
+                prop_assert!(drain(&mut buffer, &mut got).is_ok());
+                buffer.extend(&wire[split..]);
+                prop_assert!(drain(&mut buffer, &mut got).is_ok());
+                prop_assert!(got == expected, "split at {split}: {got:?} vs {expected:?}");
+                prop_assert_eq!(&buffer.buf, &whole.buf);
+            }
+        }
     }
 }

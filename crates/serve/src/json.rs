@@ -173,6 +173,7 @@ impl std::error::Error for JsonError {}
 /// trailing non-whitespace input is rejected.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
         depth: 0,
@@ -194,6 +195,7 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -363,11 +365,14 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so the
-                    // byte sequence is valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("non-empty");
+                    // Consume one UTF-8 character. Decode only this one:
+                    // validating the rest of the input per character
+                    // would make a long string body quadratic.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("invalid UTF-8"))?;
                     if (c as u32) < 0x20 {
                         return Err(self.err("unescaped control character"));
                     }
@@ -412,6 +417,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn round_trips_a_typical_document() {
@@ -486,6 +492,22 @@ mod tests {
     }
 
     #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Regression: the parser re-validated the rest of the input for
+        // every string character, so this took minutes instead of
+        // milliseconds.
+        let text = format!("\"{}é\"", "a".repeat(2 << 20));
+        let started = std::time::Instant::now();
+        let doc = parse(&text).unwrap();
+        assert_eq!(doc.as_str().map(str::len), Some((2 << 20) + 2));
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(10),
+            "{:?}",
+            started.elapsed()
+        );
+    }
+
+    #[test]
     fn nested_structures_parse() {
         let doc = parse(r#" { "a" : [ { "b" : [ 1 , 2 ] } ] } "#).unwrap();
         let inner = &doc.get("a").unwrap();
@@ -493,5 +515,89 @@ mod tests {
             panic!("not an array")
         };
         assert_eq!(items[0].get("b").unwrap().to_string(), "[1,2]");
+    }
+    /// Fragments the text generator mixes with arbitrary characters, so
+    /// generated input reaches the parser's escape, number and nesting
+    /// paths instead of failing at the first byte.
+    const JSON_TOKENS: &[&str] = &[
+        "[", "]", "{", "}", "\"", "\\", "\\u", "d83d", "\\ude00", ":", ",", "-", ".", "e", "1",
+        "0", "1e999", "true", "nul", " ", "\"k\":", "é", "😀",
+    ];
+
+    prop_compose! {
+        fn json_text()(
+            pieces in collection::vec((0usize..2 * JSON_TOKENS.len(), 0u32..0x11_0000), 0..64),
+            deep in 0usize..4,
+        ) -> String {
+            // One case in four opens far past the nesting cap first.
+            let mut out = if deep == 0 { "[".repeat(300) } else { String::new() };
+            for (pick, code) in pieces {
+                match JSON_TOKENS.get(pick) {
+                    Some(token) => out.push_str(token),
+                    None => out.push(char::from_u32(code).unwrap_or('\u{fffd}')),
+                }
+            }
+            out
+        }
+    }
+
+    /// A finite `f64` from arbitrary bits: every exponent, subnormals and
+    /// both zeros included.
+    fn finite(rng: &mut TestRng) -> f64 {
+        let v = f64::from_bits(rng.next_u64());
+        if v.is_finite() {
+            v
+        } else {
+            rng.next_f64() * 1e6
+        }
+    }
+
+    /// A string of control characters, quotes, backslashes and BMP and
+    /// astral code points.
+    fn text(rng: &mut TestRng) -> String {
+        let len = rng.next_below(12) as usize;
+        (0..len)
+            .map(|_| match rng.next_below(4) {
+                0 => ['"', '\\', '\n', '\t', '\u{0}', '\u{1f}', '/'][rng.next_below(7) as usize],
+                1 => char::from_u32(0x20 + rng.next_below(0x5f) as u32).unwrap(),
+                _ => char::from_u32(rng.next_below(0x11_0000) as u32).unwrap_or('\u{fffd}'),
+            })
+            .collect()
+    }
+
+    fn tree(rng: &mut TestRng, depth: usize) -> Json {
+        let leaf = depth == 0 || rng.next_below(3) == 0;
+        match rng.next_below(if leaf { 4 } else { 6 }) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.next_below(2) == 0),
+            2 => Json::n(finite(rng)),
+            3 => Json::Str(text(rng)),
+            4 => Json::Arr(
+                (0..rng.next_below(4))
+                    .map(|_| tree(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => Json::Obj(
+                (0..rng.next_below(4))
+                    .map(|_| (text(rng), tree(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn parse_never_panics_and_accepted_documents_round_trip(input in json_text()) {
+            if let Ok(doc) = parse(&input) {
+                prop_assert_eq!(parse(&doc.to_string()), Ok(doc));
+            }
+        }
+
+        #[test]
+        fn generated_trees_round_trip(doc in FnStrategy(|rng: &mut TestRng| tree(rng, 5))) {
+            let text = doc.to_string();
+            prop_assert_eq!(parse(&text), Ok(doc));
+        }
     }
 }

@@ -5,12 +5,13 @@
 //! power-grid Monte Carlo, FEA stress characterization) into a long-running
 //! service with a small JSON-over-HTTP API, built entirely on `std`:
 //!
-//! * [`server`] — hand-rolled HTTP/1.1 listener, routing, and lifecycle;
+//! * [`server`] — lifecycle and routing, with every connection served by
+//!   one `poll(2)` event loop (hence unix-only);
 //! * [`spec`] — strict job-spec parsing with a canonical persisted form;
 //! * [`runner`] — job execution against the deterministic MC sessions;
 //! * [`store`] — crash-safe per-job state directories (atomic renames);
 //! * [`json`] — deterministic JSON reader/writer;
-//! * [`http`] — minimal request parsing and response writing;
+//! * [`http`] — incremental request parsing and response serialization;
 //! * [`metrics`] — Prometheus text exposition counters.
 //!
 //! Two properties anchor the design. **Determinism:** a job's result
@@ -21,7 +22,9 @@
 //! `kill -9` requeues and resumes unfinished jobs on restart without
 //! re-running committed trials.
 
-#[cfg(unix)]
+#[cfg(not(unix))]
+compile_error!("emgrid-serve serves connections on a poll(2) event loop and needs a unix target");
+
 pub(crate) mod event_loop;
 pub mod http;
 pub mod json;
@@ -32,7 +35,7 @@ pub mod server;
 pub mod spec;
 pub mod store;
 
-pub use server::{IoBackend, JobsApi, JobsApiError, RouteHook, ServeConfig, Server};
+pub use server::{JobsApi, JobsApiError, RouteHook, ServeConfig, Server};
 pub use spec::{
     DeckSource, JobBody, JobSpec, McParams, ResolvedAnalyze, ResolvedFea, ResolvedJob, ResolvedMc,
     SolverSpec, SpecError, VariationSpec, SCHEMA_VERSION,

@@ -42,8 +42,8 @@ pub struct Metrics {
     /// Requests served on a reused (keep-alive) connection — the second
     /// and later requests on each connection.
     pub keepalive_reuses: AtomicU64,
-    /// Connection threads that panicked; their slot is reclaimed by the
-    /// accept loop's drop guard.
+    /// Route handlers that panicked; the dispatcher catches the panic and
+    /// the event loop closes the connection without a response.
     pub connection_panics: AtomicU64,
     /// Jobs accepted through `POST /v1/jobs` or requeued at startup.
     pub jobs_submitted: AtomicU64,
@@ -141,7 +141,7 @@ impl Metrics {
         );
         counter(
             "emgrid_http_connection_panics_total",
-            "Connection threads that panicked (slot reclaimed by drop guard).",
+            "Route handlers that panicked (connection closed, no response).",
             self.connection_panics.load(Ordering::Relaxed),
         );
         counter(
@@ -198,7 +198,7 @@ impl Metrics {
             ("emgrid_jobs_running", "Jobs currently executing.", running),
             (
                 "emgrid_http_active_connections",
-                "Connection threads currently alive (shed capacity in use).",
+                "Open connections (shed capacity in use).",
                 active_connections,
             ),
         ] {

@@ -6,8 +6,6 @@
 //! wrapper owns the one `unsafe` block; callers deal in [`PollFd`] slices
 //! and [`Duration`]s.
 
-#![cfg(unix)]
-
 use std::io;
 use std::os::fd::RawFd;
 use std::os::unix::net::UnixStream;

@@ -495,7 +495,6 @@ fn run_fea(job: &ResolvedFea, id: JobId, env: &RunEnv<'_>) -> JobOutcome<String>
     let opts = FeaOptions {
         threads: job.threads,
         ordering: job.ordering,
-        kernels: job.kernels,
         cache,
         ..FeaOptions::default()
     };

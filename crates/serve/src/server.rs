@@ -1,4 +1,6 @@
-//! The daemon: TCP accept loop, routing, and the job-engine wiring.
+//! The daemon: lifecycle, routing, and the job-engine wiring. One
+//! `poll(2)` event loop (`event_loop.rs`) owns every connection and hands
+//! parsed requests to [`route`] on a small dispatcher pool.
 //!
 //! # Endpoints
 //!
@@ -30,7 +32,7 @@ use std::time::{Duration, Instant};
 use emgrid_runtime::{JobEngine, JobId, JobOutcome, JobStatus, SubmitError};
 use emgrid_spice::ingest::{ingest, IngestError, IngestLimits, IngestOptions};
 
-use crate::http::{read_request_buffered, HttpError, Request, RequestBuffer, Response};
+use crate::http::{Request, Response};
 use crate::json::{self, Json};
 use crate::metrics::Metrics;
 use crate::runner::{run_job, PhaseLog, RunEnv};
@@ -41,40 +43,6 @@ use crate::store::{DiskJob, JobStore};
 /// (see [`Server::set_route_hook`]). Returning `None` falls through to
 /// the daemon's `404`.
 pub type RouteHook = Arc<dyn Fn(&Request) -> Option<Response> + Send + Sync>;
-
-/// Which connection I/O layer drives the daemon.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoBackend {
-    /// Thread-per-connection with blocking reads — the legacy backend,
-    /// kept during the transition and for non-Unix targets.
-    Threads,
-    /// A single `poll(2)` readiness event loop plus a dispatcher pool
-    /// (see [`crate::event_loop`]): nonblocking accepts/reads/writes,
-    /// keep-alive + pipelining, and admission control.
-    Poll,
-}
-
-impl Default for IoBackend {
-    fn default() -> Self {
-        if cfg!(unix) {
-            IoBackend::Poll
-        } else {
-            IoBackend::Threads
-        }
-    }
-}
-
-impl std::str::FromStr for IoBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "threads" => Ok(IoBackend::Threads),
-            "poll" => Ok(IoBackend::Poll),
-            other => Err(format!("unknown io backend `{other}` (threads|poll)")),
-        }
-    }
-}
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -99,25 +67,23 @@ pub struct ServeConfig {
     /// raise this (`--max-netlist-lines`) instead of getting the deck
     /// rejected at the door.
     pub max_netlist_lines: usize,
-    /// Concurrent connection threads; connections beyond the cap are shed
-    /// with an immediate `503` instead of spawning.
+    /// Most open connections; connections beyond the cap are shed with an
+    /// immediate nonblocking `503`.
     pub max_connections: usize,
-    /// Total time a client gets to deliver one request (the per-read
-    /// timeout inside the request reader is re-derived from this).
+    /// Total time a client gets to deliver one request; a connection that
+    /// has not delivered one by then gets a `408`.
     pub request_deadline: Duration,
     /// Enables `POST /debug/panic`, a route whose handler panics — used by
     /// regression tests and the CI smoke job (via the hidden
-    /// `--debug-panic-route` serve flag) to prove that panicking connection
-    /// threads cannot leak `active_connections` slots. Off by default.
+    /// `--debug-panic-route` serve flag) to prove that panicking handlers
+    /// neither crash the daemon nor leak connection slots. Off by default.
     pub debug_panic_route: bool,
-    /// Which I/O layer drives connections (`--io {threads,poll}`).
-    pub io: IoBackend,
-    /// Dispatcher threads for the poll backend (min 2; thread 0 is
+    /// Dispatcher threads that run route handlers (min 2; thread 0 is
     /// reserved for interactive routes).
     pub dispatchers: usize,
-    /// Per-peer-IP in-flight request cap for the poll backend (0 =
-    /// unlimited). Requests over the cap are deferred, not rejected, so
-    /// one aggressive client cannot occupy every dispatcher.
+    /// Per-peer-IP in-flight request cap (0 = unlimited). Requests over
+    /// the cap are deferred, not rejected, so one aggressive client cannot
+    /// occupy every dispatcher.
     pub max_in_flight_per_client: usize,
     /// Total budget graceful shutdown spends waiting for outstanding jobs
     /// — shared across all of them, not per job, so N stuck jobs cost one
@@ -139,7 +105,6 @@ impl Default for ServeConfig {
             max_connections: 256,
             request_deadline: Duration::from_secs(30),
             debug_panic_route: false,
-            io: IoBackend::default(),
             dispatchers: 2,
             max_in_flight_per_client: 64,
             shutdown_grace: Duration::from_secs(600),
@@ -164,9 +129,8 @@ pub(crate) struct Shared {
     /// Extension routes (e.g. `/v1/sweeps` from `emgrid-batch`), consulted
     /// only after every built-in route has declined the request.
     pub(crate) route_hook: RwLock<Option<RouteHook>>,
-    /// Live connections (threads alive on the threads backend; open
-    /// event-loop connections on the poll backend), for load shedding.
-    pub(crate) active_connections: Arc<AtomicUsize>,
+    /// Connections the event loop holds open, as reported in `/metrics`.
+    pub(crate) active_connections: AtomicUsize,
     /// Ids submitted or requeued by this process that may still be live,
     /// for shutdown (terminal ids are pruned as new work arrives).
     pub(crate) known: Mutex<Vec<JobId>>,
@@ -229,7 +193,7 @@ impl Server {
             next_id: AtomicU64::new(max_id + 1),
             shutting_down: AtomicBool::new(false),
             route_hook: RwLock::new(None),
-            active_connections: Arc::new(AtomicUsize::new(0)),
+            active_connections: AtomicUsize::new(0),
             known: Mutex::new(Vec::new()),
         });
         for (id, spec, has_checkpoint) in unfinished {
@@ -245,28 +209,13 @@ impl Server {
         }
 
         let accept_shared = Arc::clone(&shared);
-        #[cfg(unix)]
-        let io = config.io;
-        #[cfg(not(unix))]
-        let io = IoBackend::Threads;
-        let dispatchers = config.dispatchers;
-        let max_in_flight_per_client = config.max_in_flight_per_client;
+        let options = crate::event_loop::EventLoopOptions {
+            dispatchers: config.dispatchers,
+            max_in_flight_per_client: config.max_in_flight_per_client,
+        };
         let accept = std::thread::Builder::new()
             .name("emgrid-accept".into())
-            .spawn(move || match io {
-                IoBackend::Threads => accept_loop(listener, accept_shared),
-                #[cfg(unix)]
-                IoBackend::Poll => crate::event_loop::run(
-                    listener,
-                    accept_shared,
-                    crate::event_loop::EventLoopOptions {
-                        dispatchers,
-                        max_in_flight_per_client,
-                    },
-                ),
-                #[cfg(not(unix))]
-                IoBackend::Poll => unreachable!("poll backend is unix-only"),
-            })
+            .spawn(move || crate::event_loop::run(listener, accept_shared, options))
             .expect("spawn accept thread");
         Ok(Server {
             shared,
@@ -286,7 +235,7 @@ impl Server {
         self.shared.store.root().to_path_buf()
     }
 
-    /// Blocks the calling thread until the accept loop exits — i.e. until
+    /// Blocks the calling thread until the event loop exits — i.e. until
     /// the process is killed or another thread initiates shutdown. This is
     /// how `emgrid serve` runs as a foreground daemon.
     pub fn wait(mut self) {
@@ -330,13 +279,13 @@ impl Server {
         if self.shared.shutting_down.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Wake the accept loop so it observes the flag.
+        // Wake the event loop so it observes the flag.
         let _ = TcpStream::connect(self.addr);
         if let Some(handle) = self.accept.take() {
             let _ = handle.join();
         }
-        // A poisoned lock only means some connection thread panicked while
-        // holding it; the id list carries no invariant worth dying over.
+        // A poisoned lock only means some handler panicked while holding
+        // it; the id list carries no invariant worth dying over.
         let ids: Vec<JobId> = self
             .shared
             .known
@@ -522,80 +471,6 @@ fn enqueue(shared: &Arc<Shared>, id: JobId, spec: JobSpec) -> Result<(), SubmitE
     Ok(())
 }
 
-/// Owns one `active_connections` slot. The decrement lives in `Drop` so
-/// it runs on every exit path out of the connection thread — normal
-/// return, spawn failure, *and* unwinding from a panic. Before this
-/// guard, each panicking handler leaked its slot permanently; after
-/// `max_connections` panics the daemon would shed all traffic with 503s
-/// forever.
-struct ConnectionSlot {
-    shared: Arc<Shared>,
-}
-
-impl Drop for ConnectionSlot {
-    fn drop(&mut self) {
-        self.shared
-            .active_connections
-            .fetch_sub(1, Ordering::SeqCst);
-        if std::thread::panicking() {
-            Metrics::inc(&self.shared.metrics.connection_panics);
-        }
-    }
-}
-
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    loop {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    return;
-                }
-                let active = &shared.active_connections;
-                if active.fetch_add(1, Ordering::SeqCst) >= shared.max_connections {
-                    active.fetch_sub(1, Ordering::SeqCst);
-                    // The shed is both a request and a response for
-                    // accounting, and the write is a single nonblocking
-                    // best-effort attempt: a client that never reads its
-                    // socket must not be able to stall the accept thread
-                    // (the old 1s blocking write let a handful of slow
-                    // clients freeze *all* accepts).
-                    Metrics::inc(&shared.metrics.http_requests);
-                    let response = Response::error(503, "too many connections");
-                    shared.metrics.count_response(response.status);
-                    if stream.set_nonblocking(true).is_ok() {
-                        use std::io::{Read as _, Write as _};
-                        let _ = stream.write(&response.to_bytes());
-                        // Best-effort RST avoidance: FIN our side, then
-                        // discard whatever request bytes already arrived
-                        // so the close is clean and the 503 survives.
-                        let _ = stream.shutdown(std::net::Shutdown::Write);
-                        let mut scratch = [0u8; 4096];
-                        while matches!(stream.read(&mut scratch), Ok(1..)) {}
-                    }
-                    continue;
-                }
-                let slot = ConnectionSlot {
-                    shared: Arc::clone(&shared),
-                };
-                let conn_shared = Arc::clone(&shared);
-                // If the spawn itself fails, the closure is dropped
-                // unstarted and the slot guard inside releases the slot.
-                let _ = std::thread::Builder::new()
-                    .name("emgrid-conn".into())
-                    .spawn(move || {
-                        let _slot = slot;
-                        handle_connection(stream, conn_shared);
-                    });
-            }
-            Err(_) => {
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-        }
-    }
-}
-
 /// The latency-histogram label for a parsed request.
 pub(crate) fn route_label(request: &Request) -> &'static str {
     let segments: Vec<&str> = request
@@ -612,87 +487,6 @@ pub(crate) fn route_label(request: &Request) -> &'static str {
         ["v1", "jobs", _, "result"] => "result",
         ["v1", "sweeps", ..] => "sweep",
         _ => "other",
-    }
-}
-
-/// Counts and writes one response; every response the daemon produces
-/// (routed or early-error) goes through here so the
-/// `emgrid_http_responses_total` family sees them all.
-fn send(stream: &mut TcpStream, response: &Response, metrics: &Metrics) {
-    metrics.count_response(response.status);
-    let _ = response.write_to(stream);
-}
-
-fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
-    // A client that stops reading must not pin the thread on writes either.
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    let mut buffer = RequestBuffer::new();
-    let mut served = 0u64;
-    // The keep-alive loop: each iteration reads and serves one request,
-    // with leftover pipelined bytes carried across iterations in `buffer`.
-    loop {
-        let started = Instant::now();
-        let deadline = started + shared.request_deadline;
-        let (label, response) =
-            match read_request_buffered(&mut stream, &mut buffer, shared.max_body, deadline) {
-                Ok(request) => {
-                    Metrics::inc(&shared.metrics.http_requests);
-                    if served > 0 {
-                        Metrics::inc(&shared.metrics.keepalive_reuses);
-                    }
-                    let mut response = route(&request, &shared);
-                    // Routed responses — errors included — honor the client's
-                    // keep-alive intent; only protocol-level failures below
-                    // force a close.
-                    response.close = !request.keep_alive;
-                    (route_label(&request), response)
-                }
-                Err(HttpError::BodyTooLarge { declared, limit }) => {
-                    Metrics::inc(&shared.metrics.http_requests);
-                    let response = Response::error(
-                        413,
-                        format!("body too large: {declared} bytes (limit {limit})"),
-                    );
-                    send(&mut stream, &response, &shared.metrics);
-                    // Drain (bounded) what the client already sent so the close
-                    // is a FIN, not an RST that could destroy the 413 in flight.
-                    let mut sink = [0u8; 4096];
-                    let mut left = declared.min(1 << 20);
-                    while left > 0 && Instant::now() < deadline {
-                        match std::io::Read::read(&mut stream, &mut sink) {
-                            Ok(0) | Err(_) => break,
-                            Ok(n) => left = left.saturating_sub(n),
-                        }
-                    }
-                    shared.metrics.observe_route("other", started.elapsed());
-                    return;
-                }
-                Err(HttpError::Timeout) => {
-                    // An idle keep-alive connection that already served a
-                    // request just went quiet — the normal end of its life,
-                    // not a client error worth a 408.
-                    if served > 0 && buffer.is_empty() {
-                        return;
-                    }
-                    Metrics::inc(&shared.metrics.http_requests);
-                    (
-                        "other",
-                        Response::error(408, "request read deadline exceeded"),
-                    )
-                }
-                Err(HttpError::BadRequest(message)) => {
-                    Metrics::inc(&shared.metrics.http_requests);
-                    ("other", Response::error(400, message))
-                }
-                Err(HttpError::Closed) | Err(HttpError::Io(_)) => return,
-            };
-        let close = response.close;
-        send(&mut stream, &response, &shared.metrics);
-        shared.metrics.observe_route(label, started.elapsed());
-        if close {
-            return;
-        }
-        served += 1;
     }
 }
 
@@ -909,9 +703,9 @@ mod tests {
     use super::*;
     use std::io::{Read as _, Write as _};
 
-    /// A connection thread that panics while holding `shared.known` must
-    /// not take the daemon down with it: later lockers recover the
-    /// poisoned mutex with `into_inner` and keep serving.
+    /// A handler that panics while holding `shared.known` must not take
+    /// the daemon down with it: later lockers recover the poisoned mutex
+    /// with `into_inner` and keep serving.
     #[test]
     fn poisoned_known_lock_is_recovered_not_fatal() {
         let state_dir = std::env::temp_dir().join(format!("emgrid-poison-{}", std::process::id()));
@@ -924,7 +718,7 @@ mod tests {
         })
         .unwrap();
 
-        // Poison the lock the way a panicking connection thread would.
+        // Poison the lock the way a panicking handler would.
         let shared = Arc::clone(&server.shared);
         let _ = std::thread::spawn(move || {
             let _guard = shared.known.lock().unwrap();

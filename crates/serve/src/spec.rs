@@ -22,7 +22,7 @@ use std::fmt;
 
 use emgrid_fea::geometry::{IntersectionPattern, ViaArrayGeometry};
 use emgrid_runtime::{EarlyStop, RuntimeConfig};
-use emgrid_sparse::{FactorOptions, KernelBackend, Method, Ordering};
+use emgrid_sparse::{FactorOptions, Method, Ordering};
 use emgrid_via::{FailureCriterion, Variation, ViaArrayConfig};
 
 use crate::json::Json;
@@ -216,9 +216,11 @@ pub struct SolverSpec {
     pub ordering: Ordering,
     /// Whether the blocked supernodal numeric engine is used.
     pub supernodal: bool,
-    /// Dense-panel microkernel backend: `auto`, `scalar` or `blocked`.
-    /// Bit-identical results by contract, so this is purely a speed knob.
-    pub kernels: KernelBackend,
+    /// The `kernels` label: `auto`, `scalar` or `blocked`. It selects
+    /// nothing (the solver has one kernel path); it is accepted and
+    /// canonicalized so documents that carry it keep validating to the
+    /// same canonical bytes, which sweep ids hash.
+    pub kernels: &'static str,
     /// Linear-solve engine for whole-grid operating-point solves (the
     /// screening pass): `auto`, `direct` or `cg`. `auto` picks by problem
     /// size at run time.
@@ -230,7 +232,7 @@ impl Default for SolverSpec {
         SolverSpec {
             ordering: Ordering::Amd,
             supernodal: true,
-            kernels: KernelBackend::Auto,
+            kernels: "auto",
             method: Method::Auto,
         }
     }
@@ -245,8 +247,6 @@ impl SolverSpec {
             ordering: self.ordering,
             supernodal: self.supernodal,
             threads: 1,
-            kernels: self.kernels,
-            ..FactorOptions::default()
         }
     }
 
@@ -255,11 +255,10 @@ impl SolverSpec {
             ("ordering".into(), Json::s(self.ordering.label())),
             ("supernodal".into(), Json::Bool(self.supernodal)),
         ];
-        // `auto` is the default and resolves at run time; materializing it
-        // would pin old canonical documents to whatever backend `auto`
-        // meant when they were accepted.
-        if self.kernels != KernelBackend::Auto {
-            pairs.push(("kernels".into(), Json::s(self.kernels.label())));
+        // `auto` is the default and stays implicit, so canonical documents
+        // from before the key existed keep their bytes.
+        if self.kernels != "auto" {
+            pairs.push(("kernels".into(), Json::s(self.kernels)));
         }
         // Same rule for the solve method: `auto` resolves by problem size
         // at run time and stays implicit in canonical documents.
@@ -326,14 +325,12 @@ pub enum JobBody {
         /// Fill-reducing ordering for the stiffness factorization. The
         /// `solver` block of an `fea` spec accepts `ordering` and
         /// `kernels` but not `supernodal`: the stress cache keys on the
-        /// ordering, and the microkernel backend is bit-identical by
-        /// contract, so these are the solver knobs an `fea` job may vary
-        /// without invalidating cached fields.
+        /// ordering, and `kernels` selects nothing, so these are the solver
+        /// keys an `fea` job may vary without invalidating cached fields.
         ordering: Ordering,
-        /// Dense-panel microkernel backend for the stiffness solves.
-        /// Deliberately absent from the stress-cache key: every backend
-        /// produces byte-identical fields.
-        kernels: KernelBackend,
+        /// The `solver.kernels` label (see [`SolverSpec::kernels`]); kept
+        /// only for the canonical form.
+        kernels: &'static str,
     },
 }
 
@@ -400,8 +397,6 @@ pub struct ResolvedFea {
     pub use_cache: bool,
     /// Fill-reducing ordering for the stiffness factorization.
     pub ordering: Ordering,
-    /// Dense-panel microkernel backend for the stiffness solves.
-    pub kernels: KernelBackend,
 }
 
 /// What a worker actually runs: every label resolved, every knob typed.
@@ -634,8 +629,8 @@ impl JobBody {
             } => {
                 let mut solver = vec![("ordering".to_owned(), Json::s(ordering.label()))];
                 // Same rule as `SolverSpec::to_json`: `auto` stays implicit.
-                if *kernels != KernelBackend::Auto {
-                    solver.push(("kernels".into(), Json::s(kernels.label())));
+                if *kernels != "auto" {
+                    solver.push(("kernels".into(), Json::s(*kernels)));
                 }
                 pairs.push(("kind".into(), Json::s("fea")));
                 pairs.push(("array".into(), Json::s(array)));
@@ -674,7 +669,7 @@ impl JobBody {
                 threads,
                 use_cache,
                 ordering,
-                kernels,
+                ..
             } => Ok(ResolvedJob::Fea(ResolvedFea {
                 array: array.clone(),
                 pattern: pattern.clone(),
@@ -684,7 +679,6 @@ impl JobBody {
                 threads: *threads,
                 use_cache: *use_cache,
                 ordering: *ordering,
-                kernels: *kernels,
             })),
         }
     }
@@ -1058,16 +1052,21 @@ fn parse_method(value: &Json) -> Result<Method, SpecError> {
     })
 }
 
-fn parse_kernels(value: &Json) -> Result<KernelBackend, SpecError> {
+/// Parses `solver.kernels` into its canonical label (see
+/// [`SolverSpec::kernels`]).
+fn parse_kernels(value: &Json) -> Result<&'static str, SpecError> {
     let s = value
         .as_str()
         .ok_or_else(|| SpecError::field("solver.kernels", "`solver.kernels` must be a string"))?;
-    KernelBackend::parse(s).ok_or_else(|| {
-        SpecError::field(
-            "solver.kernels",
-            format!("unknown kernel backend `{s}` (expected auto, scalar or blocked)"),
-        )
-    })
+    ["auto", "scalar", "blocked"]
+        .into_iter()
+        .find(|&label| label == s)
+        .ok_or_else(|| {
+            SpecError::field(
+                "solver.kernels",
+                format!("unknown kernel backend `{s}` (expected auto, scalar or blocked)"),
+            )
+        })
 }
 
 fn get_str<'a>(doc: &'a Json, key: &str) -> Result<Option<&'a str>, SpecError> {
@@ -1345,7 +1344,6 @@ mod tests {
             panic!("wrong kind")
         };
         assert_eq!(f.ordering, Ordering::Natural);
-        assert_eq!(f.kernels, KernelBackend::Auto);
         assert_eq!(
             s.to_json().to_string(),
             r#"{"kind":"fea","array":"4x4","pattern":"plus","resolution":0.25,"threads":1,"use_cache":true,"solver":{"ordering":"natural"}}"#
@@ -1361,10 +1359,7 @@ mod tests {
     fn kernels_key_round_trips_and_stays_implicit_when_auto() {
         // An explicit non-default backend is materialized in canonical form.
         let s = spec(r#"{"kind":"fea","solver":{"kernels":"scalar"}}"#).unwrap();
-        let ResolvedJob::Fea(f) = s.resolve().unwrap() else {
-            panic!("wrong kind")
-        };
-        assert_eq!(f.kernels, KernelBackend::Scalar);
+        assert!(matches!(s.resolve(), Ok(ResolvedJob::Fea(_))));
         assert_eq!(
             s.to_json().to_string(),
             r#"{"kind":"fea","array":"4x4","pattern":"plus","resolution":0.25,"threads":1,"use_cache":true,"solver":{"ordering":"amd","kernels":"scalar"}}"#
@@ -1374,10 +1369,7 @@ mod tests {
         // Same for the analyze solver block; `auto` is never emitted.
         let s =
             spec(r#"{"kind":"analyze","benchmark":"pg1","solver":{"kernels":"blocked"}}"#).unwrap();
-        let ResolvedJob::Analyze(a) = s.resolve().unwrap() else {
-            panic!("wrong kind")
-        };
-        assert_eq!(a.factor.kernels, KernelBackend::Blocked);
+        assert!(matches!(s.resolve(), Ok(ResolvedJob::Analyze(_))));
         assert!(s.to_json().to_string().contains(r#""kernels":"blocked""#));
         assert_eq!(spec(&s.to_json().to_string()).unwrap(), s);
         let e = spec(r#"{"kind":"fea","solver":{"kernels":"avx"}}"#).unwrap_err();

@@ -379,11 +379,12 @@ fn scrape_counter(metrics: &str, name: &str) -> u64 {
 
 #[test]
 fn panicking_connections_do_not_leak_slots() {
-    // Regression for the connection-slot leak: handle_connection used to
-    // decrement `active_connections` only on the normal return path, so
-    // 256 panics bricked the daemon into shedding every future request.
-    // Induce more panics than the connection cap and prove the daemon is
-    // still fully alive afterwards.
+    // Regression for the connection-slot leak: a panicking handler once
+    // kept its connection slot forever, so 256 panics bricked the daemon
+    // into shedding every future request. The dispatcher catches each
+    // panic and the event loop closes the connection; induce more panics
+    // than the connection cap and prove the daemon is still fully alive
+    // afterwards.
     silence_induced_panics();
     let mut cfg = config("panic-flood");
     cfg.debug_panic_route = true;
@@ -405,8 +406,9 @@ fn panicking_connections_do_not_leak_slots() {
     let (status, body) = request(addr, "GET", "/healthz", "");
     assert_eq!(status, 200, "daemon bricked after panic flood: {body}");
 
-    // Every panic was observed by the drop guard. The last unwinding
-    // threads may still be mid-drop, so poll briefly for the full count.
+    // Every panic is counted once the event loop collects the failed
+    // dispatch, which may trail the client's close, so poll briefly for
+    // the full count.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let (_, metrics) = request(addr, "GET", "/metrics", "");

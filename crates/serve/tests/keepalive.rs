@@ -1,16 +1,12 @@
 //! HTTP/1.1 keep-alive and pipelining conformance, admission-control
-//! behavior, and the accept-path regression tests — run against BOTH I/O
-//! backends (legacy thread-per-connection and the poll event loop), since
-//! the wire contract must not depend on `--io`.
+//! behavior, and the accept-path regression tests.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use emgrid_serve::{IoBackend, ServeConfig, Server};
-
-const BACKENDS: &[IoBackend] = &[IoBackend::Threads, IoBackend::Poll];
+use emgrid_serve::{ServeConfig, Server};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("emgrid-keepalive-{tag}-{}", std::process::id()));
@@ -18,10 +14,9 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn config(tag: &str, io: IoBackend) -> ServeConfig {
+fn config(tag: &str) -> ServeConfig {
     ServeConfig {
-        state_dir: temp_dir(&format!("{tag}-{io:?}")),
-        io,
+        state_dir: temp_dir(tag),
         ..ServeConfig::default()
     }
 }
@@ -102,52 +97,46 @@ fn shutdown_and_clean(server: Server) {
 /// the same read) must be preserved, not truncated with the body.
 #[test]
 fn pipelined_posts_get_in_order_responses_with_correct_framing() {
-    for &io in BACKENDS {
-        let server = Server::start(config("pipeline", io)).unwrap();
-        let addr = server.local_addr();
+    let server = Server::start(config("pipeline")).unwrap();
+    let addr = server.local_addr();
 
-        let spec_a = r#"{"kind":"characterize","array":"1x1","trials":8,"seed":1}"#;
-        let spec_b = r#"{"kind":"characterize","array":"1x1","trials":8,"seed":2}"#;
-        let mut wire = String::new();
-        for spec in [spec_a, spec_b] {
-            wire.push_str(&format!(
-                "POST /v1/jobs HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{spec}",
-                spec.len()
-            ));
-        }
-        let mut client = ResponseReader::new(TcpStream::connect(addr).unwrap());
-        client.write_all(wire.as_bytes());
-
-        let (status_a, head_a, body_a) = client.read_one();
-        let (status_b, head_b, body_b) = client.read_one();
-        assert_eq!(
-            (status_a, status_b),
-            (202, 202),
-            "{body_a}\n{body_b}\n[{io:?}]"
-        );
-        for head in [&head_a, &head_b] {
-            assert!(
-                head.to_ascii_lowercase().contains("connection: keep-alive"),
-                "pipelined responses must not close the connection [{io:?}]: {head}"
-            );
-        }
-        // In-order: the first response answers the first submit. Job ids
-        // are allocated in submission order, so id(a) < id(b).
-        let id = |body: &str| -> u64 {
-            body.split("\"id\":")
-                .nth(1)
-                .and_then(|rest| {
-                    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-                    digits.parse().ok()
-                })
-                .unwrap_or_else(|| panic!("no id in {body}"))
-        };
-        assert!(
-            id(&body_a) < id(&body_b),
-            "responses out of order [{io:?}]: {body_a} vs {body_b}"
-        );
-        shutdown_and_clean(server);
+    let spec_a = r#"{"kind":"characterize","array":"1x1","trials":8,"seed":1}"#;
+    let spec_b = r#"{"kind":"characterize","array":"1x1","trials":8,"seed":2}"#;
+    let mut wire = String::new();
+    for spec in [spec_a, spec_b] {
+        wire.push_str(&format!(
+            "POST /v1/jobs HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{spec}",
+            spec.len()
+        ));
     }
+    let mut client = ResponseReader::new(TcpStream::connect(addr).unwrap());
+    client.write_all(wire.as_bytes());
+
+    let (status_a, head_a, body_a) = client.read_one();
+    let (status_b, head_b, body_b) = client.read_one();
+    assert_eq!((status_a, status_b), (202, 202), "{body_a}\n{body_b}");
+    for head in [&head_a, &head_b] {
+        assert!(
+            head.to_ascii_lowercase().contains("connection: keep-alive"),
+            "pipelined responses must not close the connection: {head}"
+        );
+    }
+    // In-order: the first response answers the first submit. Job ids
+    // are allocated in submission order, so id(a) < id(b).
+    let id = |body: &str| -> u64 {
+        body.split("\"id\":")
+            .nth(1)
+            .and_then(|rest| {
+                let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+                digits.parse().ok()
+            })
+            .unwrap_or_else(|| panic!("no id in {body}"))
+    };
+    assert!(
+        id(&body_a) < id(&body_b),
+        "responses out of order: {body_a} vs {body_b}"
+    );
+    shutdown_and_clean(server);
 }
 
 /// A routed 400 (bad JSON in a submit) must NOT kill the connection:
@@ -155,38 +144,36 @@ fn pipelined_posts_get_in_order_responses_with_correct_framing() {
 /// the same socket still answers.
 #[test]
 fn connection_reuse_survives_a_routed_400() {
-    for &io in BACKENDS {
-        let server = Server::start(config("reuse-400", io)).unwrap();
-        let addr = server.local_addr();
+    let server = Server::start(config("reuse-400")).unwrap();
+    let addr = server.local_addr();
 
-        let bad = "{this is not json";
-        let mut client = ResponseReader::new(TcpStream::connect(addr).unwrap());
-        client.write_all(
-            format!(
-                "POST /v1/jobs HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{bad}",
-                bad.len()
-            )
-            .as_bytes(),
-        );
-        let (status, head, _) = client.read_one();
-        assert_eq!(status, 400, "[{io:?}]");
-        assert!(
-            head.to_ascii_lowercase().contains("connection: keep-alive"),
-            "routed 400 must honor keep-alive [{io:?}]: {head}"
-        );
+    let bad = "{this is not json";
+    let mut client = ResponseReader::new(TcpStream::connect(addr).unwrap());
+    client.write_all(
+        format!(
+            "POST /v1/jobs HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{bad}",
+            bad.len()
+        )
+        .as_bytes(),
+    );
+    let (status, head, _) = client.read_one();
+    assert_eq!(status, 400);
+    assert!(
+        head.to_ascii_lowercase().contains("connection: keep-alive"),
+        "routed 400 must honor keep-alive: {head}"
+    );
 
-        client.write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
-        let (status, _, body) = client.read_one();
-        assert_eq!(status, 200, "reuse after 400 failed [{io:?}]: {body}");
+    client.write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+    let (status, _, body) = client.read_one();
+    assert_eq!(status, 200, "reuse after 400 failed: {body}");
 
-        // A third request with `Connection: close` ends the session.
-        client.write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
-        let (status, head, _) = client.read_one();
-        assert_eq!(status, 200);
-        assert!(head.to_ascii_lowercase().contains("connection: close"));
-        client.expect_clean_close();
-        shutdown_and_clean(server);
-    }
+    // A third request with `Connection: close` ends the session.
+    client.write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
+    let (status, head, _) = client.read_one();
+    assert_eq!(status, 200);
+    assert!(head.to_ascii_lowercase().contains("connection: close"));
+    client.expect_clean_close();
+    shutdown_and_clean(server);
 }
 
 /// Keep-alive reuse is visible in `/metrics`, and a request whose body is
@@ -195,37 +182,35 @@ fn connection_reuse_survives_a_routed_400() {
 /// request written separately.
 #[test]
 fn leftover_bytes_carry_over_after_a_body() {
-    for &io in BACKENDS {
-        let server = Server::start(config("leftover", io)).unwrap();
-        let addr = server.local_addr();
+    let server = Server::start(config("leftover")).unwrap();
+    let addr = server.local_addr();
 
-        let spec = r#"{"kind":"characterize","array":"1x1","trials":8,"seed":7}"#;
-        // The GET rides in the same TCP segment as the POST body — the
-        // old reader truncated it away with `body.truncate(declared)`.
-        let wire = format!(
-            "POST /v1/jobs HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{spec}GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n",
-            spec.len()
-        );
-        let mut client = ResponseReader::new(TcpStream::connect(addr).unwrap());
-        client.write_all(wire.as_bytes());
-        let (status, _, body) = client.read_one();
-        assert_eq!(status, 202, "[{io:?}] {body}");
-        let (status, _, body) = client.read_one();
-        assert_eq!(status, 200, "leftover GET was lost [{io:?}]: {body}");
-        assert!(body.contains("\"status\":\"ok\""), "{body}");
+    let spec = r#"{"kind":"characterize","array":"1x1","trials":8,"seed":7}"#;
+    // The GET rides in the same TCP segment as the POST body — the
+    // old reader truncated it away with `body.truncate(declared)`.
+    let wire = format!(
+        "POST /v1/jobs HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{spec}GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n",
+        spec.len()
+    );
+    let mut client = ResponseReader::new(TcpStream::connect(addr).unwrap());
+    client.write_all(wire.as_bytes());
+    let (status, _, body) = client.read_one();
+    assert_eq!(status, 202, "{body}");
+    let (status, _, body) = client.read_one();
+    assert_eq!(status, 200, "leftover GET was lost: {body}");
+    assert!(body.contains("\"status\":\"ok\""), "{body}");
 
-        // Reuse shows up on the scoreboard.
-        client.write_all(b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
-        let (status, _, metrics) = client.read_one();
-        assert_eq!(status, 200);
-        let reuses: u64 = metrics
-            .lines()
-            .find_map(|l| l.strip_prefix("emgrid_http_keepalive_reuses_total "))
-            .and_then(|v| v.trim().parse().ok())
-            .expect("keepalive reuse counter in scrape");
-        assert!(reuses >= 2, "expected >=2 reuses, saw {reuses} [{io:?}]");
-        shutdown_and_clean(server);
-    }
+    // Reuse shows up on the scoreboard.
+    client.write_all(b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
+    let (status, _, metrics) = client.read_one();
+    assert_eq!(status, 200);
+    let reuses: u64 = metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("emgrid_http_keepalive_reuses_total "))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("keepalive reuse counter in scrape");
+    assert!(reuses >= 2, "expected >=2 reuses, saw {reuses}");
+    shutdown_and_clean(server);
 }
 
 /// The value of a counter series in a scrape (label-free exact match).
@@ -263,7 +248,7 @@ fn try_request_close(addr: SocketAddr, method: &str, path: &str) -> io::Result<(
     Ok((status, body))
 }
 
-/// Satellite regressions, both backends:
+/// Accept-path regressions:
 ///
 /// 1. Shed 503s are written nonblocking — a storm of shed connections
 ///    whose clients never read their sockets must not stall the accept
@@ -275,144 +260,79 @@ fn try_request_close(addr: SocketAddr, method: &str, path: &str) -> io::Result<(
 ///    (sheds used to increment only the response side).
 #[test]
 fn shed_storm_of_unread_sockets_does_not_stall_accepts_and_keeps_counters_sane() {
-    for &io in BACKENDS {
-        let mut cfg = config("shed-storm", io);
-        cfg.max_connections = 1;
-        cfg.request_deadline = Duration::from_secs(30);
-        let server = Server::start(cfg).unwrap();
-        let addr = server.local_addr();
+    let mut cfg = config("shed-storm");
+    cfg.max_connections = 1;
+    cfg.request_deadline = Duration::from_secs(30);
+    let server = Server::start(cfg).unwrap();
+    let addr = server.local_addr();
 
-        // Occupy the single slot with an idle connection.
-        let slot_holder = TcpStream::connect(addr).unwrap();
-        // Make sure the server has accepted it before the storm begins.
-        std::thread::sleep(Duration::from_millis(100));
+    // Occupy the single slot with an idle connection.
+    let slot_holder = TcpStream::connect(addr).unwrap();
+    // Make sure the server has accepted it before the storm begins.
+    std::thread::sleep(Duration::from_millis(100));
 
-        // Open a storm of connections that are shed; none of them ever
-        // reads its 503. With the old blocking shed-write this is worth
-        // up to `storm × 1s` of accept-thread stall.
-        let storm = 30u64;
-        let started = Instant::now();
-        let mut unread: Vec<TcpStream> = Vec::new();
-        for _ in 0..storm {
-            unread.push(TcpStream::connect(addr).unwrap());
-        }
-        // Every storm connection received its 503 (peek observes without
-        // consuming — the sockets stay "unread" from the server's view)
-        // in far less than the old worst case of storm × 1s of blocking
-        // shed writes on the accept thread.
-        for sock in &unread {
-            sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-            let mut probe = [0u8; 16];
-            let n = sock.peek(&mut probe).expect("shed 503 never arrived");
-            assert!(n > 0, "empty shed response [{io:?}]");
-            assert!(probe.starts_with(b"HTTP/1.1 503"), "[{io:?}]");
-        }
-        assert!(
-            started.elapsed() < Duration::from_secs(10),
-            "accept path stalled by unread shed sockets [{io:?}]"
-        );
-
-        // Free the slot, then scrape (while the slot was held, scrapes
-        // themselves would be shed).
-        drop(slot_holder);
-        drop(unread);
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let metrics = loop {
-            // A still-shed probe can be RST by the server's close (the 503
-            // is written without reading our request); treat transport
-            // errors like a non-200 and retry.
-            if let Ok((200, m)) = try_request_close(addr, "GET", "/metrics") {
-                break m;
-            }
-            assert!(Instant::now() < deadline, "slot never freed [{io:?}]");
-            std::thread::sleep(Duration::from_millis(20));
-        };
-        let requests = scrape_value(&metrics, "emgrid_http_requests_total");
-        let responses: u64 = ["2xx", "3xx", "4xx", "5xx"]
-            .iter()
-            .map(|class| {
-                metrics
-                    .lines()
-                    .find_map(|l| {
-                        l.strip_prefix(&format!(
-                            "emgrid_http_responses_total{{status_class=\"{class}\"}} "
-                        ))
-                    })
-                    .and_then(|v| v.trim().parse::<u64>().ok())
-                    .unwrap_or(0)
-            })
-            .sum();
-        assert!(
-            requests >= responses,
-            "responses ({responses}) exceed requests ({requests}) [{io:?}]:\n{metrics}"
-        );
-        assert!(
-            requests >= storm,
-            "sheds not counted as requests [{io:?}]: {requests} < {storm}"
-        );
-        shutdown_and_clean(server);
+    // Open a storm of connections that are shed; none of them ever
+    // reads its 503. With the old blocking shed-write this is worth
+    // up to `storm × 1s` of accept-thread stall.
+    let storm = 30u64;
+    let started = Instant::now();
+    let mut unread: Vec<TcpStream> = Vec::new();
+    for _ in 0..storm {
+        unread.push(TcpStream::connect(addr).unwrap());
     }
-}
-
-/// The determinism contract now spans I/O backends: the same spec run
-/// through the threads backend and the poll backend must produce
-/// byte-identical result documents.
-#[test]
-fn results_are_byte_identical_across_io_backends() {
-    let spec = r#"{"kind":"characterize","array":"4x4","pattern":"plus","criterion":"rinf","trials":48,"seed":11,"threads":2}"#;
-    let mut results = Vec::new();
-    for &io in BACKENDS {
-        let server = Server::start(config("xbackend", io)).unwrap();
-        let addr = server.local_addr();
-        let mut client = ResponseReader::new(TcpStream::connect(addr).unwrap());
-        client.write_all(
-            format!(
-                "POST /v1/jobs HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{spec}",
-                spec.len()
-            )
-            .as_bytes(),
-        );
-        let (status, _, body) = client.read_one();
-        assert_eq!(status, 202, "{body}");
-        let id: u64 = body
-            .split("\"id\":")
-            .nth(1)
-            .map(|rest| {
-                rest.chars()
-                    .take_while(char::is_ascii_digit)
-                    .collect::<String>()
-            })
-            .and_then(|d| d.parse().ok())
-            .unwrap();
-
-        // Poll to terminal state and fetch the result — all on the SAME
-        // keep-alive connection, which also soak-tests reuse.
-        let deadline = Instant::now() + Duration::from_secs(120);
-        loop {
-            client.write_all(format!("GET /v1/jobs/{id} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes());
-            let (status, _, body) = client.read_one();
-            assert_eq!(status, 200, "{body}");
-            if body.contains("\"status\":\"done\"") {
-                break;
-            }
-            assert!(
-                !body.contains("failed") && !body.contains("cancelled"),
-                "job died [{io:?}]: {body}"
-            );
-            assert!(Instant::now() < deadline, "job stuck [{io:?}]");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        client.write_all(
-            format!("GET /v1/jobs/{id}/result HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
-                .as_bytes(),
-        );
-        let (status, _, body) = client.read_one();
-        assert_eq!(status, 200, "{body}");
-        results.push(body);
-        shutdown_and_clean(server);
+    // Every storm connection received its 503 (peek observes without
+    // consuming — the sockets stay "unread" from the server's view)
+    // in far less than the old worst case of storm × 1s of blocking
+    // shed writes on the accept thread.
+    for sock in &unread {
+        sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut probe = [0u8; 16];
+        let n = sock.peek(&mut probe).expect("shed 503 never arrived");
+        assert!(n > 0, "empty shed response");
+        assert!(probe.starts_with(b"HTTP/1.1 503"));
     }
-    assert_eq!(
-        results[0], results[1],
-        "I/O backend leaked into result bytes"
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "accept path stalled by unread shed sockets"
     );
+
+    // Free the slot, then scrape (while the slot was held, scrapes
+    // themselves would be shed).
+    drop(slot_holder);
+    drop(unread);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let metrics = loop {
+        // A still-shed probe can be RST by the server's close (the 503
+        // is written without reading our request); treat transport
+        // errors like a non-200 and retry.
+        if let Ok((200, m)) = try_request_close(addr, "GET", "/metrics") {
+            break m;
+        }
+        assert!(Instant::now() < deadline, "slot never freed");
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let requests = scrape_value(&metrics, "emgrid_http_requests_total");
+    let responses: u64 = ["2xx", "3xx", "4xx", "5xx"]
+        .iter()
+        .map(|class| {
+            metrics
+                .lines()
+                .find_map(|l| {
+                    l.strip_prefix(&format!(
+                        "emgrid_http_responses_total{{status_class=\"{class}\"}} "
+                    ))
+                })
+                .and_then(|v| v.trim().parse::<u64>().ok())
+                .unwrap_or(0)
+        })
+        .sum();
+    assert!(
+        requests >= responses,
+        "responses ({responses}) exceed requests ({requests}):\n{metrics}"
+    );
+    assert!(
+        requests >= storm,
+        "sheds not counted as requests: {requests} < {storm}"
+    );
+    shutdown_and_clean(server);
 }

@@ -9,8 +9,7 @@
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
 use crate::ic0::Ic0;
-use crate::kernels::{axpy_with, dot_with, norm_with, xpby_with, VEC_CHUNK};
-use crate::panel::KernelBackend;
+use crate::kernels::{axpy, dot, norm, xpby, VEC_CHUNK};
 use emgrid_runtime::{obs, parallel_fill};
 use std::time::{Duration, Instant};
 
@@ -41,10 +40,6 @@ pub struct CgOptions {
     /// count, so the solve — iterates, iteration count and residual — is
     /// **bit-identical** whatever value is used.
     pub threads: usize,
-    /// Microkernel backend for the dot/axpy/xpby chunk bodies
-    /// ([`crate::panel`]). Backends are bit-identical, so this — like
-    /// `threads` — only moves wall time.
-    pub kernels: KernelBackend,
 }
 
 impl Default for CgOptions {
@@ -54,7 +49,6 @@ impl Default for CgOptions {
             max_iterations: 10_000,
             preconditioner: Preconditioner::default(),
             threads: 1,
-            kernels: KernelBackend::Auto,
         }
     }
 }
@@ -122,9 +116,8 @@ pub fn conjugate_gradient(
         });
     }
     let threads = options.threads.max(1);
-    let kern = options.kernels.instance();
     let _cg_span = obs::span("cg");
-    let bnorm = norm_with(b, threads, kern);
+    let bnorm = norm(b, threads);
     if bnorm == 0.0 {
         return Ok(CgOutcome {
             x: vec![0.0; n],
@@ -182,10 +175,10 @@ pub fn conjugate_gradient(
     let mut z = vec![0.0; n];
     apply_prec(&r, &mut z);
     let mut p = z.clone();
-    let mut rz = dot_with(&r, &z, threads, kern);
+    let mut rz = dot(&r, &z, threads);
     let mut ap = vec![0.0; n];
 
-    let mut residual = norm_with(&r, threads, kern) / bnorm;
+    let mut residual = norm(&r, threads) / bnorm;
     if residual <= options.tolerance {
         return Ok(CgOutcome {
             x,
@@ -198,7 +191,7 @@ pub fn conjugate_gradient(
     let _iterate_span = obs::span("iterate");
     for it in 1..=options.max_iterations {
         a.par_matvec_into(&p, &mut ap, threads);
-        let pap = dot_with(&p, &ap, threads, kern);
+        let pap = dot(&p, &ap, threads);
         if pap <= 0.0 || !pap.is_finite() {
             return Err(SparseError::NotPositiveDefinite {
                 column: it,
@@ -206,9 +199,9 @@ pub fn conjugate_gradient(
             });
         }
         let alpha = rz / pap;
-        axpy_with(alpha, &p, &mut x, threads, kern);
-        axpy_with(-alpha, &ap, &mut r, threads, kern);
-        residual = norm_with(&r, threads, kern) / bnorm;
+        axpy(alpha, &p, &mut x, threads);
+        axpy(-alpha, &ap, &mut r, threads);
+        residual = norm(&r, threads) / bnorm;
         if residual <= options.tolerance {
             return Ok(CgOutcome {
                 x,
@@ -218,10 +211,10 @@ pub fn conjugate_gradient(
             });
         }
         apply_prec(&r, &mut z);
-        let rz_new = dot_with(&r, &z, threads, kern);
+        let rz_new = dot(&r, &z, threads);
         let beta = rz_new / rz;
         rz = rz_new;
-        xpby_with(&z, beta, &mut p, threads, kern);
+        xpby(&z, beta, &mut p, threads);
     }
     Err(SparseError::NotConverged {
         iterations: options.max_iterations,
@@ -390,37 +383,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn solve_is_bit_identical_across_kernel_backends() {
-        // The full CG pipeline — dots, axpys, SpMV, and the IC(0) apply —
-        // must give the same iterates whatever backend runs it.
-        let a = laplacian_2d(20, 20);
-        let b: Vec<f64> = (0..400).map(|i| ((i * 11) % 17) as f64 - 8.0).collect();
-        let run = |kernels| {
-            conjugate_gradient(
-                &a,
-                &b,
-                None,
-                &CgOptions {
-                    kernels,
-                    ..CgOptions::default()
-                },
-            )
-            .unwrap()
-        };
-        let scalar = run(KernelBackend::Scalar);
-        for kernels in [KernelBackend::Blocked, KernelBackend::Auto] {
-            let other = run(kernels);
-            assert_eq!(other.iterations, scalar.iterations, "{kernels:?}");
-            assert_eq!(
-                other.residual.to_bits(),
-                scalar.residual.to_bits(),
-                "{kernels:?}"
-            );
-            assert_eq!(other.x, scalar.x, "{kernels:?}");
-        }
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
         #[test]
@@ -430,44 +392,6 @@ mod tests {
             let a = laplacian_2d(6, 6);
             let out = conjugate_gradient(&a, &b, None, &CgOptions::default()).unwrap();
             prop_assert!(a.residual_norm(&out.x, &b) / (1e-30 + b.iter().map(|v| v*v).sum::<f64>().sqrt()) < 1e-8);
-        }
-
-        #[test]
-        fn cg_iterates_byte_identical_across_backends_on_random_spd(
-            diag_boost in 0.1f64..5.0,
-            edges in proptest::collection::vec((0u32..18, 0u32..18, 0.01f64..1.0), 1..70),
-            b in proptest::collection::vec(-5.0f64..5.0, 18),
-        ) {
-            // Weighted graph Laplacian + boost*I: always SPD.
-            let n = 18;
-            let mut t = TripletMatrix::new(n, n);
-            let mut diag = vec![diag_boost; n];
-            for (a_, b_, w) in edges {
-                let (i, j) = (a_ as usize, b_ as usize);
-                if i != j {
-                    t.push_sym(i, j, -w);
-                    diag[i] += w;
-                    diag[j] += w;
-                }
-            }
-            for (i, d) in diag.iter().enumerate() {
-                t.push(i, i, *d);
-            }
-            let a = t.to_csr();
-            let run = |kernels| {
-                conjugate_gradient(&a, &b, None, &CgOptions {
-                    kernels,
-                    tolerance: 1e-9,
-                    ..CgOptions::default()
-                })
-                .unwrap()
-            };
-            let s = run(KernelBackend::Scalar);
-            let bl = run(KernelBackend::Blocked);
-            prop_assert_eq!(s.iterations, bl.iterations);
-            prop_assert_eq!(s.residual.to_bits(), bl.residual.to_bits());
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(bits(&s.x), bits(&bl.x));
         }
     }
 }

@@ -8,15 +8,12 @@
 //! entry exactly once. Results are therefore bit-identical for any thread
 //! count — the invariance the CG solver's determinism contract rests on.
 //!
-//! Each kernel has a `*_with` variant taking a [`PanelKernels`] backend,
-//! which supplies the chunk body ([`PanelKernels::dot_chunk`] and friends).
-//! Backends are bit-identical to each other too (see [`crate::panel`]), so
-//! the variant — like `threads` — only moves wall time. The plain
-//! functions run the scalar reference backend.
+//! The chunk bodies are the register-blocked kernels of the crate's
+//! `panel` module, which match the plain serial loops bit for bit.
 
 use emgrid_runtime::{parallel_chunks_mut, parallel_reduce};
 
-use crate::panel::{PanelKernels, SCALAR};
+use crate::panel::{BlockedKernels, PanelKernels};
 
 /// Fixed reduction block for vector kernels. Small enough to parallelize
 /// FEM-sized vectors (1e5–1e6 entries → dozens to hundreds of chunks),
@@ -28,17 +25,12 @@ pub const ROW_CHUNK: usize = 512;
 
 /// Chunked dot product `aᵀ b`, bit-identical for any `threads`.
 pub fn dot(a: &[f64], b: &[f64], threads: usize) -> f64 {
-    dot_with(a, b, threads, &SCALAR)
-}
-
-/// [`dot`] with an explicit microkernel backend.
-pub fn dot_with(a: &[f64], b: &[f64], threads: usize, kernels: &dyn PanelKernels) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     parallel_reduce(
         a.len(),
         VEC_CHUNK,
         threads,
-        |_, r| kernels.dot_chunk(&a[r.clone()], &b[r]),
+        |_, r| BlockedKernels.dot_chunk(&a[r.clone()], &b[r]),
         |acc: f64, part| acc + part,
     )
     .unwrap_or(0.0)
@@ -49,41 +41,25 @@ pub fn norm(a: &[f64], threads: usize) -> f64 {
     dot(a, a, threads).sqrt()
 }
 
-/// [`norm`] with an explicit microkernel backend.
-pub fn norm_with(a: &[f64], threads: usize, kernels: &dyn PanelKernels) -> f64 {
-    dot_with(a, a, threads, kernels).sqrt()
-}
-
 /// `y[i] += alpha * x[i]` over fixed chunks.
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64], threads: usize) {
-    axpy_with(alpha, x, y, threads, &SCALAR);
-}
-
-/// [`axpy`] with an explicit microkernel backend.
-pub fn axpy_with(alpha: f64, x: &[f64], y: &mut [f64], threads: usize, kernels: &dyn PanelKernels) {
     debug_assert_eq!(x.len(), y.len());
     parallel_chunks_mut(y, VEC_CHUNK, threads, |start, yc| {
-        kernels.axpy_chunk(alpha, &x[start..start + yc.len()], yc);
+        BlockedKernels.axpy_chunk(alpha, &x[start..start + yc.len()], yc);
     });
 }
 
 /// `p[i] = z[i] + beta * p[i]` (the CG direction update) over fixed chunks.
 pub fn xpby(z: &[f64], beta: f64, p: &mut [f64], threads: usize) {
-    xpby_with(z, beta, p, threads, &SCALAR);
-}
-
-/// [`xpby`] with an explicit microkernel backend.
-pub fn xpby_with(z: &[f64], beta: f64, p: &mut [f64], threads: usize, kernels: &dyn PanelKernels) {
     debug_assert_eq!(z.len(), p.len());
     parallel_chunks_mut(p, VEC_CHUNK, threads, |start, pc| {
-        kernels.xpby_chunk(&z[start..start + pc.len()], beta, pc);
+        BlockedKernels.xpby_chunk(&z[start..start + pc.len()], beta, pc);
     });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::panel::BLOCKED;
 
     fn vec_a(n: usize) -> Vec<f64> {
         (0..n)
@@ -132,38 +108,6 @@ mod tests {
             let mut p = vec_b(20_000);
             xpby(&z, -0.81, &mut p, threads);
             assert_eq!(p, expect, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn backend_variants_match_reference_bitwise() {
-        // Sizes straddle VEC_CHUNK so both the chunked and the short paths
-        // run, and the blocked unroll sees full blocks plus remainders.
-        for n in [17, 4096, 9001] {
-            let a = vec_a(n);
-            let b = vec_b(n);
-            for threads in [1, 4] {
-                assert_eq!(
-                    dot(&a, &b, threads).to_bits(),
-                    dot_with(&a, &b, threads, &BLOCKED).to_bits(),
-                    "dot n={n} threads={threads}"
-                );
-                assert_eq!(
-                    norm(&a, threads).to_bits(),
-                    norm_with(&a, threads, &BLOCKED).to_bits(),
-                    "norm n={n} threads={threads}"
-                );
-                let mut y1 = vec_b(n);
-                let mut y2 = vec_b(n);
-                axpy(0.37, &a, &mut y1, threads);
-                axpy_with(0.37, &a, &mut y2, threads, &BLOCKED);
-                assert_eq!(y1, y2, "axpy n={n} threads={threads}");
-                let mut p1 = vec_b(n);
-                let mut p2 = vec_b(n);
-                xpby(&a, -0.81, &mut p1, threads);
-                xpby_with(&a, -0.81, &mut p2, threads, &BLOCKED);
-                assert_eq!(p1, p2, "xpby n={n} threads={threads}");
-            }
         }
     }
 

@@ -25,8 +25,8 @@ use emgrid_runtime::{obs, parallel_map_chunks};
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
 use crate::ordering::{amd, nested_dissection, reverse_cuthill_mckee, Permutation};
-use crate::panel::{self, KernelBackend, PanelKernels};
-use crate::supernodal::{self, SolvePlan, Symbolic, TOP};
+use crate::panel::BlockedKernels;
+use crate::supernodal::{self, SolvePlan, Symbolic, MAX_SUPERNODE_WIDTH, TOP};
 
 /// Fill-reducing ordering applied before factorization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -85,31 +85,10 @@ pub struct FactorOptions {
     /// engine is faster on matrices with meaningful fill.
     pub supernodal: bool,
     /// Worker threads for the triangular solves ([`LdlFactor::solve`] uses
-    /// independent elimination-tree subtrees, [`LdlFactor::solve_many`]
-    /// blocks of right-hand sides). Never changes results, only wall time.
+    /// independent elimination-tree subtrees). Never changes results, only
+    /// wall time.
     pub threads: usize,
-    /// Dense-panel microkernel backend for the supernodal factor and the
-    /// blocked solves ([`crate::panel`]). Every backend produces identical
-    /// bytes, so this — like `threads` — only moves wall time.
-    pub kernels: KernelBackend,
-    /// Right-hand sides per panel in [`LdlFactor::solve_many`]. Panels of
-    /// this width share one forward/diagonal/backward sweep; the default
-    /// (8) matches the blocked backend's row-unroll width. Re-blocking
-    /// never changes solution bits.
-    pub rhs_panel: usize,
-    /// Cap on supernode width in the supernodal engine. Wider panels
-    /// amortize better but waste work on patterns that only almost match;
-    /// the default (48) keeps the dense diagonal block (48×48 f64 ≈ 18 KiB)
-    /// comfortably in L1/L2. Changes the supernode partition — and thus
-    /// panel shapes — but never the factor's CSC layout or values.
-    pub max_supernode_width: usize,
 }
-
-/// Default [`FactorOptions::rhs_panel`].
-pub const DEFAULT_RHS_PANEL: usize = 8;
-
-/// Default [`FactorOptions::max_supernode_width`].
-pub const DEFAULT_MAX_SUPERNODE_WIDTH: usize = 48;
 
 impl Default for FactorOptions {
     fn default() -> Self {
@@ -117,9 +96,6 @@ impl Default for FactorOptions {
             ordering: Ordering::Amd,
             supernodal: true,
             threads: 1,
-            kernels: KernelBackend::Auto,
-            rhs_panel: DEFAULT_RHS_PANEL,
-            max_supernode_width: DEFAULT_MAX_SUPERNODE_WIDTH,
         }
     }
 }
@@ -137,25 +113,14 @@ impl FactorOptions {
         self
     }
 
-    /// Returns the options with a different microkernel backend.
-    pub fn with_kernels(mut self, kernels: KernelBackend) -> Self {
-        self.kernels = kernels;
-        self
-    }
-
     /// The scalar RCM configuration the workspace used before the supernodal
     /// engine existed: bit-identical to the historical scalar-RCM path, so
-    /// hot loops whose sample streams must not move pin themselves to it
-    /// (including pinning the reference kernel backend, although backends
-    /// are bit-identical anyway).
+    /// hot loops whose sample streams must not move pin themselves to it.
     pub fn scalar_rcm() -> Self {
         FactorOptions {
             ordering: Ordering::Rcm,
             supernodal: false,
             threads: 1,
-            kernels: KernelBackend::Scalar,
-            rhs_panel: DEFAULT_RHS_PANEL,
-            max_supernode_width: DEFAULT_MAX_SUPERNODE_WIDTH,
         }
     }
 }
@@ -204,16 +169,11 @@ pub struct LdlFactor {
     plan: Option<SolvePlan>,
     /// Worker threads for the solve sweeps.
     threads: usize,
-    /// Microkernel backend for the blocked solve sweeps.
-    kernels: KernelBackend,
-    /// Right-hand sides per [`LdlFactor::solve_many`] panel.
-    rhs_panel: usize,
 }
 
 impl LdlFactor {
     /// Factors `a` under the given [`FactorOptions`]. This is the single
-    /// entry point for every ordering, numeric engine, and microkernel
-    /// backend combination.
+    /// entry point for every ordering and numeric engine combination.
     ///
     /// # Errors
     ///
@@ -263,19 +223,13 @@ impl LdlFactor {
 
         let sym = {
             let _span = obs::span("symbolic");
-            supernodal::analyze(&pa, opts.supernodal, opts.max_supernode_width)
+            supernodal::analyze(&pa, opts.supernodal, MAX_SUPERNODE_WIDTH)
         };
         let n = sym.n();
         let (row_idx, values, diag) = {
             let _span = obs::span("numeric");
             if opts.supernodal {
-                // Dispatch once to a concrete backend so the panel kernels
-                // monomorphize (and inline) instead of going through the
-                // vtable on every dense update.
-                match opts.kernels.resolve() {
-                    KernelBackend::Scalar => supernodal::factor_numeric(&pa, &sym, &panel::SCALAR)?,
-                    _ => supernodal::factor_numeric(&pa, &sym, &panel::BLOCKED)?,
-                }
+                supernodal::factor_numeric(&pa, &sym, &BlockedKernels)?
             } else {
                 Self::factor_numeric_scalar(&pa, &sym)?
             }
@@ -294,8 +248,6 @@ impl LdlFactor {
             sn_ptr,
             plan,
             threads: opts.threads.max(1),
-            kernels: opts.kernels,
-            rhs_panel: opts.rhs_panel.max(1),
         })
     }
 
@@ -547,95 +499,9 @@ impl LdlFactor {
         }
     }
 
-    /// Solves for several right-hand sides with a blocked kernel: panels of
-    /// up to [`FactorOptions::rhs_panel`] vectors share one
-    /// forward/diagonal/backward sweep (one pass over the factor per panel
-    /// instead of one per vector), and panels run on the configured worker
-    /// threads. Each solution is bit-identical to a scalar sweep of the
-    /// same factor for any thread count, panel width, or kernel backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any right-hand side has the wrong length.
-    pub fn solve_many(&self, rhs: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        if rhs.is_empty() {
-            return Vec::new();
-        }
-        let _span = obs::span("solve");
-        let blocks: Vec<Vec<Vec<f64>>> =
-            parallel_map_chunks(rhs.len(), self.rhs_panel, self.threads, |_, range| {
-                self.solve_block(&rhs[range])
-            });
-        blocks.into_iter().flatten().collect()
-    }
-
-    /// One blocked sweep over `k <= rhs_panel` right-hand sides held in a
-    /// row-major `n x k` panel. The k columns are independent, so the row
-    /// operations route through the microkernel backend, which may
-    /// vectorize across them.
-    fn solve_block(&self, rhs: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        // One concrete dispatch per panel; the per-nonzero row kernels then
-        // inline instead of paying a virtual call each.
-        match self.kernels.resolve() {
-            KernelBackend::Scalar => self.solve_block_with(&panel::SCALAR, rhs),
-            _ => self.solve_block_with(&panel::BLOCKED, rhs),
-        }
-    }
-
-    fn solve_block_with<K: PanelKernels + ?Sized>(
-        &self,
-        kern: &K,
-        rhs: &[Vec<f64>],
-    ) -> Vec<Vec<f64>> {
-        let k = rhs.len();
-        let n = self.n;
-        let mut panel = vec![0.0f64; n * k];
-        for (c, b) in rhs.iter().enumerate() {
-            assert_eq!(b.len(), n, "rhs length mismatch");
-            for new in 0..n {
-                panel[new * k + c] = b[self.perm.map(new)];
-            }
-        }
-        // Forward: row j of the panel updates strictly-later rows.
-        for j in 0..n {
-            let (head, tail) = panel.split_at_mut((j + 1) * k);
-            let xj = &head[j * k..];
-            for p in self.col_ptr[j]..self.col_ptr[j + 1] {
-                let r = self.row_idx[p] as usize;
-                let row = &mut tail[(r - j - 1) * k..(r - j) * k];
-                kern.row_update(row, xj, self.values[p]);
-            }
-        }
-        // Diagonal.
-        for j in 0..n {
-            kern.row_div(&mut panel[j * k..(j + 1) * k], self.diag[j]);
-        }
-        // Backward: row j accumulates from strictly-later rows.
-        for j in (0..n).rev() {
-            let (head, tail) = panel.split_at_mut((j + 1) * k);
-            let xj = &mut head[j * k..];
-            for p in self.col_ptr[j]..self.col_ptr[j + 1] {
-                let r = self.row_idx[p] as usize;
-                let row = &tail[(r - j - 1) * k..(r - j) * k];
-                kern.row_update(xj, row, self.values[p]);
-            }
-        }
-        // Unpermute each column.
-        (0..k)
-            .map(|c| {
-                let mut out = vec![0.0f64; n];
-                for new in 0..n {
-                    out[self.perm.map(new)] = panel[new * k + c];
-                }
-                out
-            })
-            .collect()
-    }
-
     /// The raw CSC parts of the permuted factor: `(col_ptr, row_idx,
     /// values, diag)`. Exposed for byte-level determinism checks (the
-    /// backend bit-identity suites compare these arrays directly) and
-    /// diagnostics.
+    /// bit-identity tests compare these arrays directly) and diagnostics.
     pub fn factor_parts(&self) -> (&[usize], &[u32], &[f64], &[f64]) {
         (&self.col_ptr, &self.row_idx, &self.values, &self.diag)
     }
@@ -645,6 +511,7 @@ impl LdlFactor {
 mod tests {
     use super::*;
     use crate::coo::TripletMatrix;
+    use crate::panel::ScalarKernels;
     use proptest::prelude::*;
 
     fn laplacian_1d(n: usize) -> CsrMatrix {
@@ -759,83 +626,50 @@ mod tests {
         assert!(a.residual_norm(&x1, &b) < 1e-8);
     }
 
-    #[test]
-    fn solve_many_matches_individual_solves_bitwise() {
-        let a = laplacian_2d(9, 8);
-        let f = LdlFactor::factor_with(&a, &FactorOptions::default().with_threads(4)).unwrap();
-        let rhs: Vec<Vec<f64>> = (0..19)
-            .map(|s| (0..72).map(|i| ((i + s * 7) % 13) as f64 - 6.0).collect())
-            .collect();
-        let batched = f.solve_many(&rhs);
-        assert_eq!(batched.len(), rhs.len());
-        for (b, x) in rhs.iter().zip(&batched) {
-            assert!(a.residual_norm(x, b) < 1e-9);
-        }
-        // Blocked panels are bit-stable against re-blocking: a panel of one.
-        let single = f.solve_block(std::slice::from_ref(&rhs[3]));
-        assert_eq!(single[0], batched[3]);
+    /// The production supernodal factor's numeric arrays, recomputed under
+    /// the test-only reference kernels on the same permuted matrix and a
+    /// supernode partition capped at `max_width`.
+    fn reference_factor(
+        a: &CsrMatrix,
+        f: &LdlFactor,
+        max_width: usize,
+    ) -> supernodal::NumericFactor {
+        let pa = a.permute_symmetric(f.permutation());
+        let sym = supernodal::analyze(&pa, true, max_width);
+        supernodal::factor_numeric(&pa, &sym, &ScalarKernels).unwrap()
     }
 
     #[test]
-    fn kernel_backends_factor_and_solve_bit_identically() {
+    fn supernodal_factor_matches_the_reference_kernels_bitwise() {
         let a = laplacian_2d(40, 33);
-        let b: Vec<f64> = (0..40 * 33).map(|i| ((i * 37) % 11) as f64 - 5.0).collect();
-        let factor =
-            |k| LdlFactor::factor_with(&a, &FactorOptions::default().with_kernels(k)).unwrap();
-        let fs = factor(KernelBackend::Scalar);
-        let fb = factor(KernelBackend::Blocked);
-        assert_eq!(fs.col_ptr, fb.col_ptr);
-        assert_eq!(fs.row_idx, fb.row_idx);
-        assert_eq!(fs.values, fb.values, "factor values must be bit-identical");
-        assert_eq!(fs.diag, fb.diag);
-        assert_eq!(fs.solve(&b), fb.solve(&b));
-        // Auto must resolve to one of the two, not a third behavior.
-        let fa = factor(KernelBackend::Auto);
-        assert_eq!(fa.values, fb.values);
+        let f = LdlFactor::factor_with(&a, &FactorOptions::default()).unwrap();
+        let (row_idx, values, diag) = reference_factor(&a, &f, MAX_SUPERNODE_WIDTH);
+        assert_eq!(f.row_idx, row_idx);
+        assert_eq!(f.values, values, "factor values must be bit-identical");
+        assert_eq!(f.diag, diag);
     }
 
     #[test]
-    fn rhs_panel_and_width_cap_tunables_are_honored() {
+    fn supernode_width_cap_is_honored() {
         let a = laplacian_2d(14, 13);
-        let rhs: Vec<Vec<f64>> = (0..11)
-            .map(|s| (0..182).map(|i| ((i + s * 5) % 9) as f64 - 4.0).collect())
-            .collect();
         let base = LdlFactor::factor_with(&a, &FactorOptions::default()).unwrap();
-        // Any panel width re-blocking keeps solve_many bit-identical.
-        for rhs_panel in [1, 3, 8, 64] {
-            let f = LdlFactor::factor_with(
-                &a,
-                &FactorOptions {
-                    rhs_panel,
-                    ..FactorOptions::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(
-                f.solve_many(&rhs),
-                base.solve_many(&rhs),
-                "panel={rhs_panel}"
-            );
-        }
         // A width cap of 1 forces single-column supernodes. The partition
         // (and hence FP grouping) changes, so values agree to rounding, not
         // bitwise — but the CSC layout is identical and, for a fixed cap,
-        // backends still agree bitwise.
-        let narrow_opts = FactorOptions {
-            max_supernode_width: 1,
-            ..FactorOptions::default()
-        };
-        let narrow = LdlFactor::factor_with(&a, &narrow_opts).unwrap();
-        assert!(narrow.supernode_ptr().windows(2).all(|w| w[1] - w[0] == 1));
+        // the blocked kernels still match the reference bitwise.
+        let pa = a.permute_symmetric(base.permutation());
+        let narrow = supernodal::analyze(&pa, true, 1);
+        assert!(narrow.sn_ptr.windows(2).all(|w| w[1] - w[0] == 1));
         assert!(base.supernode_ptr().windows(2).any(|w| w[1] - w[0] > 1));
         assert_eq!(narrow.col_ptr, base.col_ptr);
-        assert_eq!(narrow.row_idx, base.row_idx);
-        for (u, v) in narrow.values.iter().zip(&base.values) {
+        let (row_idx, values, _) =
+            supernodal::factor_numeric(&pa, &narrow, &BlockedKernels).unwrap();
+        assert_eq!(row_idx, base.row_idx);
+        for (u, v) in values.iter().zip(&base.values) {
             assert!((u - v).abs() < 1e-12, "{u} vs {v}");
         }
-        let narrow_scalar =
-            LdlFactor::factor_with(&a, &narrow_opts.with_kernels(KernelBackend::Scalar)).unwrap();
-        assert_eq!(narrow.values, narrow_scalar.values);
+        let (_, reference, _) = reference_factor(&a, &base, 1);
+        assert_eq!(values, reference);
     }
 
     #[test]
@@ -1014,12 +848,10 @@ mod tests {
         fn kernel_backends_are_byte_identical_on_random_spd(
             diag_boost in 0.1f64..5.0,
             edges in proptest::collection::vec((0u32..24, 0u32..24, 0.01f64..1.0), 1..120),
-            rhs in proptest::collection::vec(
-                proptest::collection::vec(-10.0f64..10.0, 24), 1..6),
         ) {
-            // The tentpole guarantee: scalar and blocked microkernels give
-            // byte-for-byte the same factor CSC arrays and solve_many
-            // panels on arbitrary SPD systems.
+            // The production factor, built on the blocked kernels, has
+            // byte-for-byte the CSC arrays of the reference kernels on
+            // arbitrary SPD systems.
             let n = 24;
             let mut t = TripletMatrix::new(n, n);
             let mut diag = vec![diag_boost; n];
@@ -1035,23 +867,13 @@ mod tests {
                 t.push(i, i, *d);
             }
             let a = t.to_csr();
-            let factor = |k: KernelBackend| {
-                LdlFactor::factor_with(&a, &FactorOptions::default().with_kernels(k)).unwrap()
-            };
-            let fs = factor(KernelBackend::Scalar);
-            let fb = factor(KernelBackend::Blocked);
-            let (cp_s, ri_s, va_s, di_s) = fs.factor_parts();
-            let (cp_b, ri_b, va_b, di_b) = fb.factor_parts();
-            prop_assert_eq!(cp_s, cp_b);
-            prop_assert_eq!(ri_s, ri_b);
+            let f = LdlFactor::factor_with(&a, &FactorOptions::default()).unwrap();
+            let (row_idx, values, diag) = reference_factor(&a, &f, MAX_SUPERNODE_WIDTH);
+            let (_, ri, va, di) = f.factor_parts();
+            prop_assert_eq!(ri, &row_idx[..]);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(bits(va_s), bits(va_b));
-            prop_assert_eq!(bits(di_s), bits(di_b));
-            let xs = fs.solve_many(&rhs);
-            let xb = fb.solve_many(&rhs);
-            for (u, v) in xs.iter().zip(&xb) {
-                prop_assert_eq!(bits(u), bits(v));
-            }
+            prop_assert_eq!(bits(va), bits(&values));
+            prop_assert_eq!(bits(di), bits(&diag));
         }
     }
 }

@@ -59,7 +59,7 @@ pub mod kernels;
 pub mod ldl;
 pub mod method;
 pub mod ordering;
-pub mod panel;
+pub(crate) mod panel;
 pub mod smw;
 pub(crate) mod supernodal;
 
@@ -72,5 +72,4 @@ pub use ic0::Ic0;
 pub use ldl::{FactorOptions, LdlFactor, Ordering};
 pub use method::{solve_spd, Method};
 pub use ordering::{amd, nested_dissection, reverse_cuthill_mckee, Permutation};
-pub use panel::{KernelBackend, PanelKernels};
 pub use smw::IncrementalSolver;

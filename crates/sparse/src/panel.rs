@@ -1,108 +1,45 @@
-//! Pluggable dense-panel microkernels for the supernodal factorization,
-//! the blocked triangular solves, and the CG/IC(0) vector primitives.
+//! Dense-panel microkernels for the supernodal factorization and the CG
+//! vector primitives.
 //!
 //! Every hot dense loop in the sparse crate — the GEMM-like descendant
 //! update of the supernodal factor, the dense panel LDLᵀ, the triangular
-//! panel solve, the multi-RHS forward/backward row sweeps, and the
-//! `kernels::{dot,axpy,xpby}` chunk bodies — funnels through one trait,
-//! [`PanelKernels`]. Two backends implement it:
+//! panel solve, and the `kernels::{dot,axpy,xpby}` chunk bodies — is one
+//! method of [`PanelKernels`]. [`BlockedKernels`] is the implementation
+//! every production path runs: explicit register blocking with fixed-width
+//! unrolled inner loops. The unrolling vectorizes across *independent*
+//! quantities — separate descendant columns fused into one sweep, separate
+//! elements of a vector — and never across the terms of one floating-point
+//! sum. The tests check it against `ScalarKernels`, a test-only reference
+//! made of the plain loops the blocked bodies were derived from.
 //!
-//! * [`ScalarKernels`]: the reference loops, extracted verbatim from the
-//!   historical `supernodal.rs` / `ldl.rs` / `kernels.rs` code paths.
-//! * [`BlockedKernels`]: explicit register blocking with fixed-width
-//!   unrolled inner loops. The unrolling vectorizes across *independent*
-//!   quantities — separate descendant columns fused into one sweep,
-//!   separate right-hand-side columns of a row — and never across the
-//!   terms of one floating-point sum.
-//!
-//! # Why every backend is bit-for-bit identical
+//! # Why the blocked kernels match the reference bit for bit
 //!
 //! The determinism contract of the whole workspace (factor bytes and solve
-//! bits never depend on thread count) extends to backends: **every backend
-//! must produce exactly the same `f64` bit patterns**. The blocked backend
-//! achieves that structurally, not by luck:
+//! bits never depend on thread count) rests on every kernel producing
+//! exactly the `f64` bit patterns of the plain loops. The blocked kernels
+//! achieve that structurally, not by luck:
 //!
 //! * Each output element receives the *same ordered sequence of arithmetic
-//!   operations* as the scalar loops. Fusing four rank-1 updates into one
-//!   sweep emits four separate `+=` statements per element — the adds stay
-//!   in ascending descendant order and are never reassociated into a wider
-//!   sum (and rustc without `fast-math` never reorders them either).
+//!   operations* as the reference loops. Fusing four rank-1 updates into
+//!   one sweep emits four separate `+=` statements per element — the adds
+//!   stay in ascending descendant order and are never reassociated into a
+//!   wider sum (and rustc without `fast-math` never reorders them either).
 //! * Zero-skip tests (`lqk != 0.0`) are evaluated on the same values in the
-//!   same order, so both backends skip exactly the same terms.
+//!   same order, so both skip exactly the same terms.
 //! * Reductions ([`PanelKernels::dot_chunk`]) are the one place where lane
-//!   splitting *would* reassociate a sum, so the blocked backend keeps the
-//!   scalar chunk-serial summation order verbatim. This is a contract:
-//!   a backend must not introduce multiple accumulators here.
+//!   splitting *would* reassociate a sum, so the blocked body keeps the
+//!   chunk-serial summation order verbatim. This is a contract: a kernel
+//!   must not introduce multiple accumulators here.
 //! * Divisions stay divisions (`x / d` is never rewritten `x * (1.0 / d)`).
-//!
-//! A future accelerated backend (GPU panels in the style of `gat-gpu`
-//! split-kernel designs, or `std::simd` once stable) slots in as a third
-//! implementation of the same trait; if it cannot honor bit-identity it
-//! must be opt-in via [`KernelBackend`] rather than `Auto`.
 
-/// Selects a [`PanelKernels`] implementation.
+/// Dense-panel microkernels.
 ///
-/// `Auto` resolves to the fastest bit-identical backend (currently
-/// [`BlockedKernels`]); `Scalar` pins the reference loops. Because all
-/// backends produce identical bytes, the choice never affects results,
-/// caches, or golden files — only wall time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelBackend {
-    /// The fastest available bit-identical backend (currently `Blocked`).
-    #[default]
-    Auto,
-    /// Reference scalar loops.
-    Scalar,
-    /// Register-blocked, fixed-width-unrolled loops.
-    Blocked,
-}
-
-impl KernelBackend {
-    /// Parses a CLI/spec label (`auto`, `scalar`, `blocked`).
-    pub fn parse(s: &str) -> Option<KernelBackend> {
-        match s {
-            "auto" => Some(KernelBackend::Auto),
-            "scalar" => Some(KernelBackend::Scalar),
-            "blocked" => Some(KernelBackend::Blocked),
-            _ => None,
-        }
-    }
-
-    /// The canonical lower-case label (inverse of [`KernelBackend::parse`]).
-    pub fn label(&self) -> &'static str {
-        match self {
-            KernelBackend::Auto => "auto",
-            KernelBackend::Scalar => "scalar",
-            KernelBackend::Blocked => "blocked",
-        }
-    }
-
-    /// Resolves `Auto` to the concrete backend it stands for.
-    pub fn resolve(self) -> KernelBackend {
-        match self {
-            KernelBackend::Auto => KernelBackend::Blocked,
-            other => other,
-        }
-    }
-
-    /// The backend implementation.
-    pub fn instance(self) -> &'static dyn PanelKernels {
-        match self.resolve() {
-            KernelBackend::Scalar => &SCALAR,
-            _ => &BLOCKED,
-        }
-    }
-}
-
-/// Dense-panel microkernel backend.
-///
-/// Implementations must be bit-for-bit identical to [`ScalarKernels`] on
-/// every method: each output element must receive the same ordered sequence
-/// of IEEE-754 operations (see the module docs for what that allows).
-pub trait PanelKernels: Sync {
-    /// The backend's canonical label, for logs and bench ids.
-    fn label(&self) -> &'static str;
-
+/// The trait is the seam between [`BlockedKernels`] and the test-only
+/// reference loops: an implementation must be bit-for-bit identical to the
+/// reference on every method, i.e. each output element must receive the
+/// same ordered sequence of IEEE-754 operations (see the module docs for
+/// what that allows).
+pub(crate) trait PanelKernels {
     /// Accumulates the descendant outer-product contribution into the
     /// packed `update` buffer (`act` columns × `len` rows, column-major,
     /// lower-trapezoidal: column `q` uses rows `q..len`).
@@ -142,14 +79,6 @@ pub trait PanelKernels: Sync {
     /// [`PanelKernels::panel_ldl`] (whose pivots are in `diag[..w]`).
     fn panel_trsolve(&self, front: &mut [f64], m: usize, w: usize, diag: &[f64]);
 
-    /// Multi-RHS row update `dst[c] -= v * src[c]`, used by the blocked
-    /// forward/backward solve sweeps and the IC(0) panel apply. The columns
-    /// are independent right-hand sides — free to vectorize across.
-    fn row_update(&self, dst: &mut [f64], src: &[f64], v: f64);
-
-    /// Multi-RHS row scaling `dst[c] /= d`.
-    fn row_div(&self, dst: &mut [f64], d: f64);
-
     /// Dot product of one reduction chunk. **Must** sum the products
     /// serially in index order — this is the one kernel where lane
     /// splitting would reassociate a floating-point sum.
@@ -163,134 +92,13 @@ pub trait PanelKernels: Sync {
     fn xpby_chunk(&self, z: &[f64], beta: f64, p: &mut [f64]);
 }
 
-/// The reference backend: the exact loops the supernodal factor, blocked
-/// solves, and CG kernels ran before the microkernel seam existed.
-pub struct ScalarKernels;
-
-/// The reference backend instance.
-pub static SCALAR: ScalarKernels = ScalarKernels;
-
-impl PanelKernels for ScalarKernels {
-    fn label(&self) -> &'static str {
-        "scalar"
-    }
-
-    fn rank_update(
-        &self,
-        update: &mut [f64],
-        len: usize,
-        act: usize,
-        values: &[f64],
-        tails: &[(usize, f64)],
-    ) {
-        for &(start, dk) in tails {
-            let tail = &values[start..start + len];
-            for q in 0..act {
-                let lqk = tail[q] * dk;
-                if lqk != 0.0 {
-                    let ucol = &mut update[q * len..(q + 1) * len];
-                    for t in q..len {
-                        ucol[t] += tail[t] * lqk;
-                    }
-                }
-            }
-        }
-    }
-
-    fn panel_ldl(
-        &self,
-        front: &mut [f64],
-        m: usize,
-        w: usize,
-        diag: &mut [f64],
-    ) -> Result<(), (usize, f64)> {
-        // Right-looking: pivot column q immediately updates columns u > q.
-        for q in 0..w {
-            let colq = q * m;
-            let dq = front[colq + q];
-            if dq <= 0.0 || !dq.is_finite() {
-                return Err((q, dq));
-            }
-            diag[q] = dq;
-            for t in (q + 1)..w {
-                front[colq + t] /= dq;
-            }
-            for u in (q + 1)..w {
-                let luq = front[colq + u];
-                if luq != 0.0 {
-                    let alpha = luq * dq;
-                    let colu = u * m;
-                    for t in u..w {
-                        front[colu + t] -= front[colq + t] * alpha;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn panel_trsolve(&self, front: &mut [f64], m: usize, w: usize, diag: &[f64]) {
-        for q in 0..w {
-            let colq = q * m;
-            let dq = diag[q];
-            for t in w..m {
-                front[colq + t] /= dq;
-            }
-            for u in (q + 1)..w {
-                let luq = front[colq + u];
-                if luq != 0.0 {
-                    let alpha = luq * dq;
-                    let colu = u * m;
-                    for t in w..m {
-                        front[colu + t] -= front[colq + t] * alpha;
-                    }
-                }
-            }
-        }
-    }
-
-    #[inline]
-    fn row_update(&self, dst: &mut [f64], src: &[f64], v: f64) {
-        for (rc, &xc) in dst.iter_mut().zip(src) {
-            *rc -= v * xc;
-        }
-    }
-
-    #[inline]
-    fn row_div(&self, dst: &mut [f64], d: f64) {
-        for x in dst.iter_mut() {
-            *x /= d;
-        }
-    }
-
-    #[inline]
-    fn dot_chunk(&self, a: &[f64], b: &[f64]) -> f64 {
-        a.iter().zip(b).map(|(x, y)| x * y).sum()
-    }
-
-    #[inline]
-    fn axpy_chunk(&self, alpha: f64, x: &[f64], y: &mut [f64]) {
-        for (yi, &xi) in y.iter_mut().zip(x) {
-            *yi += alpha * xi;
-        }
-    }
-
-    #[inline]
-    fn xpby_chunk(&self, z: &[f64], beta: f64, p: &mut [f64]) {
-        for (pi, &zi) in p.iter_mut().zip(z) {
-            *pi = zi + beta * *pi;
-        }
-    }
-}
-
-/// Rank-1 sources fused into one sweep by the blocked backend. Eight
+/// Rank-1 sources fused into one sweep by the blocked kernels. Eight
 /// column-major panel sources keep a group under the L1 footprint of one
 /// destination column while still fitting the broadcast coefficients in
 /// vector registers on every 64-bit target.
 const LANES: usize = 8;
 
-/// Fixed unroll width for multi-RHS row operations: matches the default
-/// `solve_many` panel width, so a full panel is one unrolled body.
+/// Fixed unroll width for the element-wise vector kernels.
 const ROW_LANES: usize = 8;
 
 /// `ucol[t] += src[s + t] * a` (or `-=` when `SUB`) for each of the `N`
@@ -363,27 +171,19 @@ fn fused_sub(ucol: &mut [f64], src: &[f64], lanes: &[(usize, f64)], lo: usize, h
     fused::<true>(ucol, src, lanes, lo, hi);
 }
 
-/// The register-blocked backend.
+/// The register-blocked kernels every production path runs.
 ///
-/// The panel kernels regroup the scalar loops into fused [`LANES`]-wide
+/// The panel kernels regroup the reference loops into fused [`LANES`]-wide
 /// sweeps — the rank update takes descendant columns in ascending groups
 /// and sweeps every destination column against the group (keeping the
 /// group's source tails L1-resident), while the in-panel factor and
 /// triangular solve collect each output column's contributions
-/// left-looking — always in the scalar backend's order, skipping the
-/// same zero multipliers, so every element's operation sequence is
-/// untouched. Row and vector kernels unroll by [`ROW_LANES`] across
-/// independent elements.
-pub struct BlockedKernels;
-
-/// The register-blocked backend instance.
-pub static BLOCKED: BlockedKernels = BlockedKernels;
+/// left-looking — always in the reference order, skipping the same zero
+/// multipliers, so every element's operation sequence is untouched. Vector
+/// kernels unroll by [`ROW_LANES`] across independent elements.
+pub(crate) struct BlockedKernels;
 
 impl PanelKernels for BlockedKernels {
-    fn label(&self) -> &'static str {
-        "blocked"
-    }
-
     fn rank_update(
         &self,
         update: &mut [f64],
@@ -492,49 +292,10 @@ impl PanelKernels for BlockedKernels {
     }
 
     #[inline]
-    fn row_update(&self, dst: &mut [f64], src: &[f64], v: f64) {
-        // Columns are independent right-hand sides: unroll freely.
-        let mut d = dst.chunks_exact_mut(ROW_LANES);
-        let s = src.chunks_exact(ROW_LANES);
-        let s_rem = s.remainder();
-        for (dc, sc) in d.by_ref().zip(s) {
-            dc[0] -= v * sc[0];
-            dc[1] -= v * sc[1];
-            dc[2] -= v * sc[2];
-            dc[3] -= v * sc[3];
-            dc[4] -= v * sc[4];
-            dc[5] -= v * sc[5];
-            dc[6] -= v * sc[6];
-            dc[7] -= v * sc[7];
-        }
-        for (rc, &xc) in d.into_remainder().iter_mut().zip(s_rem) {
-            *rc -= v * xc;
-        }
-    }
-
-    #[inline]
-    fn row_div(&self, dst: &mut [f64], d: f64) {
-        let mut it = dst.chunks_exact_mut(ROW_LANES);
-        for dc in it.by_ref() {
-            dc[0] /= d;
-            dc[1] /= d;
-            dc[2] /= d;
-            dc[3] /= d;
-            dc[4] /= d;
-            dc[5] /= d;
-            dc[6] /= d;
-            dc[7] /= d;
-        }
-        for x in it.into_remainder() {
-            *x /= d;
-        }
-    }
-
-    #[inline]
     fn dot_chunk(&self, a: &[f64], b: &[f64]) -> f64 {
         // Reduction-order contract: a dot is one serial sum. Splitting it
-        // into lanes would reassociate the addition, so the blocked backend
-        // intentionally runs the scalar body.
+        // into lanes would reassociate the addition, so the blocked body is
+        // intentionally the plain serial loop.
         a.iter().zip(b).map(|(x, y)| x * y).sum()
     }
 
@@ -579,6 +340,107 @@ impl PanelKernels for BlockedKernels {
     }
 }
 
+/// The test-only reference: the plain loop nests [`BlockedKernels`] must
+/// match bit for bit.
+#[cfg(test)]
+pub(crate) struct ScalarKernels;
+
+#[cfg(test)]
+impl PanelKernels for ScalarKernels {
+    fn rank_update(
+        &self,
+        update: &mut [f64],
+        len: usize,
+        act: usize,
+        values: &[f64],
+        tails: &[(usize, f64)],
+    ) {
+        for &(start, dk) in tails {
+            let tail = &values[start..start + len];
+            for q in 0..act {
+                let lqk = tail[q] * dk;
+                if lqk != 0.0 {
+                    let ucol = &mut update[q * len..(q + 1) * len];
+                    for t in q..len {
+                        ucol[t] += tail[t] * lqk;
+                    }
+                }
+            }
+        }
+    }
+
+    fn panel_ldl(
+        &self,
+        front: &mut [f64],
+        m: usize,
+        w: usize,
+        diag: &mut [f64],
+    ) -> Result<(), (usize, f64)> {
+        // Right-looking: pivot column q immediately updates columns u > q.
+        for q in 0..w {
+            let colq = q * m;
+            let dq = front[colq + q];
+            if dq <= 0.0 || !dq.is_finite() {
+                return Err((q, dq));
+            }
+            diag[q] = dq;
+            for t in (q + 1)..w {
+                front[colq + t] /= dq;
+            }
+            for u in (q + 1)..w {
+                let luq = front[colq + u];
+                if luq != 0.0 {
+                    let alpha = luq * dq;
+                    let colu = u * m;
+                    for t in u..w {
+                        front[colu + t] -= front[colq + t] * alpha;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn panel_trsolve(&self, front: &mut [f64], m: usize, w: usize, diag: &[f64]) {
+        for q in 0..w {
+            let colq = q * m;
+            let dq = diag[q];
+            for t in w..m {
+                front[colq + t] /= dq;
+            }
+            for u in (q + 1)..w {
+                let luq = front[colq + u];
+                if luq != 0.0 {
+                    let alpha = luq * dq;
+                    let colu = u * m;
+                    for t in w..m {
+                        front[colu + t] -= front[colq + t] * alpha;
+                    }
+                }
+            }
+        }
+    }
+
+    #[inline]
+    fn dot_chunk(&self, a: &[f64], b: &[f64]) -> f64 {
+        a.iter().zip(b).map(|(x, y)| x * y).sum()
+    }
+
+    #[inline]
+    fn axpy_chunk(&self, alpha: f64, x: &[f64], y: &mut [f64]) {
+        for (yi, &xi) in y.iter_mut().zip(x) {
+            *yi += alpha * xi;
+        }
+    }
+
+    #[inline]
+    fn xpby_chunk(&self, z: &[f64], beta: f64, p: &mut [f64]) {
+        for (pi, &zi) in p.iter_mut().zip(z) {
+            *pi = zi + beta * *pi;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -601,22 +463,6 @@ mod tests {
     }
 
     #[test]
-    fn backend_parse_round_trips() {
-        for k in [
-            KernelBackend::Auto,
-            KernelBackend::Scalar,
-            KernelBackend::Blocked,
-        ] {
-            assert_eq!(KernelBackend::parse(k.label()), Some(k));
-        }
-        assert_eq!(KernelBackend::parse("simd"), None);
-        assert_eq!(KernelBackend::default(), KernelBackend::Auto);
-        assert_eq!(KernelBackend::Auto.resolve(), KernelBackend::Blocked);
-        assert_eq!(KernelBackend::Auto.instance().label(), "blocked");
-        assert_eq!(KernelBackend::Scalar.instance().label(), "scalar");
-    }
-
-    #[test]
     fn rank_update_backends_are_bit_identical() {
         let mut rng = Lcg(7);
         // Sweep over shapes around the lane width, with zero multipliers
@@ -631,8 +477,8 @@ mod tests {
                 .collect();
             let mut a = vec![0.25f64; act * len];
             let mut b = a.clone();
-            SCALAR.rank_update(&mut a, len, act, &values, &tails);
-            BLOCKED.rank_update(&mut b, len, act, &values, &tails);
+            ScalarKernels.rank_update(&mut a, len, act, &values, &tails);
+            BlockedKernels.rank_update(&mut b, len, act, &values, &tails);
             assert_eq!(bits(&a), bits(&b), "len={len} act={act} ncols={ncols}");
         }
     }
@@ -664,12 +510,12 @@ mod tests {
             let mut fb = reference.clone();
             let mut da = vec![0.0f64; w];
             let mut db = vec![0.0f64; w];
-            SCALAR.panel_ldl(&mut fa, m, w, &mut da).unwrap();
-            BLOCKED.panel_ldl(&mut fb, m, w, &mut db).unwrap();
+            ScalarKernels.panel_ldl(&mut fa, m, w, &mut da).unwrap();
+            BlockedKernels.panel_ldl(&mut fb, m, w, &mut db).unwrap();
             assert_eq!(bits(&da), bits(&db), "m={m} w={w} diag");
             assert_eq!(bits(&fa), bits(&fb), "m={m} w={w} after ldl");
-            SCALAR.panel_trsolve(&mut fa, m, w, &da);
-            BLOCKED.panel_trsolve(&mut fb, m, w, &db);
+            ScalarKernels.panel_trsolve(&mut fa, m, w, &da);
+            BlockedKernels.panel_trsolve(&mut fb, m, w, &db);
             assert_eq!(bits(&fa), bits(&fb), "m={m} w={w} after trsolve");
         }
     }
@@ -684,50 +530,40 @@ mod tests {
         front[2 * m + 2] = -5.0;
         let mut da = vec![0.0f64; w];
         let mut db = vec![0.0f64; w];
-        let ea = SCALAR
+        let ea = ScalarKernels
             .panel_ldl(&mut front.clone(), m, w, &mut da)
             .unwrap_err();
-        let eb = BLOCKED.panel_ldl(&mut front, m, w, &mut db).unwrap_err();
+        let eb = BlockedKernels
+            .panel_ldl(&mut front, m, w, &mut db)
+            .unwrap_err();
         assert_eq!(ea.0, eb.0);
         assert_eq!(ea.1.to_bits(), eb.1.to_bits());
     }
 
     #[test]
-    fn row_and_vector_kernels_are_bit_identical() {
+    fn vector_kernels_are_bit_identical() {
         let mut rng = Lcg(99);
         for n in [0, 1, 7, 8, 9, 16, 41] {
             let src: Vec<f64> = (0..n).map(|_| rng.next_f64()).collect();
             let base: Vec<f64> = (0..n).map(|_| rng.next_f64()).collect();
             let v = rng.next_f64();
 
-            let mut a = base.clone();
-            let mut b = base.clone();
-            SCALAR.row_update(&mut a, &src, v);
-            BLOCKED.row_update(&mut b, &src, v);
-            assert_eq!(bits(&a), bits(&b), "row_update n={n}");
-
-            let mut a = base.clone();
-            let mut b = base.clone();
-            SCALAR.row_div(&mut a, v);
-            BLOCKED.row_div(&mut b, v);
-            assert_eq!(bits(&a), bits(&b), "row_div n={n}");
-
             assert_eq!(
-                SCALAR.dot_chunk(&src, &base).to_bits(),
-                BLOCKED.dot_chunk(&src, &base).to_bits(),
+                ScalarKernels.dot_chunk(&src, &base).to_bits(),
+                BlockedKernels.dot_chunk(&src, &base).to_bits(),
                 "dot_chunk n={n}"
             );
 
             let mut a = base.clone();
             let mut b = base.clone();
-            SCALAR.axpy_chunk(v, &src, &mut a);
-            BLOCKED.axpy_chunk(v, &src, &mut b);
+            ScalarKernels.axpy_chunk(v, &src, &mut a);
+            BlockedKernels.axpy_chunk(v, &src, &mut b);
             assert_eq!(bits(&a), bits(&b), "axpy_chunk n={n}");
 
             let mut a = base.clone();
             let mut b = base.clone();
-            SCALAR.xpby_chunk(&src, v, &mut a);
-            BLOCKED.xpby_chunk(&src, v, &mut b);
+            ScalarKernels.xpby_chunk(&src, v, &mut a);
+            BlockedKernels.xpby_chunk(&src, v, &mut b);
             assert_eq!(bits(&a), bits(&b), "xpby_chunk n={n}");
         }
     }

@@ -50,11 +50,18 @@ impl Symbolic {
     }
 }
 
+/// Cap on supernode width in the supernodal engine. Wider panels amortize
+/// better but waste work on patterns that only almost match; 48 keeps the
+/// dense diagonal block (48×48 f64 ≈ 18 KiB) comfortably in L1/L2. The cap
+/// shapes the supernode partition — and thus the panels — but never the
+/// factor's CSC layout.
+pub(crate) const MAX_SUPERNODE_WIDTH: usize = 48;
+
 /// Computes the elimination tree, column counts, and (optionally) the
 /// supernode partition with per-supernode row patterns for `pa`, the already
 /// permuted matrix. `pa` must be square; values are ignored except for their
-/// pattern. `max_width` caps supernode width (see
-/// [`crate::ldl::FactorOptions::max_supernode_width`]).
+/// pattern. `max_width` caps supernode width (the factor passes
+/// [`MAX_SUPERNODE_WIDTH`]).
 pub(crate) fn analyze(pa: &CsrMatrix, want_supernodes: bool, max_width: usize) -> Symbolic {
     let max_width = max_width.max(1);
     let n = pa.rows();
@@ -178,10 +185,10 @@ pub(crate) type NumericFactor = (Vec<u32>, Vec<f64>, Vec<f64>);
 /// symbolic structure `sym`. Returns `(row_idx, values, diag)` laid out in the
 /// scalar path's CSC format (rows sorted ascending within each column).
 ///
-/// All dense panel arithmetic runs through `kernels`; every backend produces
-/// the same factor bytes (see [`crate::panel`]), so the choice is pure wall
-/// time.
-pub(crate) fn factor_numeric<K: PanelKernels + ?Sized>(
+/// All dense panel arithmetic runs through `kernels`: the blocked kernels in
+/// production, the reference loops in the tests that check them (both give
+/// the same factor bytes, see [`crate::panel`]).
+pub(crate) fn factor_numeric<K: PanelKernels>(
     pa: &CsrMatrix,
     sym: &Symbolic,
     kernels: &K,

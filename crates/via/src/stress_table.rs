@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 
 use emgrid_fea::geometry::{CharacterizationModel, IntersectionPattern, ViaArrayGeometry};
 use emgrid_fea::model::{FeaError, SolveMethod, ThermalStressAnalysis};
-use emgrid_sparse::{KernelBackend, Ordering};
+use emgrid_sparse::Ordering;
 
 use crate::cache::{CacheEntry, StressCache};
 
@@ -296,7 +296,6 @@ impl StressTable {
                 let (field, stats) = ThermalStressAnalysis::new(*model)
                     .with_method(opts.method)
                     .with_ordering(opts.ordering)
-                    .with_kernels(opts.kernels)
                     .with_threads(inner)
                     .run_with_stats()?;
                 let per_via = field.per_via_peak_stress();
@@ -373,11 +372,6 @@ pub struct FeaOptions {
     pub method: SolveMethod,
     /// Fill-reducing ordering for the direct solver (default AMD).
     pub ordering: Ordering,
-    /// Dense-panel microkernel backend for the solver hot loops. Backends
-    /// are bit-identical, so this is deliberately **not** part of the
-    /// stress-cache key: entries written under one backend are valid hits
-    /// under any other.
-    pub kernels: KernelBackend,
     /// Persistent cache to consult and populate; `None` solves everything.
     pub cache: Option<StressCache>,
 }
@@ -698,53 +692,6 @@ mod tests {
         assert_eq!(table.entries(), fresh.entries());
         let stored = cache.load(key).expect("the recomputed entry is stored");
         assert_eq!(stored.per_via_stress, fresh.entries()[0].per_via_stress);
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn cache_hits_across_kernel_backends() {
-        // The microkernel backend is not part of the cache key — backends
-        // are bit-identical, so an entry written under the scalar backend
-        // must be served (and be byte-equal) under the blocked one.
-        let dir = std::env::temp_dir().join(format!(
-            "emgrid-table-kernels-cache-test-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = StressCache::new(&dir);
-        let models = [(coarse_model(0.5), LayerPair::IntermediateTop)];
-        let run = |kernels| {
-            StressTable::characterize_with_fea_opts(
-                &models,
-                &FeaOptions {
-                    kernels,
-                    cache: Some(cache.clone()),
-                    ..FeaOptions::default()
-                },
-            )
-            .unwrap()
-        };
-
-        let (scalar, scalar_report) = run(KernelBackend::Scalar);
-        assert_eq!(scalar_report.cache_hits, 0);
-        let (blocked, blocked_report) = run(KernelBackend::Blocked);
-        assert_eq!(
-            blocked_report.cache_hits, 1,
-            "backend change must still hit"
-        );
-        assert_eq!(blocked.entries(), scalar.entries());
-
-        // And a fresh blocked solve (no cache) reproduces the scalar bytes.
-        let (fresh, _) = StressTable::characterize_with_fea_opts(
-            &models,
-            &FeaOptions {
-                kernels: KernelBackend::Blocked,
-                ..FeaOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(fresh.entries(), scalar.entries());
 
         let _ = std::fs::remove_dir_all(&dir);
     }

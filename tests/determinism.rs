@@ -80,13 +80,11 @@ fn varied_characterization_is_thread_count_invariant() {
     assert_eq!(d1, d4);
 }
 
-/// The grid-level variation fields cross the same contract with the
-/// solver's microkernel backend: every `(backend, thread count)` pair
-/// must reproduce the same system TTFs and failure orders bit for bit.
+/// The grid-level variation fields cross the same contract: every thread
+/// count must reproduce the same system TTFs and failure orders bit for
+/// bit.
 #[test]
-fn varied_grid_mc_is_thread_and_kernel_backend_invariant() {
-    use emgrid::sparse::{FactorOptions, KernelBackend};
-
+fn varied_grid_mc_is_thread_count_invariant() {
     let var = Variation {
         temperature_sigma_c: 8.0,
         linewidth_sigma: 0.05,
@@ -96,29 +94,12 @@ fn varied_grid_mc_is_thread_and_kernel_backend_invariant() {
         ttf_ln_sigma: var.grid_ttf_ln_sigma(&Technology::default()),
         linewidth_sigma: var.linewidth_sigma,
     });
-    let run = |kernels: KernelBackend, threads: usize| {
-        mc.clone()
-            .with_factor_options(FactorOptions::default().with_kernels(kernels))
-            .run_threaded(20, 29, threads)
-            .unwrap()
-    };
-    let seq = run(KernelBackend::Scalar, 1);
-    for kernels in [KernelBackend::Scalar, KernelBackend::Blocked] {
-        for threads in [2, 8] {
-            let par = run(kernels, threads);
-            let label = format!("kernels = {}, threads = {threads}", kernels.label());
-            assert_eq!(seq.ttf_seconds(), par.ttf_seconds(), "{label}");
-            assert_eq!(
-                seq.failures_per_trial(),
-                par.failures_per_trial(),
-                "{label}"
-            );
-            assert_eq!(
-                seq.site_failure_counts(),
-                par.site_failure_counts(),
-                "{label}"
-            );
-        }
+    let seq = mc.run_threaded(20, 29, 1).unwrap();
+    for threads in [2, 8] {
+        let par = mc.run_threaded(20, 29, threads).unwrap();
+        assert_eq!(seq.ttf_seconds(), par.ttf_seconds(), "threads = {threads}");
+        assert_eq!(seq.failures_per_trial(), par.failures_per_trial());
+        assert_eq!(seq.site_failure_counts(), par.site_failure_counts());
     }
 }
 
@@ -171,9 +152,9 @@ fn trials_run_is_scheduling_independent_telemetry() {
 }
 
 /// The supernodal sparse engine behind every direct solve: the AMD
-/// permutation, the supernode partition and every solve bit must be
-/// independent of the solver's thread count, including on systems large
-/// enough to engage the parallel elimination-tree solve plan.
+/// permutation, the supernode partition, the factor arrays and every solve
+/// bit must be independent of the solver's thread count, including on
+/// systems large enough to engage the parallel elimination-tree solve plan.
 #[test]
 fn sparse_factorization_is_thread_count_invariant() {
     use emgrid::sparse::{FactorOptions, LdlFactor, TripletMatrix};
@@ -219,20 +200,23 @@ fn sparse_factorization_is_thread_count_invariant() {
             seq.supernode_ptr(),
             "supernode partition must not depend on threads"
         );
-        assert_eq!(par.l_nnz(), seq.l_nnz());
+        assert_eq!(
+            par.factor_parts(),
+            seq.factor_parts(),
+            "threads = {threads}"
+        );
         assert_eq!(par.solve(&b), x_seq, "threads = {threads}");
     }
 }
 
-/// The dense-panel microkernel contract, crossed with threading: every
-/// `(backend, thread count)` pair must produce byte-identical factor
-/// arrays, solves and multi-RHS panels. CI runs this suite once under
-/// `EMGRID_KERNELS=scalar` and once under `EMGRID_KERNELS=blocked`; the
-/// env var picks the *baseline* backend so both directions of the
-/// comparison get exercised.
+/// The dense-panel microkernel contract: the one production panel-kernel
+/// path must reproduce, at every thread count, the factor arrays and solve
+/// bits of the scalar reference kernels. The digests below are those the
+/// scalar and blocked backends both produced when the backend was still a
+/// switch; a kernel that reorders any fused operation moves them.
 #[test]
 fn sparse_factorization_is_kernel_backend_invariant() {
-    use emgrid::sparse::{FactorOptions, KernelBackend, LdlFactor, TripletMatrix};
+    use emgrid::sparse::{FactorOptions, LdlFactor, TripletMatrix};
 
     let (rows, cols) = (40usize, 33usize);
     let n = rows * cols;
@@ -251,35 +235,28 @@ fn sparse_factorization_is_kernel_backend_invariant() {
     }
     let a = t.to_csr();
     let b: Vec<f64> = (0..n).map(|i| ((i * 37) % 19) as f64 - 9.0).collect();
-    let many: Vec<Vec<f64>> = (0..5)
-        .map(|s| {
-            (0..n)
-                .map(|i| ((i * 29 + s * 13) % 23) as f64 - 11.0)
-                .collect()
-        })
-        .collect();
 
-    let baseline = std::env::var("EMGRID_KERNELS")
-        .ok()
-        .and_then(|v| KernelBackend::parse(&v))
-        .unwrap_or(KernelBackend::Scalar);
-    let factor = |kernels: KernelBackend, threads: usize| {
-        let opts = FactorOptions::default()
-            .with_kernels(kernels)
-            .with_threads(threads);
-        LdlFactor::factor_with(&a, &opts).unwrap()
-    };
-    let seq = factor(baseline, 1);
-    let x_seq = seq.solve(&b);
-    let many_seq = seq.solve_many(&many);
-    for kernels in [KernelBackend::Scalar, KernelBackend::Blocked] {
-        for threads in [1, 2, 8] {
-            let f = factor(kernels, threads);
-            let label = format!("kernels = {}, threads = {threads}", kernels.label());
-            assert_eq!(f.factor_parts(), seq.factor_parts(), "{label}");
-            assert_eq!(f.solve(&b), x_seq, "{label}");
-            assert_eq!(f.solve_many(&many), many_seq, "{label}");
-        }
+    for threads in [1, 2, 8] {
+        let f =
+            LdlFactor::factor_with(&a, &FactorOptions::default().with_threads(threads)).unwrap();
+        let (col_ptr, row_idx, values, diag) = f.factor_parts();
+        let factor_digest = fnv1a(
+            col_ptr
+                .iter()
+                .map(|&p| p as u64)
+                .chain(row_idx.iter().map(|&r| u64::from(r)))
+                .chain(values.iter().map(|v| v.to_bits()))
+                .chain(diag.iter().map(|v| v.to_bits())),
+        );
+        assert_eq!(
+            factor_digest, 0x6b3a_b48c_22b3_186e,
+            "factor moved: threads = {threads}"
+        );
+        let solve_digest = fnv1a(f.solve(&b).iter().map(|v| v.to_bits()));
+        assert_eq!(
+            solve_digest, 0xbb14_573c_32c7_e320,
+            "solve moved: threads = {threads}"
+        );
     }
 }
 
@@ -412,11 +389,11 @@ fn mixed_stencil() -> (emgrid::sparse::CsrMatrix, Vec<f64>) {
 
 /// Pins the IC(0) factor and the IC(0)-CG solve bit for bit: the factor's
 /// CSR arrays, and the solution, iteration count and residual at every
-/// thread count and kernel backend. Any reordering of the factor's dot
-/// products or of the preconditioner sweeps fails here.
+/// thread count. Any reordering of the factor's dot products or of the
+/// preconditioner sweeps fails here.
 #[test]
 fn ic0_factor_and_cg_bits_are_pinned() {
-    use emgrid::sparse::{conjugate_gradient, CgOptions, Ic0, KernelBackend, Preconditioner};
+    use emgrid::sparse::{conjugate_gradient, CgOptions, Ic0, Preconditioner};
 
     let (a, b) = mixed_stencil();
     let f = Ic0::factor(&a).unwrap();
@@ -431,29 +408,26 @@ fn ic0_factor_and_cg_bits_are_pinned() {
     );
     assert_eq!(digest, 0x5f5d_1075_a4f0_ed7a, "IC(0) factor moved");
 
-    for kernels in [KernelBackend::Scalar, KernelBackend::Blocked] {
-        for threads in [1, 2] {
-            let options = CgOptions {
-                tolerance: 1e-10,
-                preconditioner: Preconditioner::IncompleteCholesky,
-                threads,
-                kernels,
-                ..CgOptions::default()
-            };
-            let out = conjugate_gradient(&a, &b, None, &options).unwrap();
-            let label = format!("kernels = {}, threads = {threads}", kernels.label());
-            assert_eq!(out.iterations, 19, "{label}");
-            assert_eq!(out.residual.to_bits(), 0x3dd6_6b28_9279_000d, "{label}");
-            let digest = fnv1a(
-                out.x
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .chain([out.iterations as u64, out.residual.to_bits()]),
-            );
-            assert_eq!(
-                digest, 0x6f35_f5b1_19f0_ca7d,
-                "IC(0)-CG solve moved: {label}"
-            );
-        }
+    for threads in [1, 2] {
+        let options = CgOptions {
+            tolerance: 1e-10,
+            preconditioner: Preconditioner::IncompleteCholesky,
+            threads,
+            ..CgOptions::default()
+        };
+        let out = conjugate_gradient(&a, &b, None, &options).unwrap();
+        let label = format!("threads = {threads}");
+        assert_eq!(out.iterations, 19, "{label}");
+        assert_eq!(out.residual.to_bits(), 0x3dd6_6b28_9279_000d, "{label}");
+        let digest = fnv1a(
+            out.x
+                .iter()
+                .map(|v| v.to_bits())
+                .chain([out.iterations as u64, out.residual.to_bits()]),
+        );
+        assert_eq!(
+            digest, 0x6f35_f5b1_19f0_ca7d,
+            "IC(0)-CG solve moved: {label}"
+        );
     }
 }
