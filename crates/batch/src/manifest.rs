@@ -9,9 +9,10 @@
 //! | `manifest.json` | entry states and job-id bindings (this module)    |
 //! | `report.json`   | the final aggregated report, byte-stable          |
 //!
-//! Every write uses the same atomic tmp-file + rename discipline as the
-//! job store, so a `kill -9` at any instant leaves either the previous
-//! complete manifest or the new complete manifest — never a torn one.
+//! Every write goes through the runtime's one atomic tmp-file + rename
+//! ([`emgrid_runtime::write_atomic`]), as the job store's do, so a
+//! `kill -9` at any instant leaves either the previous complete manifest
+//! or the new complete manifest — never a torn one.
 //!
 //! # Entry state machine
 //!
@@ -30,16 +31,12 @@
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-use emgrid_runtime::JobId;
+use emgrid_runtime::{write_atomic, JobId};
 use emgrid_serve::json::{self, Json};
 
 /// Manifest format version, bumped on layout changes.
 const MANIFEST_VERSION: f64 = 1.0;
-
-/// Monotonic tmp-file disambiguator.
-static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Where one sweep entry stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -238,25 +235,13 @@ impl SweepStore {
         self.root.join(sweep)
     }
 
-    fn write_atomic(&self, sweep: &str, file: &str, bytes: &[u8]) -> io::Result<()> {
-        let dir = self.dir(sweep);
-        fs::create_dir_all(&dir)?;
-        let tmp = dir.join(format!(
-            ".{file}.{}.{}.tmp",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        fs::write(&tmp, bytes)?;
-        fs::rename(&tmp, dir.join(file))
-    }
-
     /// Persists the canonical sweep spec text.
     ///
     /// # Errors
     ///
     /// Propagates filesystem failures.
     pub fn write_spec(&self, sweep: &str, canonical: &str) -> io::Result<()> {
-        self.write_atomic(sweep, "spec.json", canonical.as_bytes())
+        write_atomic(&self.dir(sweep), "spec.json", canonical.as_bytes())
     }
 
     /// Reads the canonical sweep spec text.
@@ -270,8 +255,8 @@ impl SweepStore {
     ///
     /// Propagates filesystem failures.
     pub fn write_manifest(&self, manifest: &Manifest) -> io::Result<()> {
-        self.write_atomic(
-            &manifest.sweep,
+        write_atomic(
+            &self.dir(&manifest.sweep),
             "manifest.json",
             manifest.to_json().to_string().as_bytes(),
         )
@@ -289,7 +274,7 @@ impl SweepStore {
     ///
     /// Propagates filesystem failures.
     pub fn write_report(&self, sweep: &str, bytes: &[u8]) -> io::Result<()> {
-        self.write_atomic(sweep, "report.json", bytes)
+        write_atomic(&self.dir(sweep), "report.json", bytes)
     }
 
     /// Reads the final report verbatim.
@@ -320,13 +305,11 @@ impl SweepStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn temp_store(tag: &str) -> SweepStore {
-        let root = std::env::temp_dir().join(format!(
-            "emgrid-sweepstore-{tag}-{}-{}",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
+        let root =
+            std::env::temp_dir().join(format!("emgrid-sweepstore-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&root);
         SweepStore::open(root).unwrap()
     }
@@ -379,6 +362,97 @@ mod tests {
         );
         assert_eq!(store.list(), vec!["abc123".to_owned()]);
         let _ = fs::remove_dir_all(store.root());
+    }
+
+    /// JSON tokens and wrong-typed values. Spliced into a valid manifest's
+    /// text they mostly keep it JSON, so `from_json` sees wrong types and
+    /// values; `1e16` is past the ids a JSON number holds exactly.
+    const MANIFEST_TOKENS: &[&str] = &[
+        "{",
+        "}",
+        "[",
+        "]",
+        ":",
+        ",",
+        "\"\"",
+        "\"done\"",
+        "\"bogus\"",
+        "1",
+        "-1",
+        "1.5",
+        "1e16",
+        "null",
+        "true",
+    ];
+
+    /// A short string of quotes, backslashes, control characters and
+    /// arbitrary code points.
+    fn text(rng: &mut TestRng) -> String {
+        (0..rng.next_below(10))
+            .map(|_| match rng.next_below(3) {
+                0 => ['"', '\\', '\n', '\u{0}', '=', ','][rng.next_below(6) as usize],
+                _ => char::from_u32(rng.next_below(0x11_0000) as u32).unwrap_or('\u{fffd}'),
+            })
+            .collect()
+    }
+
+    /// A manifest with zero to 20 entries in every state. Job ids stay in
+    /// the range a JSON number holds exactly (up to 2^53), as engine ids do.
+    fn any_manifest(rng: &mut TestRng) -> Manifest {
+        const STATES: [EntryState; 5] = [
+            EntryState::Pending,
+            EntryState::Submitted,
+            EntryState::Done,
+            EntryState::Failed,
+            EntryState::Cancelled,
+        ];
+        Manifest {
+            sweep: text(rng),
+            name: text(rng),
+            entries: (0..rng.next_below(21))
+                .map(|_| Entry {
+                    key: text(rng),
+                    job: (rng.next_below(4) > 0).then(|| rng.next_below((1 << 53) + 1)),
+                    state: STATES[rng.next_below(5) as usize],
+                })
+                .collect(),
+        }
+    }
+
+    /// A valid manifest's text with one to four spans replaced by tokens.
+    fn mangled_manifest(rng: &mut TestRng) -> String {
+        let mut text = any_manifest(rng).to_json().to_string();
+        for _ in 0..=rng.next_below(3) {
+            let mut at = rng.next_below(text.len() as u64 + 1) as usize;
+            while !text.is_char_boundary(at) {
+                at -= 1;
+            }
+            let mut end = (at + rng.next_below(8) as usize).min(text.len());
+            while !text.is_char_boundary(end) {
+                end -= 1;
+            }
+            let token = MANIFEST_TOKENS[rng.next_below(MANIFEST_TOKENS.len() as u64) as usize];
+            text.replace_range(at..end, token);
+        }
+        text
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn from_json_never_panics_on_parsed_token_text(input in FnStrategy(mangled_manifest)) {
+            if let Ok(doc) = json::parse(&input) {
+                let _ = Manifest::from_json(&doc);
+            }
+        }
+
+        #[test]
+        fn generated_manifests_round_trip(manifest in FnStrategy(any_manifest)) {
+            let text = manifest.to_json().to_string();
+            let doc = json::parse(&text);
+            prop_assert!(doc.is_ok(), "{text}");
+            prop_assert_eq!(Manifest::from_json(&doc.unwrap()), Some(manifest));
+        }
     }
 
     #[test]

@@ -127,6 +127,14 @@ impl Drop for Daemon {
     }
 }
 
+/// The value of one unlabelled series in a Prometheus text scrape.
+fn metric(scrape: &str, name: &str) -> Option<f64> {
+    scrape.lines().find_map(|line| {
+        let (series, value) = line.split_once(' ')?;
+        (series == name).then(|| value.trim().parse().ok())?
+    })
+}
+
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("emgrid-restart-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -142,8 +150,8 @@ fn sigkilled_daemon_resumes_to_byte_identical_results() {
     let expected = reference.wait_done(ref_id);
     drop(reference);
 
-    // Victim: wait until at least one checkpoint is on disk (or the job
-    // beat us to the finish), then SIGKILL the process.
+    // Victim: wait until at least one checkpoint is on disk, then SIGKILL
+    // the process.
     let victim_dir = temp_dir("victim");
     let victim = Daemon::spawn(&victim_dir);
     let id = victim.submit();
@@ -160,12 +168,25 @@ fn sigkilled_daemon_resumes_to_byte_identical_results() {
         std::thread::yield_now();
     }
     victim.kill_hard();
+    assert!(
+        !victim_dir.join(id.to_string()).join("result.json").exists(),
+        "the job finished before the kill: nothing was resumed"
+    );
 
-    // The revived daemon requeues the job under its original id and must
+    // The revived daemon requeues the job under its original id, resumes
+    // it from the checkpoint rather than from trial zero, and must
     // reproduce the reference bytes exactly.
     let revived = Daemon::spawn(&victim_dir);
     let resumed = revived.wait_done(id);
     assert_eq!(resumed, expected, "restart changed the result bytes");
+    let (_, scrape) = revived.request("GET", "/metrics", "");
+    assert_eq!(
+        metric(&scrape, "emgrid_jobs_resumed_total"),
+        Some(1.0),
+        "{scrape}"
+    );
+    let trials = metric(&scrape, "emgrid_mc_trials_total").expect("trial counter");
+    assert!(trials < 1200.0, "the revived daemon reran {trials} trials");
     drop(revived);
 
     let _ = std::fs::remove_dir_all(ref_dir);

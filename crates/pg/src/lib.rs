@@ -37,7 +37,6 @@
 //! assert!(result.ecdf().min() > 0.0);
 //! ```
 
-pub mod checkpoint;
 pub mod flat;
 pub mod irdrop;
 pub mod mc;
@@ -45,12 +44,11 @@ pub mod model;
 pub mod report;
 pub mod signoff;
 
-pub use checkpoint::{CheckpointError, GridCheckpoint};
 pub use flat::{FlatMc, FlatResult};
 pub use irdrop::IrDropReport;
 pub use mc::{
-    GridSession, GridVariation, McResult, PowerGridMc, SiteAssignment, SolverStrategy,
-    SystemCriterion,
+    GridCheckpoint, GridSession, GridVariation, McResult, PowerGridMc, SiteAssignment,
+    SolverStrategy, SystemCriterion, TrialOutcome,
 };
 pub use model::{PgError, PowerGrid, ViaSite};
 pub use report::{Table2Row, TtfCurve};

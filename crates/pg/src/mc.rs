@@ -10,9 +10,14 @@
 //! criterion (weakest link or an IR-drop threshold) is breached; the system
 //! TTF is the failure time of the last component that caused the breach.
 
+use std::fmt::Write as _;
+use std::str::SplitWhitespace;
+
 use emgrid_em::nucleation::rescale_remaining_life;
+use emgrid_runtime::persist::{decode_f64, push_f64};
 use emgrid_runtime::{
-    run_trials_session, CancelToken, RunReport, RuntimeConfig, SessionState, TrialSession,
+    run_trials_session, Checkpoint, CheckpointError, RunReport, RuntimeConfig, TrialRecord,
+    TrialSession,
 };
 use emgrid_sparse::{FactorOptions, IncrementalSolver, LdlFactor, TripletMatrix};
 use emgrid_stats::Ecdf;
@@ -22,12 +27,53 @@ use emgrid_via::variation::{
 };
 use emgrid_via::ViaArrayReliability;
 
-use crate::checkpoint::GridCheckpoint;
 use crate::irdrop::IrDropReport;
 use crate::model::{PgError, PowerGrid};
 
-/// System TTF plus the ordered indices of the sites that failed, for one trial.
-type TrialOutcome = (f64, Vec<usize>);
+/// One grid Monte Carlo trial: the system TTF plus the sites that failed.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TrialOutcome {
+    /// System time to failure, seconds.
+    pub ttf_seconds: f64,
+    /// Indices of the via sites that failed, in failure order.
+    pub failed_sites: Vec<usize>,
+}
+
+/// Checkpoint line `trial <ttf> <failed site> <failed site> ...`, under
+/// the format line `emgrid-grid-checkpoint-v1`.
+impl TrialRecord for TrialOutcome {
+    const FORMAT: &'static str = "emgrid-grid-checkpoint-v1";
+    const TAG: &'static str = "trial";
+
+    fn encode_fields(&self, out: &mut String) {
+        out.push(' ');
+        push_f64(out, self.ttf_seconds);
+        for k in &self.failed_sites {
+            let _ = write!(out, " {k}");
+        }
+    }
+
+    fn decode_fields(mut fields: SplitWhitespace<'_>) -> Result<Self, CheckpointError> {
+        let ttf_seconds = decode_f64(fields.next())?;
+        let failed_sites = fields
+            .map(|s| {
+                s.parse()
+                    .map_err(|_| CheckpointError(format!("bad site index {s:?}")))
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(TrialOutcome {
+            ttf_seconds,
+            failed_sites,
+        })
+    }
+}
+
+/// Committed state of a grid Monte Carlo run.
+pub type GridCheckpoint = Checkpoint<TrialOutcome>;
+
+/// Checkpoint/resume/cancellation controls for one
+/// [`PowerGridMc::run_session`] call; the default is a plain fresh run.
+pub type GridSession<'a> = TrialSession<'a, TrialOutcome>;
 
 /// When the power grid itself is declared failed (paper §5.2).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -154,22 +200,6 @@ struct RunSetup {
     site_rels: Vec<ViaArrayReliability>,
     /// Nominal current density per via site, floored.
     nominal_j: Vec<f64>,
-}
-
-/// Checkpoint/resume/cancellation controls for one
-/// [`PowerGridMc::run_session`] call; the default is a plain fresh run.
-#[derive(Default)]
-pub struct GridSession<'a> {
-    /// Checkpoint to resume from (`None` = start at trial zero).
-    pub resume: Option<GridCheckpoint>,
-    /// Cooperative cancellation token, polled between trials.
-    pub cancel: Option<&'a CancelToken>,
-    /// Trials between checkpoint callbacks; 0 disables periodic
-    /// checkpointing (a final checkpoint still fires on cancellation).
-    pub checkpoint_every: usize,
-    /// Receives a snapshot of the committed state at each checkpoint.
-    #[allow(clippy::type_complexity)]
-    pub on_checkpoint: Option<&'a mut (dyn FnMut(&GridCheckpoint) + 'a)>,
 }
 
 /// The collected system TTFs of a power-grid Monte Carlo run.
@@ -405,18 +435,15 @@ impl PowerGridMc {
         })
     }
 
-    /// Whether `checkpoint` can resume a `trials`-trial run of this Monte
-    /// Carlo: at most `trials` outcomes, a stream over exactly those
-    /// outcomes, and failures only at active sites in range.
-    fn resume_fits(&self, checkpoint: &GridCheckpoint, trials: usize) -> bool {
+    /// Whether `checkpoint` names failures only at active sites in range
+    /// (the runtime checks the budget and the stream count).
+    fn resume_fits(&self, checkpoint: &GridCheckpoint) -> bool {
         let sites = self.grid.via_sites().len();
         let is_active = |k: usize| k < sites && self.active.as_ref().is_none_or(|a| a[k]);
-        checkpoint.outcomes.len() <= trials
-            && checkpoint.stream.count() == checkpoint.outcomes.len() as u64
-            && checkpoint
-                .outcomes
-                .iter()
-                .all(|(_, failed)| failed.iter().all(|&k| is_active(k)))
+        checkpoint
+            .outputs
+            .iter()
+            .all(|o| o.failed_sites.iter().all(|&k| is_active(k)))
     }
 
     /// Runs `trials` trials with a deterministic seed.
@@ -509,43 +536,22 @@ impl PowerGridMc {
         trials: usize,
         seed: u64,
         runtime: &RuntimeConfig,
-        session: GridSession<'_>,
+        mut session: GridSession<'_>,
     ) -> Result<McResult, PgError> {
         assert!(trials > 0, "need at least one trial");
         let _span = emgrid_runtime::obs::span("grid-mc");
         let setup = self.prepare()?;
 
-        let mut on_checkpoint = session.on_checkpoint;
-        let mut adapter = |outputs: &[TrialOutcome], stream: &emgrid_stats::OnlineStats| {
-            if let Some(cb) = on_checkpoint.as_mut() {
-                cb(&GridCheckpoint {
-                    outcomes: outputs.to_vec(),
-                    stream: *stream,
-                });
-            }
-        };
         // A checkpoint that does not fit this run is dropped, as the daemon
         // drops an undecodable one: the run starts at trial zero and still
         // lands on the uninterrupted result.
-        let resume = session
-            .resume
-            .filter(|cp| self.resume_fits(cp, trials))
-            .map(|cp| SessionState {
-                outputs: cp.outcomes,
-                stream: cp.stream,
-            });
-        let trial_session = TrialSession {
-            resume,
-            cancel: session.cancel,
-            checkpoint_every: session.checkpoint_every,
-            on_checkpoint: Some(&mut adapter),
-        };
+        session.resume = session.resume.filter(|cp| self.resume_fits(cp));
         let (outcomes, report) = run_trials_session(
             trials,
             runtime,
-            trial_session,
+            session,
             |t| self.run_one_trial(seed, t, &setup),
-            |(ttf, _): &(f64, Vec<usize>)| ttf.max(f64::MIN_POSITIVE).ln(),
+            |o: &TrialOutcome| o.ttf_seconds.max(f64::MIN_POSITIVE).ln(),
         )?;
         Ok(self.collect(outcomes, report))
     }
@@ -606,10 +612,10 @@ impl PowerGridMc {
         let mut ttf_seconds = Vec::with_capacity(outcomes.len());
         let mut failures_per_trial = Vec::with_capacity(outcomes.len());
         let mut site_failure_counts = vec![0usize; self.grid.via_sites().len()];
-        for (ttf, failed_sites) in outcomes {
-            ttf_seconds.push(ttf);
-            failures_per_trial.push(failed_sites.len());
-            for k in failed_sites {
+        for o in outcomes {
+            ttf_seconds.push(o.ttf_seconds);
+            failures_per_trial.push(o.failed_sites.len());
+            for k in o.failed_sites {
                 site_failure_counts[k] += 1;
             }
         }
@@ -693,7 +699,10 @@ impl PowerGridMc {
                 .filter(|&(k, _)| is_active(k))
                 .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite lifetimes"))
                 .expect("at least one active site");
-            return Ok((ttf, vec![victim]));
+            return Ok(TrialOutcome {
+                ttf_seconds: ttf,
+                failed_sites: vec![victim],
+            });
         }
         let SystemCriterion::IrDropFraction(threshold) = self.system_criterion else {
             unreachable!("weakest-link handled above");
@@ -705,7 +714,7 @@ impl PowerGridMc {
         let mut failed_sites: Vec<usize> = Vec::new();
         let mut t = 0.0;
         let dc = self.grid.dc();
-        loop {
+        let ttf_seconds = loop {
             let Some((victim, dt)) = alive
                 .iter()
                 .enumerate()
@@ -715,7 +724,7 @@ impl PowerGridMc {
             else {
                 // Every array failed without breaching the threshold (only
                 // possible on grids whose loads keep paths through wires).
-                return Ok((t, failed_sites));
+                break t;
             };
             t += dt;
             alive[victim] = false;
@@ -774,23 +783,23 @@ impl PowerGridMc {
             if !update_ok {
                 // The failure disconnected part of the grid from every pad:
                 // the supply to those loads is gone — system failure.
-                return Ok((t, failed_sites));
+                break t;
             }
 
             let x = match self.solver {
                 SolverStrategy::Incremental { .. } => match solver.solve(&rhs) {
                     Ok(x) => x,
-                    Err(_) => return Ok((t, failed_sites)),
+                    Err(_) => break t,
                 },
                 SolverStrategy::Refactor => match self.refactor_solve(&failed_sites, &rhs) {
                     Ok(x) => x,
-                    Err(_) => return Ok((t, failed_sites)),
+                    Err(_) => break t,
                 },
             };
             let solution = dc.solution_from_unknowns(&x);
             let report = IrDropReport::evaluate(&self.grid, &solution);
             if report.violates(threshold) {
-                return Ok((t, failed_sites));
+                break t;
             }
 
             // Rescale survivors to their new currents (TTF ∝ 1/j²).
@@ -807,7 +816,11 @@ impl PowerGridMc {
                     j[k] = j_new;
                 }
             }
-        }
+        };
+        Ok(TrialOutcome {
+            ttf_seconds,
+            failed_sites,
+        })
     }
 
     /// Full refactorization solve with the given failed sites removed.
@@ -850,8 +863,11 @@ mod tests {
     use super::*;
     use emgrid_em::Technology;
     use emgrid_fea::geometry::IntersectionPattern;
+    use emgrid_runtime::CancelToken;
     use emgrid_spice::benchgen::GridSpec;
+    use emgrid_stats::OnlineStats;
     use emgrid_via::{FailureCriterion, ViaArrayConfig, ViaArrayMc};
+    use proptest::prelude::*;
 
     fn reliability(criterion: FailureCriterion) -> ViaArrayReliability {
         ViaArrayMc::from_reference_table(
@@ -1094,7 +1110,7 @@ mod tests {
         )
         .unwrap();
         let cp = snapshot.expect("checkpoint fired");
-        assert_eq!(cp.outcomes.len(), 8);
+        assert_eq!(cp.outputs.len(), 8);
 
         // Round-trip through the text format, exactly as the daemon does,
         // then resume on a different thread count.
@@ -1163,6 +1179,128 @@ mod tests {
         assert_eq!(resumed.site_failure_counts(), whole.site_failure_counts());
     }
 
+    /// An `emgrid-grid-checkpoint-v1` file, with an empty site list, `-0.0`
+    /// and a subnormal TTF. Its bytes may change only with the format line.
+    const GOLDEN_CHECKPOINT: &str = "\
+emgrid-grid-checkpoint-v1
+stream 4 c0758eea876f7ccb 41202064c3789cfe c086232bdd7abcd2 4034b8fa0f022227
+trial 4167d78400000000 3 1 4
+trial 8000000000000000
+trial 0000000000000001 0
+trial 41cdc80dd0000000 12 0 7
+";
+
+    #[test]
+    fn checkpoint_bytes_are_pinned() {
+        let outcome = |ttf_seconds: f64, failed_sites: &[usize]| TrialOutcome {
+            ttf_seconds,
+            failed_sites: failed_sites.to_vec(),
+        };
+        let stream = [
+            0xc0758eea876f7ccb,
+            0x41202064c3789cfe,
+            0xc086232bdd7abcd2,
+            0x4034b8fa0f022227,
+        ]
+        .map(f64::from_bits);
+        let cp = GridCheckpoint {
+            outputs: vec![
+                outcome(1.25e7, &[3, 1, 4]),
+                outcome(-0.0, &[]),
+                outcome(f64::from_bits(1), &[0]),
+                outcome(9.993e8, &[12, 0, 7]),
+            ],
+            stream: OnlineStats::from_raw_parts(4, stream[0], stream[1], stream[2], stream[3]),
+        };
+        assert_eq!(cp.encode(), GOLDEN_CHECKPOINT);
+        // Equal values that re-encode to the same text: equal bits.
+        let back = GridCheckpoint::decode(GOLDEN_CHECKPOINT).unwrap();
+        assert_eq!(back, cp);
+        assert_eq!(back.encode(), GOLDEN_CHECKPOINT);
+    }
+
+    #[test]
+    fn corrupt_trial_lines_are_rejected() {
+        let decode = GridCheckpoint::decode;
+        let via = GOLDEN_CHECKPOINT.replace("grid-checkpoint", "via-checkpoint");
+        assert!(decode(&via).is_err(), "other format");
+        assert!(decode(&GOLDEN_CHECKPOINT.replace(" 12 0 7", " 12 x 7")).is_err());
+        assert!(decode(&GOLDEN_CHECKPOINT.replace("8000000000000000", "8")).is_err());
+    }
+
+    /// Tokens of the checkpoint grammar and near-misses of it.
+    const CHECKPOINT_TOKENS: &[&str] = &[
+        "emgrid-grid-checkpoint-v1",
+        "stream",
+        "trial",
+        "0",
+        "3",
+        "-1",
+        "18446744073709551616",
+        "4167d78400000000",
+        "7ff8000000000000",
+        "4167",
+        " ",
+        "\n",
+        "\r\n",
+    ];
+
+    // The golden file cut anywhere, then tokens: the parse goes wrong in
+    // every state, not just at the format line.
+    prop_compose! {
+        fn checkpoint_text()(
+            cut in 0..GOLDEN_CHECKPOINT.len() + 1,
+            picks in collection::vec(0usize..CHECKPOINT_TOKENS.len(), 0..48),
+        ) -> String {
+            let mut text = GOLDEN_CHECKPOINT[..cut].to_owned();
+            text.extend(picks.into_iter().map(|i| CHECKPOINT_TOKENS[i]));
+            text
+        }
+    }
+
+    /// An `f64` from arbitrary bits, biased towards both zeros,
+    /// subnormals, extremes and NaNs.
+    fn any_f64(rng: &mut TestRng) -> f64 {
+        const SPECIAL: [u64; 5] = [0, 1 << 63, 1, 0x7fef_ffff_ffff_ffff, !0];
+        match rng.next_below(3) {
+            0 => f64::from_bits(SPECIAL[rng.next_below(5) as usize]),
+            _ => f64::from_bits(rng.next_u64()),
+        }
+    }
+
+    /// Zero to 40 trials whose site lists run from empty to a few hundred
+    /// entries, and a stream of arbitrary bits over them.
+    fn any_checkpoint(rng: &mut TestRng) -> GridCheckpoint {
+        let outputs: Vec<TrialOutcome> = (0..rng.next_below(41))
+            .map(|_| TrialOutcome {
+                ttf_seconds: any_f64(rng),
+                failed_sites: (0..rng.next_below(3) * rng.next_below(200))
+                    .map(|_| rng.next_u64() as usize)
+                    .collect(),
+            })
+            .collect();
+        let [mean, m2, min, max] = [(); 4].map(|()| any_f64(rng));
+        let stream = OnlineStats::from_raw_parts(outputs.len() as u64, mean, m2, min, max);
+        GridCheckpoint { outputs, stream }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn checkpoint_decode_never_panics_on_token_text(text in checkpoint_text()) {
+            let _ = GridCheckpoint::decode(&text);
+        }
+
+        #[test]
+        fn generated_checkpoints_round_trip_bit_for_bit(cp in FnStrategy(any_checkpoint)) {
+            // The text holds every bit, so re-encoding compares bits.
+            let text = cp.encode();
+            let back = GridCheckpoint::decode(&text);
+            prop_assert!(back.is_ok(), "{back:?}");
+            prop_assert_eq!(back.unwrap().encode(), text);
+        }
+    }
+
     #[test]
     fn misfit_resume_checkpoints_restart_from_trial_zero() {
         let rel = reliability(FailureCriterion::OpenCircuit);
@@ -1205,7 +1343,7 @@ mod tests {
 
         let whole = mc.run(24, 55).unwrap();
         let mut out_of_range = good.clone();
-        out_of_range.outcomes[3].1.push(sites + 7);
+        out_of_range.outputs[3].failed_sites.push(sites + 7);
         // The text format carries no grid, so such a checkpoint decodes.
         let out_of_range = GridCheckpoint::decode(&out_of_range.encode()).unwrap();
         same(&resume(&mc, 24, &out_of_range), &whole, "site out of range");
@@ -1220,9 +1358,9 @@ mod tests {
         let subset = [3usize, 17, 40, 41, 55];
         let filtered = mc.clone().with_active_sites(&subset);
         assert!(good
-            .outcomes
+            .outputs
             .iter()
-            .flat_map(|(_, f)| f)
+            .flat_map(|o| &o.failed_sites)
             .any(|k| !subset.contains(k)));
         same(
             &resume(&filtered, 24, &good),

@@ -29,7 +29,10 @@
 //!   is re-raised on the caller's thread with the trial index and original
 //!   payload message attached, instead of a bare "worker thread panicked".
 //!
-//! The scheduler is generic over the trial body; see [`run_trials`].
+//! The scheduler is generic over the trial body; see [`run_trials`]. The
+//! [`persist`] module is the one owner of persisted Monte Carlo state: the
+//! [`Checkpoint`] codec both engines write and the atomic file write every
+//! on-disk store uses.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -40,8 +43,10 @@ use emgrid_stats::OnlineStats;
 pub mod jobs;
 pub mod obs;
 pub mod par;
+pub mod persist;
 pub use jobs::{CancelToken, JobCtx, JobEngine, JobId, JobOutcome, JobStatus, SubmitError};
 pub use par::{parallel_chunks_mut, parallel_fill, parallel_map_chunks, parallel_reduce};
+pub use persist::{write_atomic, Checkpoint, CheckpointError, TrialRecord};
 // The stream-derivation scheme the scheduler's determinism contract rests
 // on, re-exported so trial bodies can split one trial's randomness into
 // named, independent sub-streams (geometry / field / void draws) without
@@ -257,18 +262,6 @@ where
     run_trials_session(trials, config, TrialSession::default(), trial, observe)
 }
 
-/// Restored state of a resumable Monte Carlo session: the committed trial
-/// outputs (a strict prefix of the trial sequence, in trial order) and the
-/// streamed statistics accumulated over exactly those trials.
-#[derive(Debug, Clone)]
-pub struct SessionState<T> {
-    /// Outputs of trials `0..outputs.len()`, in trial order.
-    pub outputs: Vec<T>,
-    /// The observable stream over those outputs (restored bit-exactly via
-    /// [`OnlineStats::from_raw_parts`]).
-    pub stream: OnlineStats,
-}
-
 /// Checkpoint/cancellation controls for one [`run_trials_session`] call.
 ///
 /// The default session is a plain fresh run (what [`run_trials`] passes).
@@ -279,19 +272,18 @@ pub struct SessionState<T> {
 /// claiming trials as soon as the token trips and the call returns the
 /// committed prefix with [`RunReport::cancelled`] set. `on_checkpoint`
 /// fires at batch boundaries every `checkpoint_every` committed trials
-/// (and once more on cancellation), receiving the full committed prefix
-/// and its stream.
+/// (and once more on cancellation), borrowing the committed state.
 pub struct TrialSession<'a, T> {
-    /// Prior session state to resume from (`None` = fresh run).
-    pub resume: Option<SessionState<T>>,
+    /// Checkpoint to resume from (`None` = fresh run).
+    pub resume: Option<Checkpoint<T>>,
     /// Cooperative cancellation token checked between trial claims.
     pub cancel: Option<&'a CancelToken>,
     /// Commit interval (in trials) between `on_checkpoint` calls;
     /// 0 disables periodic checkpointing.
     pub checkpoint_every: usize,
-    /// Callback receiving `(committed outputs, stream)` snapshots.
+    /// Receives the committed state at each checkpoint.
     #[allow(clippy::type_complexity)]
-    pub on_checkpoint: Option<&'a mut (dyn FnMut(&[T], &OnlineStats) + 'a)>,
+    pub on_checkpoint: Option<&'a mut (dyn FnMut(&Checkpoint<T>) + 'a)>,
 }
 
 impl<T> Default for TrialSession<'_, T> {
@@ -311,7 +303,10 @@ impl<T> Default for TrialSession<'_, T> {
 /// covers trials `k·B..(k+1)·B`), so early-stop decisions are evaluated at
 /// the same watermarks whether or not the run was interrupted and resumed
 /// in between — a resumed run reproduces an uninterrupted run bit for bit,
-/// including its early-termination point.
+/// including its early-termination point. A resume checkpoint with more
+/// outputs than the budget, or a stream count that does not match its
+/// outputs, is ignored and the run starts at trial zero, so a restart
+/// never fails on the state it left behind.
 ///
 /// # Errors
 ///
@@ -319,9 +314,7 @@ impl<T> Default for TrialSession<'_, T> {
 ///
 /// # Panics
 ///
-/// As [`run_trials`], plus if the resume state is inconsistent (more
-/// outputs than the trial budget, or a stream count that does not match
-/// the output count).
+/// As [`run_trials`].
 pub fn run_trials_session<T, E, F, O>(
     trials: usize,
     config: &RuntimeConfig,
@@ -348,21 +341,14 @@ where
         (None, _) => trials,
     };
 
-    let (mut outputs, mut stream) = match session.resume.take() {
-        Some(state) => (state.outputs, state.stream),
-        None => (Vec::with_capacity(trials), OnlineStats::new()),
+    let mut state = match session.resume.take() {
+        Some(cp) if cp.fits(trials) => cp,
+        _ => Checkpoint {
+            outputs: Vec::with_capacity(trials),
+            stream: OnlineStats::new(),
+        },
     };
-    assert!(
-        outputs.len() <= trials,
-        "resume state has {} outputs for a {trials}-trial budget",
-        outputs.len()
-    );
-    assert_eq!(
-        outputs.len() as u64,
-        stream.count(),
-        "resume stream count does not match the committed outputs"
-    );
-    let resumed_from = outputs.len();
+    let resumed_from = state.outputs.len();
     let mut last_checkpoint = resumed_from;
     let mut trials_per_thread = vec![0usize; config.threads];
     let mut batches = 0usize;
@@ -370,15 +356,16 @@ where
     let mut cancelled = false;
     let cancel_flag = session.cancel.map(CancelToken::flag);
 
-    while outputs.len() < trials {
+    while state.outputs.len() < trials {
         // The stopping rule is evaluated at the top of the loop (at
         // batch-aligned watermarks), so a run resumed exactly at a
         // would-have-stopped watermark stops there too instead of
         // overrunning the uninterrupted run's termination point.
         if let Some(es) = config.early_stop {
-            if outputs.len() >= es.min_trials
-                && outputs.len() % batch_size == 0
-                && stream.ci_half_width(es.confidence) <= es.target_half_width
+            let committed = state.outputs.len();
+            if committed >= es.min_trials
+                && committed % batch_size == 0
+                && state.stream.ci_half_width(es.confidence) <= es.target_half_width
             {
                 stopped_early = true;
                 break;
@@ -388,7 +375,7 @@ where
             cancelled = true;
             break;
         }
-        let batch_start = outputs.len();
+        let batch_start = state.outputs.len();
         // Align batch ends to absolute multiples of the batch size so a
         // resumed run re-joins the uninterrupted run's decision grid.
         let batch_end = ((batch_start / batch_size + 1) * batch_size).min(trials);
@@ -403,19 +390,19 @@ where
         // committed (the rest is re-run on resume).
         batch.outcomes.sort_by_key(|(t, _)| *t);
         for (t, value) in batch.outcomes {
-            if t != outputs.len() {
+            if t != state.outputs.len() {
                 break;
             }
-            stream.push(observe(&value));
-            outputs.push(value);
+            state.stream.push(observe(&value));
+            state.outputs.push(value);
         }
         if session.checkpoint_every > 0
-            && outputs.len() - last_checkpoint >= session.checkpoint_every
+            && state.outputs.len() - last_checkpoint >= session.checkpoint_every
         {
             if let Some(cb) = session.on_checkpoint.as_mut() {
-                commit_checkpoint(cb, &outputs, &stream);
+                commit_checkpoint(cb, &state);
             }
-            last_checkpoint = outputs.len();
+            last_checkpoint = state.outputs.len();
         }
         if batch.interrupted {
             cancelled = true;
@@ -425,9 +412,9 @@ where
 
     // A cancelled run checkpoints whatever was committed after the last
     // periodic checkpoint, so resumption loses nothing.
-    if cancelled && outputs.len() > last_checkpoint {
+    if cancelled && state.outputs.len() > last_checkpoint {
         if let Some(cb) = session.on_checkpoint.as_mut() {
-            commit_checkpoint(cb, &outputs, &stream);
+            commit_checkpoint(cb, &state);
         }
     }
 
@@ -436,7 +423,7 @@ where
         "emgrid_mc_trials_total",
         "Monte Carlo trials executed (resumed trials excluded).",
     )
-    .add((outputs.len() - resumed_from) as u64);
+    .add((state.outputs.len() - resumed_from) as u64);
     if stopped_early {
         obs::counter(
             "emgrid_mc_early_stops_total",
@@ -454,7 +441,7 @@ where
 
     let report = RunReport {
         trials_requested: trials,
-        trials_run: outputs.len(),
+        trials_run: state.outputs.len(),
         threads: config.threads,
         stopped_early,
         resumed_from,
@@ -462,21 +449,17 @@ where
         batches,
         wall: start.elapsed(),
         trials_per_thread,
-        stream,
+        stream: state.stream,
     };
-    Ok((outputs, report))
+    Ok((state.outputs, report))
 }
 
 /// Runs one checkpoint callback under a span and records its commit
 /// latency (serialize + persist) in the global histogram.
-fn commit_checkpoint<T>(
-    cb: &mut (dyn FnMut(&[T], &OnlineStats) + '_),
-    outputs: &[T],
-    stream: &OnlineStats,
-) {
+fn commit_checkpoint<T>(cb: &mut (dyn FnMut(&Checkpoint<T>) + '_), state: &Checkpoint<T>) {
     let _span = obs::span("checkpoint");
     let started = Instant::now();
-    cb(outputs, stream);
+    cb(state);
     obs::histogram(
         "emgrid_mc_checkpoint_commit_seconds",
         "Wall time to commit one Monte Carlo checkpoint.",
@@ -856,11 +839,9 @@ mod tests {
             let (whole, whole_report) = session_run(300, &config, TrialSession::default());
 
             // Capture a mid-run checkpoint, then resume from it.
-            let mut snapshot: Option<(Vec<f64>, OnlineStats)> = None;
-            let mut on_checkpoint = |outputs: &[f64], stream: &OnlineStats| {
-                if snapshot.is_none() {
-                    snapshot = Some((outputs.to_vec(), *stream));
-                }
+            let mut snapshot: Option<Checkpoint<f64>> = None;
+            let mut on_checkpoint = |cp: &Checkpoint<f64>| {
+                snapshot.get_or_insert_with(|| cp.clone());
             };
             let session = TrialSession {
                 checkpoint_every: 64,
@@ -868,21 +849,20 @@ mod tests {
                 ..TrialSession::default()
             };
             session_run(300, &config, session);
-            let (outputs, stream) = snapshot.expect("checkpoint fired");
-            assert_eq!(outputs.len(), 64);
+            let cp = snapshot.expect("checkpoint fired");
+            assert_eq!(cp.outputs.len(), 64);
 
-            let resumed_from = outputs.len();
             let (resumed, report) = session_run(
                 300,
                 &config,
                 TrialSession {
-                    resume: Some(SessionState { outputs, stream }),
+                    resume: Some(cp),
                     ..TrialSession::default()
                 },
             );
             assert_eq!(resumed, whole, "threads {threads}");
             assert_eq!(report.stream, whole_report.stream);
-            assert_eq!(report.resumed_from, resumed_from);
+            assert_eq!(report.resumed_from, 64);
             assert!(!report.cancelled);
         }
     }
@@ -904,7 +884,7 @@ mod tests {
                 50_000,
                 &config,
                 TrialSession {
-                    resume: Some(SessionState { outputs, stream }),
+                    resume: Some(Checkpoint { outputs, stream }),
                     ..TrialSession::default()
                 },
             );
@@ -916,11 +896,39 @@ mod tests {
     }
 
     #[test]
+    fn misfit_resume_restarts_from_trial_zero() {
+        let config = RuntimeConfig::threaded(2);
+        let (whole, _) = session_run(100, &config, TrialSession::default());
+        let prefix = |n: usize| {
+            let mut stream = OnlineStats::new();
+            whole[..n].iter().for_each(|x| stream.push(x.ln()));
+            Checkpoint {
+                outputs: whole[..n].to_vec(),
+                stream,
+            }
+        };
+        let mut wrong_stream = prefix(40);
+        wrong_stream.stream.push(0.0);
+        for (label, trials, cp) in [
+            ("over budget", 8, prefix(40)),
+            ("stream count", 100, wrong_stream),
+        ] {
+            let session = TrialSession {
+                resume: Some(cp),
+                ..TrialSession::default()
+            };
+            let (out, report) = session_run(trials, &config, session);
+            assert_eq!(out, whole[..trials], "{label}");
+            assert_eq!(report.resumed_from, 0, "{label}");
+        }
+    }
+
+    #[test]
     fn checkpoints_fire_at_the_requested_cadence() {
         let mut watermarks = Vec::new();
-        let mut on_checkpoint = |outputs: &[f64], stream: &OnlineStats| {
-            assert_eq!(outputs.len() as u64, stream.count());
-            watermarks.push(outputs.len());
+        let mut on_checkpoint = |cp: &Checkpoint<f64>| {
+            assert_eq!(cp.outputs.len() as u64, cp.stream.count());
+            watermarks.push(cp.outputs.len());
         };
         let session = TrialSession {
             checkpoint_every: 50,
@@ -939,10 +947,8 @@ mod tests {
 
             let token = CancelToken::new();
             token.cancel(); // trip before the run: nothing should execute
-            let mut last: Option<(Vec<f64>, OnlineStats)> = None;
-            let mut on_checkpoint = |outputs: &[f64], stream: &OnlineStats| {
-                last = Some((outputs.to_vec(), *stream));
-            };
+            let mut last: Option<Checkpoint<f64>> = None;
+            let mut on_checkpoint = |cp: &Checkpoint<f64>| last = Some(cp.clone());
             let (out, report) = session_run(
                 300,
                 &config,
@@ -960,10 +966,8 @@ mod tests {
             // Trip mid-run (from inside a trial body): the committed prefix
             // must be contiguous and resume to the uninterrupted result.
             let token = CancelToken::new();
-            let mut last: Option<(Vec<f64>, OnlineStats)> = None;
-            let mut on_checkpoint = |outputs: &[f64], stream: &OnlineStats| {
-                last = Some((outputs.to_vec(), *stream));
-            };
+            let mut last: Option<Checkpoint<f64>> = None;
+            let mut on_checkpoint = |cp: &Checkpoint<f64>| last = Some(cp.clone());
             enum Never {}
             let cancel_at = 150usize;
             let result: Result<_, Never> = run_trials_session(
@@ -990,14 +994,14 @@ mod tests {
             assert!(report.cancelled, "threads {threads}");
             assert!(!out.is_empty() && out.len() < 300);
             assert_eq!(out[..], whole[..out.len()], "prefix must be contiguous");
-            let (outputs, stream) = last.expect("final checkpoint fired");
-            assert_eq!(outputs.len(), out.len());
+            let cp = last.expect("final checkpoint fired");
+            assert_eq!(cp.outputs.len(), out.len());
 
             let (resumed, resumed_report) = session_run(
                 300,
                 &config,
                 TrialSession {
-                    resume: Some(SessionState { outputs, stream }),
+                    resume: Some(cp),
                     ..TrialSession::default()
                 },
             );

@@ -53,7 +53,8 @@ pub struct Metrics {
     pub jobs_failed: AtomicU64,
     /// Jobs cancelled (client delete or shutdown).
     pub jobs_cancelled: AtomicU64,
-    /// Jobs that resumed from an on-disk checkpoint at startup.
+    /// Jobs whose Monte Carlo resumed from an on-disk checkpoint past
+    /// trial zero (a discarded checkpoint does not count).
     pub jobs_resumed: AtomicU64,
     /// Checkpoints persisted across all jobs.
     pub checkpoints: AtomicU64,
@@ -166,7 +167,7 @@ impl Metrics {
         );
         counter(
             "emgrid_jobs_resumed_total",
-            "Jobs resumed from a checkpoint at startup.",
+            "Jobs whose Monte Carlo resumed from a checkpoint past trial zero.",
             self.jobs_resumed.load(Ordering::Relaxed),
         );
         counter(

@@ -20,7 +20,7 @@ use emgrid_fea::geometry::CharacterizationModel;
 use emgrid_pg::{
     GridCheckpoint, GridSession, GridVariation, PowerGrid, PowerGridMc, SystemCriterion,
 };
-use emgrid_runtime::{JobCtx, JobId, JobOutcome};
+use emgrid_runtime::{JobCtx, JobId, JobOutcome, RunReport};
 use emgrid_screen::{screen_grid, ScreenOptions};
 use emgrid_spice::ingest::{ingest, IngestLimits, IngestOptions};
 use emgrid_spice::GridSpec;
@@ -84,7 +84,7 @@ impl PhaseLog {
 pub struct RunEnv<'a> {
     /// Where checkpoints (and final artifacts) are persisted.
     pub store: &'a JobStore,
-    /// Daemon counters (checkpoints written).
+    /// Daemon counters (checkpoints written, jobs resumed).
     pub metrics: &'a Metrics,
     /// Trials between checkpoints; 0 disables periodic checkpointing.
     pub checkpoint_every: usize,
@@ -106,6 +106,14 @@ impl RunEnv<'_> {
     fn record_phase(&self, id: JobId, phase: &'static str, started: Instant) {
         if let Some(log) = self.phases {
             log.record(id, phase, started.elapsed().as_secs_f64());
+        }
+    }
+
+    /// Counts a resume only when the checkpointed Monte Carlo really
+    /// restarted past trial zero, not when it discarded its checkpoint.
+    fn note_resume(&self, report: &RunReport) {
+        if report.resumed_from > 0 {
+            Metrics::inc(&self.metrics.jobs_resumed);
         }
     }
 }
@@ -155,6 +163,7 @@ fn run_characterize(mc: &ResolvedMc, ctx: &JobCtx, env: &RunEnv<'_>) -> JobOutco
     let Some(result) = outcome else {
         return JobOutcome::Cancelled;
     };
+    env.note_resume(result.report());
     if result.report().cancelled {
         return JobOutcome::Cancelled;
     }
@@ -395,6 +404,7 @@ fn run_analyze(job: &ResolvedAnalyze, ctx: &JobCtx, env: &RunEnv<'_>) -> JobOutc
         Ok(r) => r,
         Err(e) => return JobOutcome::Failed(format!("grid Monte Carlo failed: {e}")),
     };
+    env.note_resume(result.report());
     if result.report().cancelled {
         return JobOutcome::Cancelled;
     }
@@ -711,7 +721,7 @@ mod tests {
         let (id, _) = run_to_outcome(netlist_analyze_spec(8), &store2, 8);
         let text = store2.read_checkpoint(id).expect("checkpoint persisted");
         let mut cp = GridCheckpoint::decode(&text).unwrap();
-        cp.outcomes[2].1.push(107);
+        cp.outputs[2].failed_sites.push(107);
         store2.write_checkpoint(id, &cp.encode()).unwrap();
 
         let (resumed_id, resumed) = run_to_outcome(netlist_analyze_spec(40), &store2, 8);
@@ -720,6 +730,38 @@ mod tests {
             panic!("resume from a misfit checkpoint failed: {resumed:?}")
         };
         assert_eq!(resumed, reference);
+        let _ = std::fs::remove_dir_all(store.root());
+        let _ = std::fs::remove_dir_all(store2.root());
+    }
+
+    #[test]
+    fn characterize_resume_from_a_misfit_checkpoint_recomputes_the_result() {
+        let store = temp_store("char-misfit-reference");
+        let reference = |trials| run_to_outcome(characterize_spec(trials, 13, 1), &store, 0).1;
+        let (reference8, reference40) = (reference(8), reference(40));
+        assert!(
+            matches!(reference40, JobOutcome::Done(_)),
+            "{reference40:?}"
+        );
+
+        // A finished 40-trial run leaves its 40-sample checkpoint on disk.
+        let store2 = temp_store("char-misfit-resume");
+        let (id, _) = run_to_outcome(characterize_spec(40, 13, 1), &store2, 8);
+        let full = store2.read_checkpoint(id).expect("checkpoint persisted");
+        let mut cut = ViaCheckpoint::decode(&full).unwrap();
+        assert_eq!(cut.outputs.len(), 40);
+        cut.outputs[2].failure_times.truncate(3);
+
+        // Both checkpoints decode; neither may steer (or fail) the job.
+        let resume = |trials, text: &str| {
+            store2.write_checkpoint(id, text).unwrap();
+            let (resumed_id, outcome) =
+                run_to_outcome(characterize_spec(trials, 13, 1), &store2, 8);
+            assert_eq!(resumed_id, id, "store keying broken");
+            outcome
+        };
+        assert_eq!(resume(40, &cut.encode()), reference40, "cut sample");
+        assert_eq!(resume(8, &full), reference8, "over budget");
         let _ = std::fs::remove_dir_all(store.root());
         let _ = std::fs::remove_dir_all(store2.root());
     }

@@ -163,11 +163,8 @@ impl Server {
         for (id, state) in store.scan() {
             max_id = max_id.max(id);
             match state {
-                DiskJob::Unfinished {
-                    spec,
-                    has_checkpoint,
-                } => match JobSpec::from_json(&spec) {
-                    Ok(spec) => unfinished.push((id, spec, has_checkpoint)),
+                DiskJob::Unfinished { spec } => match JobSpec::from_json(&spec) {
+                    Ok(spec) => unfinished.push((id, spec)),
                     Err(e) => {
                         let _ = store.write_error(id, &format!("unreadable spec: {e}"));
                     }
@@ -196,10 +193,7 @@ impl Server {
             active_connections: AtomicUsize::new(0),
             known: Mutex::new(Vec::new()),
         });
-        for (id, spec, has_checkpoint) in unfinished {
-            if has_checkpoint {
-                Metrics::inc(&shared.metrics.jobs_resumed);
-            }
+        for (id, spec) in unfinished {
             if let Err(e) = enqueue(&shared, id, spec) {
                 // The queue was sized to fit, so this cannot happen — but a
                 // startup must never turn one bad job into a crash loop. The

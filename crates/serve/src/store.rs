@@ -11,24 +11,21 @@
 //! | `cancelled`  | marker: a client cancelled the job — never requeue   |
 //! | `sweep`      | owning sweep id, when a sweep submitted the job      |
 //!
-//! Every write goes through the same atomic tmp-file + rename discipline
-//! as the FEA [`StressCache`](emgrid_via::StressCache): readers (and a
-//! daemon restarted after `kill -9`) see either the previous complete
-//! file or the new complete file, never a torn one. Status is *derived*
-//! from which files exist, so there is no separate status record to get
-//! out of sync.
+//! Every write goes through the runtime's one atomic tmp-file + rename
+//! ([`emgrid_runtime::write_atomic`]), as the FEA
+//! [`StressCache`](emgrid_via::StressCache) and the sweep store do:
+//! readers (and a daemon restarted after `kill -9`) see either the
+//! previous complete file or the new complete file, never a torn one.
+//! Status is *derived* from which files exist, so there is no separate
+//! status record to get out of sync.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-use emgrid_runtime::JobId;
+use emgrid_runtime::{write_atomic, JobId};
 
 use crate::json::{self, Json};
-
-/// Monotonic tmp-file disambiguator (several jobs may checkpoint at once).
-static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// A job's state on disk, as found by a startup scan.
 #[derive(Debug)]
@@ -44,8 +41,6 @@ pub enum DiskJob {
     Unfinished {
         /// The persisted spec document.
         spec: Json,
-        /// Whether a checkpoint is available to resume from.
-        has_checkpoint: bool,
     },
 }
 
@@ -77,25 +72,13 @@ impl JobStore {
         self.root.join(id.to_string())
     }
 
-    fn write_atomic(&self, id: JobId, file: &str, bytes: &[u8]) -> io::Result<()> {
-        let dir = self.dir(id);
-        fs::create_dir_all(&dir)?;
-        let tmp = dir.join(format!(
-            ".{file}.{}.{}.tmp",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        fs::write(&tmp, bytes)?;
-        fs::rename(&tmp, dir.join(file))
-    }
-
     /// Persists the accepted spec (must happen before the job is queued).
     ///
     /// # Errors
     ///
     /// Propagates filesystem failures.
     pub fn write_spec(&self, id: JobId, spec: &Json) -> io::Result<()> {
-        self.write_atomic(id, "spec.json", spec.to_string().as_bytes())
+        write_atomic(&self.dir(id), "spec.json", spec.to_string().as_bytes())
     }
 
     /// Persists a checkpoint snapshot.
@@ -104,7 +87,7 @@ impl JobStore {
     ///
     /// Propagates filesystem failures.
     pub fn write_checkpoint(&self, id: JobId, text: &str) -> io::Result<()> {
-        self.write_atomic(id, "checkpoint", text.as_bytes())
+        write_atomic(&self.dir(id), "checkpoint", text.as_bytes())
     }
 
     /// Reads the latest checkpoint, if one was ever written.
@@ -118,7 +101,7 @@ impl JobStore {
     ///
     /// Propagates filesystem failures.
     pub fn write_result(&self, id: JobId, result: &str) -> io::Result<()> {
-        self.write_atomic(id, "result.json", result.as_bytes())
+        write_atomic(&self.dir(id), "result.json", result.as_bytes())
     }
 
     /// Reads the final result document verbatim.
@@ -132,7 +115,7 @@ impl JobStore {
     ///
     /// Propagates filesystem failures.
     pub fn write_error(&self, id: JobId, message: &str) -> io::Result<()> {
-        self.write_atomic(id, "error", message.as_bytes())
+        write_atomic(&self.dir(id), "error", message.as_bytes())
     }
 
     /// Reads the failure message, if the job failed.
@@ -146,7 +129,7 @@ impl JobStore {
     ///
     /// Propagates filesystem failures.
     pub fn mark_cancelled(&self, id: JobId) -> io::Result<()> {
-        self.write_atomic(id, "cancelled", b"")
+        write_atomic(&self.dir(id), "cancelled", b"")
     }
 
     /// Whether the job carries the client-cancelled marker.
@@ -161,7 +144,7 @@ impl JobStore {
     ///
     /// Propagates filesystem failures.
     pub fn write_sweep(&self, id: JobId, sweep: &str) -> io::Result<()> {
-        self.write_atomic(id, "sweep", sweep.as_bytes())
+        write_atomic(&self.dir(id), "sweep", sweep.as_bytes())
     }
 
     /// The owning sweep id, if a sweep submitted this job.
@@ -191,10 +174,7 @@ impl JobStore {
         // a newer incompatible version could fail to parse; surface that
         // as a failed job rather than refusing to start.
         match json::parse(&spec_text) {
-            Ok(spec) => Some(DiskJob::Unfinished {
-                spec,
-                has_checkpoint: dir.join("checkpoint").exists(),
-            }),
+            Ok(spec) => Some(DiskJob::Unfinished { spec }),
             Err(e) => Some(DiskJob::Failed(format!("unreadable spec: {e}"))),
         }
     }
@@ -222,11 +202,7 @@ mod tests {
     use super::*;
 
     fn temp_store(tag: &str) -> JobStore {
-        let root = std::env::temp_dir().join(format!(
-            "emgrid-store-{tag}-{}-{}",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
+        let root = std::env::temp_dir().join(format!("emgrid-store-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&root);
         JobStore::open(root).unwrap()
     }
@@ -236,24 +212,12 @@ mod tests {
         let store = temp_store("lifecycle");
         let spec = Json::Obj(vec![("kind".into(), Json::s("characterize"))]);
         store.write_spec(7, &spec).unwrap();
-        assert!(matches!(
-            store.load(7),
-            Some(DiskJob::Unfinished {
-                has_checkpoint: false,
-                ..
-            })
-        ));
+        assert!(matches!(store.load(7), Some(DiskJob::Unfinished { .. })));
 
         store
             .write_checkpoint(7, "emgrid-via-checkpoint-v1\n")
             .unwrap();
-        assert!(matches!(
-            store.load(7),
-            Some(DiskJob::Unfinished {
-                has_checkpoint: true,
-                ..
-            })
-        ));
+        assert!(matches!(store.load(7), Some(DiskJob::Unfinished { .. })));
         assert_eq!(
             store.read_checkpoint(7).as_deref(),
             Some("emgrid-via-checkpoint-v1\n")

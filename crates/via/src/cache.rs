@@ -12,17 +12,21 @@
 //! rows/cols/via-width/pitch, wire width, margin, resolution, all nine
 //! stack thicknesses, both temperatures, every material's (E, ν, α) and
 //! a solver-method descriptor — with each `f64` rendered as the hex of
-//! its IEEE-754 bit pattern, so keys never suffer from formatting
+//! its IEEE-754 bit pattern by the runtime's shared field codec
+//! ([`emgrid_runtime::persist`]), so keys never suffer from formatting
 //! round-off. The connected [`LayerPair`](crate::LayerPair) is *not* part
 //! of the key: the elastic solve does not depend on it, so two table rows
 //! differing only in layer pair share one cached solve.
 //!
 //! **Entry format.** A versioned text file storing the per-via peak
 //! stresses *and* the full nodal displacement vector, both as `f64` bit
-//! patterns in hex. The stress values serve the table-building fast path
-//! (no meshing at all); the displacements let a figure binary rebuild the
-//! entire [`StressField`] bit-exactly (meshing is deterministic, so
-//! recovery from cached displacements reproduces every scan value).
+//! patterns in hex, eight to a line. The stress values serve the
+//! table-building fast path (no meshing at all); the displacements let a
+//! figure binary rebuild the entire [`StressField`] bit-exactly (meshing is
+//! deterministic, so recovery from cached displacements reproduces every
+//! scan value). A field that is not exactly 16 hex digits makes the entry
+//! a miss. Entries are written through the runtime's one
+//! [`write_atomic`].
 //!
 //! Set `EMGRID_NO_CACHE=1` (or pass `--no-cache` to the CLI) to bypass
 //! both lookup and storage.
@@ -30,13 +34,12 @@
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::process;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use emgrid_fea::geometry::CharacterizationModel;
 use emgrid_fea::model::SolveMethod;
 use emgrid_fea::stress::StressField;
-use emgrid_runtime::obs;
+use emgrid_runtime::persist::{parse_f64, push_f64};
+use emgrid_runtime::{obs, write_atomic};
 use emgrid_sparse::Ordering as FactorOrdering;
 
 /// Format tag written as the first line of every entry and hashed into
@@ -45,10 +48,6 @@ use emgrid_sparse::Ordering as FactorOrdering;
 /// garbage or another build's rounding. v2: the FEA assembly sums each
 /// stiffness entry in cell order.
 pub(crate) const FORMAT: &str = "emgrid-stress-cache-v2";
-
-/// Tie-breaker for concurrent writers of the same key (see
-/// [`StressCache::store`]).
-static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// A directory of cached characterization results.
 #[derive(Debug, Clone)]
@@ -113,7 +112,8 @@ impl StressCache {
         ordering: FactorOrdering,
     ) -> u64 {
         fn bits(s: &mut String, v: f64) {
-            s.push_str(&format!(" {:016x}", v.to_bits()));
+            s.push(' ');
+            push_f64(s, v);
         }
         let mut s = String::with_capacity(1024);
         s.push_str(FORMAT);
@@ -165,7 +165,7 @@ impl StressCache {
 
     /// Path of the entry file for `key`.
     pub fn entry_path(&self, key: u64) -> PathBuf {
-        self.dir.join(format!("{key:016x}.stress"))
+        self.dir.join(entry_file(key))
     }
 
     /// Loads the entry for `key`, or `None` on miss / unreadable /
@@ -210,37 +210,40 @@ impl StressCache {
     /// Persists an entry for `key`. Best-effort by design: callers treat a
     /// failed store as "cache stays cold", never as a solve failure.
     ///
-    /// The write goes to a unique temp file first and is moved into place
-    /// with `rename`, so concurrent writers of the same key (two fan-out
-    /// workers solving layer-pair twins) each land a complete file and the
-    /// last rename wins.
+    /// The write goes through [`write_atomic`], so concurrent writers of
+    /// the same key (two fan-out workers solving layer-pair twins) each
+    /// land a complete file and the last rename wins.
     pub fn store(&self, key: u64, entry: &CacheEntry) -> io::Result<PathBuf> {
-        fs::create_dir_all(&self.dir)?;
-        let path = self.entry_path(key);
-        let tmp = self.dir.join(format!(
-            ".{key:016x}.{}.{}.tmp",
-            process::id(),
-            STORE_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let mut text = String::with_capacity(
-            32 + 17 * (entry.per_via_stress.len() + entry.displacements.len()),
-        );
-        text.push_str(FORMAT);
-        text.push('\n');
-        text.push_str(&format!("key {key:016x}\n"));
-        text.push_str(&format!("per_via {}\n", entry.per_via_stress.len()));
-        push_bits_lines(&mut text, &entry.per_via_stress);
-        text.push_str(&format!("displacements {}\n", entry.displacements.len()));
-        push_bits_lines(&mut text, &entry.displacements);
-        fs::write(&tmp, text)?;
-        fs::rename(&tmp, &path)?;
+        write_atomic(
+            &self.dir,
+            &entry_file(key),
+            encode_entry(key, entry).as_bytes(),
+        )?;
         obs::counter(
             "emgrid_stress_cache_stores_total",
             "Stress-cache entries persisted.",
         )
         .inc();
-        Ok(path)
+        Ok(self.entry_path(key))
     }
+}
+
+/// File name of the entry for `key`.
+fn entry_file(key: u64) -> String {
+    format!("{key:016x}.stress")
+}
+
+fn encode_entry(key: u64, entry: &CacheEntry) -> String {
+    let mut text =
+        String::with_capacity(32 + 17 * (entry.per_via_stress.len() + entry.displacements.len()));
+    text.push_str(FORMAT);
+    text.push('\n');
+    text.push_str(&format!("key {key:016x}\n"));
+    text.push_str(&format!("per_via {}\n", entry.per_via_stress.len()));
+    push_bits_lines(&mut text, &entry.per_via_stress);
+    text.push_str(&format!("displacements {}\n", entry.displacements.len()));
+    push_bits_lines(&mut text, &entry.displacements);
+    text
 }
 
 /// 64-bit FNV-1a.
@@ -260,7 +263,7 @@ fn push_bits_lines(out: &mut String, values: &[f64]) {
             if i > 0 {
                 out.push(' ');
             }
-            out.push_str(&format!("{:016x}", v.to_bits()));
+            push_f64(out, *v);
         }
         out.push('\n');
     }
@@ -294,19 +297,14 @@ fn parse_entry(text: &str, key: u64) -> Option<CacheEntry> {
 }
 
 fn parse_bits<'a>(tokens: &mut impl Iterator<Item = &'a str>, n: usize) -> Option<Vec<f64>> {
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(f64::from_bits(
-            u64::from_str_radix(tokens.next()?, 16).ok()?,
-        ));
-    }
-    Some(out)
+    (0..n).map(|_| parse_f64(tokens.next()?)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use emgrid_fea::geometry::ViaArrayGeometry;
+    use proptest::prelude::*;
 
     fn small_model() -> CharacterizationModel {
         CharacterizationModel {
@@ -318,7 +316,8 @@ mod tests {
     }
 
     fn temp_cache(tag: &str) -> StressCache {
-        let dir = std::env::temp_dir().join(format!("emgrid-cache-test-{tag}-{}", process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("emgrid-cache-test-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         StressCache::new(dir)
     }
@@ -374,6 +373,71 @@ mod tests {
         let _ = fs::remove_dir_all(cache.dir());
     }
 
+    /// An `emgrid-stress-cache-v2` entry: the 8-per-line wrap, lowercase
+    /// zero-padded hex, `-0.0` and the smallest normal. Its bytes may
+    /// change only with the format tag.
+    const GOLDEN_ENTRY: &str = "\
+emgrid-stress-cache-v2
+key deadbeef01234567
+per_via 3
+41b017df80000000 8000000000000000 0010000000000000
+displacements 10
+0000000000000000 3f335e019f77875f 3f4280907a845b7e 3f49ab05babe1cee \
+3f4e8a82b24805e8 3f5057cc161ad7d5 3f4fe939dcea9572 3f4c491fffeaf4b7
+3f4622322293453a 3f3c023e9bcb6b99
+";
+    const GOLDEN_KEY: u64 = 0xdead_beef_0123_4567;
+
+    fn golden_entry() -> CacheEntry {
+        CacheEntry {
+            per_via_stress: vec![2.7e8, -0.0, f64::MIN_POSITIVE],
+            displacements: [
+                0x0000000000000000,
+                0x3f335e019f77875f,
+                0x3f4280907a845b7e,
+                0x3f49ab05babe1cee,
+                0x3f4e8a82b24805e8,
+                0x3f5057cc161ad7d5,
+                0x3f4fe939dcea9572,
+                0x3f4c491fffeaf4b7,
+                0x3f4622322293453a,
+                0x3f3c023e9bcb6b99,
+            ]
+            .map(f64::from_bits)
+            .to_vec(),
+        }
+    }
+
+    #[test]
+    fn entry_bytes_are_pinned() {
+        let entry = golden_entry();
+        assert_eq!(encode_entry(GOLDEN_KEY, &entry), GOLDEN_ENTRY);
+
+        // A file holding the pinned bytes is a hit that reads back the
+        // same values and re-encodes to the same text: the same bits.
+        let cache = temp_cache("golden");
+        fs::create_dir_all(cache.dir()).unwrap();
+        fs::write(cache.entry_path(GOLDEN_KEY), GOLDEN_ENTRY).unwrap();
+        let hit = cache.load(GOLDEN_KEY).expect("pinned entry is a hit");
+        assert_eq!(hit, entry);
+        assert_eq!(encode_entry(GOLDEN_KEY, &hit), GOLDEN_ENTRY);
+        let path = cache.store(GOLDEN_KEY, &entry).unwrap();
+        assert_eq!(fs::read_to_string(path).unwrap(), GOLDEN_ENTRY);
+        let _ = fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn cut_fields_and_huge_counts_are_misses() {
+        // A hex token cut short is a miss, not a different value.
+        let cut = GOLDEN_ENTRY.replace("3f3c023e9bcb6b99", "3f3c023e9bcb6b9");
+        assert_eq!(parse_entry(&cut, GOLDEN_KEY), None);
+        // A count past memory is a miss, not an allocation.
+        for count in ["18446744073709551615", "99999999999"] {
+            let huge = GOLDEN_ENTRY.replace("per_via 3", &format!("per_via {count}"));
+            assert_eq!(parse_entry(&huge, GOLDEN_KEY), None, "{count}");
+        }
+    }
+
     #[test]
     fn missing_and_corrupt_entries_are_misses() {
         let cache = temp_cache("corrupt");
@@ -390,6 +454,76 @@ mod tests {
         fs::rename(cache.entry_path(7), cache.entry_path(42)).unwrap();
         assert!(cache.load(42).is_none(), "key mismatch reads as a miss");
         let _ = fs::remove_dir_all(cache.dir());
+    }
+
+    /// Tokens of the entry grammar and near-misses of it.
+    const ENTRY_TOKENS: &[&str] = &[
+        FORMAT,
+        "key",
+        "deadbeef01234567",
+        "per_via",
+        "displacements",
+        "0",
+        "2",
+        "18446744073709551615",
+        "99999999999",
+        "3ff0000000000000",
+        "3ff",
+        "+ff0000000000000",
+        " ",
+        "\n",
+    ];
+
+    // The golden entry cut anywhere, then tokens: the parse goes wrong in
+    // every state, not just at the format line.
+    prop_compose! {
+        fn entry_text()(
+            cut in 0..GOLDEN_ENTRY.len() + 1,
+            picks in collection::vec(0usize..ENTRY_TOKENS.len(), 0..40),
+        ) -> String {
+            let mut text = GOLDEN_ENTRY[..cut].to_owned();
+            text.extend(picks.into_iter().map(|i| ENTRY_TOKENS[i]));
+            text
+        }
+    }
+
+    /// Up to `max` values of arbitrary bits, biased towards both zeros,
+    /// subnormals, extremes and NaNs.
+    fn any_f64s(rng: &mut TestRng, max: u64) -> Vec<f64> {
+        const SPECIAL: [u64; 5] = [0, 1 << 63, 1, 0x7fef_ffff_ffff_ffff, !0];
+        (0..rng.next_below(max + 1))
+            .map(|_| match rng.next_below(3) {
+                0 => f64::from_bits(SPECIAL[rng.next_below(5) as usize]),
+                _ => f64::from_bits(rng.next_u64()),
+            })
+            .collect()
+    }
+
+    // 4096 cases: fewer never cut the golden entry right before a count
+    // and follow it with a huge one, which must not size an allocation.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+        #[test]
+        fn entry_parser_never_panics_on_token_text(text in entry_text()) {
+            let _ = parse_entry(&text, GOLDEN_KEY);
+        }
+
+        #[test]
+        fn generated_entries_round_trip_bit_for_bit(
+            (key, entry) in FnStrategy(|rng: &mut TestRng| {
+                let entry = CacheEntry {
+                    per_via_stress: any_f64s(rng, 20),
+                    displacements: any_f64s(rng, 100),
+                };
+                (rng.next_u64(), entry)
+            })
+        ) {
+            // The text holds every bit, so re-encoding compares bits.
+            let text = encode_entry(key, &entry);
+            let back = parse_entry(&text, key);
+            prop_assert!(back.is_some());
+            prop_assert_eq!(encode_entry(key, &back.unwrap()), text);
+        }
     }
 
     #[test]

@@ -37,7 +37,6 @@ pub mod analytic;
 pub mod array;
 pub mod cache;
 pub mod characterization;
-pub mod checkpoint;
 pub mod electrical;
 pub mod layout;
 pub mod mc;
@@ -48,10 +47,9 @@ pub use analytic::WeakestLink;
 pub use array::{resistance_increase, FailureCriterion, ViaArrayConfig};
 pub use cache::{CacheEntry, StressCache};
 pub use characterization::{CharacterizationResult, ViaArrayReliability};
-pub use checkpoint::ViaCheckpoint;
 pub use electrical::CurrentModel;
 pub use layout::{ArrayFootprint, DesignRules};
-pub use mc::{ViaArrayMc, ViaArraySample, ViaSession};
+pub use mc::{ViaArrayMc, ViaArraySample, ViaCheckpoint, ViaSession};
 pub use stress_table::{
     FeaOptions, FeaPrimitiveReport, FeaReport, LayerPair, StressEntry, StressTable,
 };

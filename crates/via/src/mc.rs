@@ -9,14 +9,16 @@
 //! records the absolute time of every via failure, from which any failure
 //! criterion can be evaluated after the fact.
 
+use std::str::SplitWhitespace;
+
 use emgrid_em::void_growth::GrowthModel;
 use emgrid_em::{nucleation, Technology};
-use emgrid_runtime::{CancelToken, RuntimeConfig, SessionState, TrialSession};
+use emgrid_runtime::persist::{decode_f64, push_f64};
+use emgrid_runtime::{Checkpoint, CheckpointError, RuntimeConfig, TrialRecord, TrialSession};
 use emgrid_stats::Rng;
 
 use crate::array::{FailureCriterion, ViaArrayConfig};
 use crate::characterization::CharacterizationResult;
-use crate::checkpoint::ViaCheckpoint;
 use crate::electrical::CurrentModel;
 use crate::stress_table::{LayerPair, StressTable};
 use crate::variation::{self, VarianceDecomposition, Variation};
@@ -43,6 +45,38 @@ impl ViaArraySample {
         self.failure_times[n_f - 1]
     }
 }
+
+/// Checkpoint line `sample <failure time> <failure time> ...`, under the
+/// format line `emgrid-via-checkpoint-v1`.
+impl TrialRecord for ViaArraySample {
+    const FORMAT: &'static str = "emgrid-via-checkpoint-v1";
+    const TAG: &'static str = "sample";
+
+    fn encode_fields(&self, out: &mut String) {
+        for &t in &self.failure_times {
+            out.push(' ');
+            push_f64(out, t);
+        }
+    }
+
+    fn decode_fields(fields: SplitWhitespace<'_>) -> Result<Self, CheckpointError> {
+        let failure_times = fields
+            .map(|s| decode_f64(Some(s)))
+            .collect::<Result<Vec<f64>, _>>()?;
+        if failure_times.is_empty() {
+            return Err(CheckpointError("sample line without times".into()));
+        }
+        Ok(ViaArraySample { failure_times })
+    }
+}
+
+/// Committed state of a characterization run.
+pub type ViaCheckpoint = Checkpoint<ViaArraySample>;
+
+/// Checkpoint/resume/cancellation controls for one
+/// [`ViaArrayMc::characterize_session`] call; the default is a plain fresh
+/// run.
+pub type ViaSession<'a> = TrialSession<'a, ViaArraySample>;
 
 /// A configured level-1 Monte Carlo simulator for one via array.
 #[derive(Debug, Clone)]
@@ -410,46 +444,35 @@ impl ViaArrayMc {
     ///
     /// A run resumed from a [`ViaCheckpoint`] produces the same result as an
     /// uninterrupted run with the same seed (every trial's randomness comes
-    /// from `(seed, trial)` alone). Returns `None` only when a cancellation
-    /// stopped the run before any sample was committed; a cancelled run
-    /// that did commit samples returns them with `report().cancelled` set.
+    /// from `(seed, trial)` alone). A resume checkpoint that does not fit
+    /// the run — more samples than the budget, a stream count that does not
+    /// match them, or a sample whose failure-time count is not this array's
+    /// via count — is ignored, and the run starts at trial zero. Returns
+    /// `None` only when a cancellation stopped the run before any sample
+    /// was committed; a cancelled run that did commit samples returns them
+    /// with `report().cancelled` set.
     ///
     /// # Panics
     ///
-    /// As [`ViaArrayMc::characterize_with`], plus if the resume checkpoint
-    /// is inconsistent with the trial budget or via count.
+    /// As [`ViaArrayMc::characterize_with`].
     pub fn characterize_session(
         &self,
         trials: usize,
         seed: u64,
         runtime: &RuntimeConfig,
-        session: ViaSession<'_>,
+        mut session: ViaSession<'_>,
     ) -> Option<CharacterizationResult> {
         let _span = emgrid_runtime::obs::span("via-mc");
-        let open_circuit = self.config.count() - 1;
-        let mut on_checkpoint = session.on_checkpoint;
-        let mut adapter = |samples: &[ViaArraySample], stream: &emgrid_stats::OnlineStats| {
-            if let Some(cb) = on_checkpoint.as_mut() {
-                cb(&ViaCheckpoint {
-                    samples: samples.to_vec(),
-                    stream: *stream,
-                });
-            }
-        };
-        let trial_session = TrialSession {
-            resume: session.resume.map(|cp| SessionState {
-                outputs: cp.samples,
-                stream: cp.stream,
-            }),
-            cancel: session.cancel,
-            checkpoint_every: session.checkpoint_every,
-            on_checkpoint: Some(&mut adapter),
-        };
+        let vias = self.config.count();
+        session.resume = session
+            .resume
+            .filter(|cp| cp.outputs.iter().all(|s| s.failure_times.len() == vias));
+        let open_circuit = vias - 1;
         enum Never {}
         let result: Result<_, Never> = emgrid_runtime::run_trials_session(
             trials,
             runtime,
-            trial_session,
+            session,
             |t| {
                 Ok(match &self.variation {
                     Some(var) => {
@@ -486,23 +509,6 @@ impl ViaArrayMc {
     }
 }
 
-/// Checkpoint/resume/cancellation controls for one
-/// [`ViaArrayMc::characterize_session`] call; the default is a plain fresh
-/// run.
-#[derive(Default)]
-pub struct ViaSession<'a> {
-    /// Checkpoint to resume from (`None` = start at trial zero).
-    pub resume: Option<ViaCheckpoint>,
-    /// Cooperative cancellation token, polled between trials.
-    pub cancel: Option<&'a CancelToken>,
-    /// Trials between checkpoint callbacks; 0 disables periodic
-    /// checkpointing (a final checkpoint still fires on cancellation).
-    pub checkpoint_every: usize,
-    /// Receives a snapshot of the committed state at each checkpoint.
-    #[allow(clippy::type_complexity)]
-    pub on_checkpoint: Option<&'a mut (dyn FnMut(&ViaCheckpoint) + 'a)>,
-}
-
 /// Convenience: the default layer pair used throughout the experiments.
 pub const DEFAULT_LAYER_PAIR: LayerPair = LayerPair::IntermediateTop;
 
@@ -512,7 +518,9 @@ mod tests {
     use crate::array::FailureCriterion;
     use emgrid_em::SECONDS_PER_YEAR;
     use emgrid_fea::geometry::IntersectionPattern;
-    use emgrid_stats::seeded_rng;
+    use emgrid_runtime::CancelToken;
+    use emgrid_stats::{seeded_rng, OnlineStats};
+    use proptest::prelude::*;
 
     fn paper_mc(pattern: IntersectionPattern) -> ViaArrayMc {
         ViaArrayMc::from_reference_table(
@@ -652,7 +660,7 @@ mod tests {
         assert!(cancelled.report().cancelled);
 
         let cp = ViaCheckpoint::decode(&last.expect("checkpoint fired").encode()).unwrap();
-        assert_eq!(cp.samples.len(), 16);
+        assert_eq!(cp.outputs.len(), 16);
         let resumed = mc
             .characterize_session(
                 60,
@@ -685,6 +693,168 @@ mod tests {
                 },
             )
             .is_none());
+    }
+
+    /// An `emgrid-via-checkpoint-v1` file, with an `f64::MAX` failure
+    /// time. Its bytes may change only with the format line.
+    const GOLDEN_CHECKPOINT: &str = "\
+emgrid-via-checkpoint-v1
+stream 2 4076b8526ad4e125 410d459c84212799 403141ed7b54e6ab 40862e42fefa39ef
+sample 416312d000000000 4177d78400000000 417dcd6500000000
+sample 415312d000000000 415c9c3800000000 7fefffffffffffff
+";
+
+    #[test]
+    fn checkpoint_bytes_are_pinned() {
+        let stream = [
+            0x4076b8526ad4e125,
+            0x410d459c84212799,
+            0x403141ed7b54e6ab,
+            0x40862e42fefa39ef,
+        ]
+        .map(f64::from_bits);
+        let cp = ViaCheckpoint {
+            outputs: vec![
+                ViaArraySample {
+                    failure_times: vec![1.0e7, 2.5e7, 3.125e7],
+                },
+                ViaArraySample {
+                    failure_times: vec![0.5e7, 0.75e7, f64::MAX],
+                },
+            ],
+            stream: OnlineStats::from_raw_parts(2, stream[0], stream[1], stream[2], stream[3]),
+        };
+        assert_eq!(cp.encode(), GOLDEN_CHECKPOINT);
+        // Equal values that re-encode to the same text: equal bits.
+        let back = ViaCheckpoint::decode(GOLDEN_CHECKPOINT).unwrap();
+        assert_eq!(back, cp);
+        assert_eq!(back.encode(), GOLDEN_CHECKPOINT);
+    }
+
+    #[test]
+    fn corrupt_sample_lines_are_rejected() {
+        let decode = ViaCheckpoint::decode;
+        let grid = GOLDEN_CHECKPOINT.replace("via-checkpoint", "grid-checkpoint");
+        assert!(decode(&grid).is_err(), "other format");
+        let cut = GOLDEN_CHECKPOINT.replace(" 7fefffffffffffff", " 7feffff");
+        assert!(decode(&cut).is_err(), "cut field");
+        let bare = GOLDEN_CHECKPOINT.replace(
+            "sample 415312d000000000 415c9c3800000000 7fefffffffffffff",
+            "sample",
+        );
+        assert!(decode(&bare).is_err(), "sample without times");
+    }
+
+    /// Tokens of the checkpoint grammar and near-misses of it.
+    const CHECKPOINT_TOKENS: &[&str] = &[
+        "emgrid-via-checkpoint-v1",
+        "stream",
+        "sample",
+        "0",
+        "2",
+        "18446744073709551616",
+        "416312d000000000",
+        "7ff8000000000000",
+        "4163",
+        " ",
+        "\n",
+        "\r\n",
+    ];
+
+    // The golden file cut anywhere, then tokens: the parse goes wrong in
+    // every state, not just at the format line.
+    prop_compose! {
+        fn checkpoint_text()(
+            cut in 0..GOLDEN_CHECKPOINT.len() + 1,
+            picks in collection::vec(0usize..CHECKPOINT_TOKENS.len(), 0..48),
+        ) -> String {
+            let mut text = GOLDEN_CHECKPOINT[..cut].to_owned();
+            text.extend(picks.into_iter().map(|i| CHECKPOINT_TOKENS[i]));
+            text
+        }
+    }
+
+    /// An `f64` from arbitrary bits, biased towards both zeros,
+    /// subnormals, extremes and NaNs.
+    fn any_f64(rng: &mut TestRng) -> f64 {
+        const SPECIAL: [u64; 5] = [0, 1 << 63, 1, 0x7fef_ffff_ffff_ffff, !0];
+        match rng.next_below(3) {
+            0 => f64::from_bits(SPECIAL[rng.next_below(5) as usize]),
+            _ => f64::from_bits(rng.next_u64()),
+        }
+    }
+
+    /// Zero to 40 samples of 1 to 64 failure times, and a stream of
+    /// arbitrary bits over them.
+    fn any_checkpoint(rng: &mut TestRng) -> ViaCheckpoint {
+        let outputs: Vec<ViaArraySample> = (0..rng.next_below(41))
+            .map(|_| ViaArraySample {
+                failure_times: (0..=rng.next_below(64)).map(|_| any_f64(rng)).collect(),
+            })
+            .collect();
+        let [mean, m2, min, max] = [(); 4].map(|()| any_f64(rng));
+        let stream = OnlineStats::from_raw_parts(outputs.len() as u64, mean, m2, min, max);
+        ViaCheckpoint { outputs, stream }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn checkpoint_decode_never_panics_on_token_text(text in checkpoint_text()) {
+            let _ = ViaCheckpoint::decode(&text);
+        }
+
+        #[test]
+        fn generated_checkpoints_round_trip_bit_for_bit(cp in FnStrategy(any_checkpoint)) {
+            // The text holds every bit, so re-encoding compares bits.
+            let text = cp.encode();
+            let back = ViaCheckpoint::decode(&text);
+            prop_assert!(back.is_ok(), "{back:?}");
+            prop_assert_eq!(back.unwrap().encode(), text);
+        }
+    }
+
+    #[test]
+    fn misfit_resume_checkpoints_restart_from_trial_zero() {
+        let mc = paper_mc(IntersectionPattern::Plus);
+        let mut snapshot: Option<ViaCheckpoint> = None;
+        let mut on_checkpoint = |cp: &ViaCheckpoint| {
+            snapshot.get_or_insert_with(|| cp.clone());
+        };
+        let session = ViaSession {
+            checkpoint_every: 16,
+            on_checkpoint: Some(&mut on_checkpoint),
+            ..ViaSession::default()
+        };
+        mc.characterize_session(48, 29, &RuntimeConfig::sequential(), session);
+        let good = snapshot.expect("checkpoint fired");
+
+        let resume = |trials: usize, cp: &ViaCheckpoint| {
+            let session = ViaSession {
+                resume: Some(cp.clone()),
+                ..ViaSession::default()
+            };
+            mc.characterize_session(trials, 29, &RuntimeConfig::sequential(), session)
+                .unwrap()
+        };
+        let same = |a: &CharacterizationResult, trials: usize, label: &str| {
+            let whole = mc.characterize(trials, 29);
+            let oc = FailureCriterion::OpenCircuit;
+            assert_eq!(a.ttf_samples(oc), whole.ttf_samples(oc), "{label}");
+            assert_eq!(a.report().resumed_from, 0, "{label}");
+        };
+
+        let mut cut = good.clone();
+        cut.outputs[3].failure_times.truncate(3);
+        // The text format carries no via count, so such a checkpoint decodes.
+        let cut = ViaCheckpoint::decode(&cut.encode()).unwrap();
+        same(&resume(48, &cut), 48, "cut sample");
+        let mut wrong_stream = good.clone();
+        wrong_stream.stream.push(0.0);
+        same(&resume(48, &wrong_stream), 48, "stream count");
+        same(&resume(8, &good), 8, "over budget");
+        // A fitting checkpoint still resumes.
+        assert_eq!(resume(48, &good).report().resumed_from, 16);
     }
 
     #[test]
