@@ -71,7 +71,7 @@ COMMANDS:
                     <deck.sp> | --profile pg1|pg2|pg5|pg100k|pg1m
                     [--top-k <n>] [--stress-threshold <Pa>]
                     [--method auto|direct|cg] (default auto: direct small,
-                                               IC(0)-CG chip-scale)
+                                               AMG-CG chip-scale)
                     [--ordering natural|rcm|amd|nd]
                     [--repair-vias <ohms>] [--json]
 
@@ -603,7 +603,8 @@ fn cmd_analyze(args: &[String]) -> Result<String, CliError> {
 }
 
 /// Operating-point solve engine: `--method` flag, defaulting to `auto`
-/// (direct below the size cutover, IC(0)-CG above).
+/// (direct below the size cutover, CG preconditioned by smoothed-
+/// aggregation AMG above).
 fn parse_method(args: &[String]) -> Result<Method, CliError> {
     match option_value(args, "--method") {
         None => Ok(Method::default()),
@@ -1210,6 +1211,37 @@ mod tests {
         assert!(run(&argv("screen --profile pg1 --stress-threshold -4")).is_err());
         assert!(run(&argv("screen --profile pg1 --method simplex")).is_err());
         assert!(run(&argv("screen")).is_err(), "missing deck path");
+    }
+
+    #[test]
+    fn floating_island_fails_the_same_way_on_every_engine() {
+        // Three unknowns with no path to a pad and no load: CG would
+        // return their zero start as a solution, the direct factor a zero
+        // pivot. The structural check rejects the deck before either runs.
+        let mut deck = run(&argv("generate --profile pg1")).unwrap();
+        deck.push_str("Rf1 n1_900_900 n3_900_900 2.0\nRf2 n1_900_900 n1_901_900 1.5\n");
+        let path = std::env::temp_dir().join("emgrid_cli_test_floating.sp");
+        std::fs::write(&path, deck).unwrap();
+        let path = path.to_string_lossy().into_owned();
+        let errors: Vec<String> = ["direct", "cg", "auto"]
+            .iter()
+            .map(|method| {
+                let args = vec![
+                    "screen".into(),
+                    path.clone(),
+                    "--method".into(),
+                    method.to_string(),
+                ];
+                run(&args).unwrap_err().to_string()
+            })
+            .collect();
+        std::fs::remove_file(&path).ok();
+        assert!(
+            errors[0].contains("node `n1_900_900` has no resistive path"),
+            "{}",
+            errors[0]
+        );
+        assert!(errors.iter().all(|e| *e == errors[0]), "{errors:?}");
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use emgrid_runtime::obs;
 use emgrid_sparse::{
-    conjugate_gradient, CgOptions, FactorOptions, LdlFactor, Ordering, SparseError,
+    conjugate_gradient, CgOptions, FactorOptions, LdlFactor, Ordering, Preconditioner, SparseError,
 };
 
 use crate::assembly::{assemble_with, AssembledSystem};
@@ -193,11 +193,14 @@ impl ThermalStressAnalysis {
         let n = sys.dof_map.free_count();
         let nonzeros = sys.stiffness.values().len();
 
+        // Elasticity stays on IC(0): smoothed aggregation's constant
+        // near-null space does not span the rigid-body modes of a 3-DOF
+        // problem.
         let cg_opts = |tolerance, max_iterations| CgOptions {
             tolerance,
             max_iterations,
+            preconditioner: Preconditioner::IncompleteCholesky,
             threads: self.threads,
-            ..CgOptions::default()
         };
         let solve_start = Instant::now();
         let solve_span = obs::span("solve");
@@ -342,12 +345,36 @@ mod tests {
     }
 
     #[test]
+    fn iterative_solve_stays_on_ic0_cg() {
+        // The FEA path names IC(0) itself rather than taking the CG
+        // default (smoothed aggregation assumes a constant near-null
+        // space, which 3-DOF elasticity does not have). Label, iteration
+        // count and per-via stress bits are pinned, so a preconditioner
+        // change anywhere under this path shows here.
+        let (field, stats) = ThermalStressAnalysis::new(small_model(IntersectionPattern::Plus))
+            .with_method(SolveMethod::Iterative {
+                tolerance: 1e-8,
+                max_iterations: 10_000,
+            })
+            .run_with_stats()
+            .unwrap();
+        assert_eq!(stats.solver, "cg-ic0");
+        let digest = field
+            .per_via_peak_stress()
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        assert_eq!(stats.iterations, 67);
+        assert_eq!(digest, 0x30d0_0b53_0a00_362d, "per-via stresses moved");
+    }
+
+    #[test]
     fn ic0_outperforms_jacobi_on_stiffness_systems() {
         // The motivation for wiring IC(0) into the FEA path: multi-material
         // stiffness matrices are badly conditioned (E spans 16–223 GPa),
         // where the incomplete factorization cuts CG iterations hard.
-        use emgrid_sparse::{conjugate_gradient, CgOptions, Preconditioner};
-
         let model = small_model(IntersectionPattern::Plus);
         let mesh = model.build_mesh();
         let sys = crate::assembly::assemble(&mesh, &model.boundary_conditions(), model.delta_t());

@@ -121,8 +121,8 @@ impl PowerGrid {
         }
         // Auto-select the nominal solve engine by size: below the
         // crossover this is the usual (bit-identical) direct factor;
-        // chip-scale grids take IC(0)-CG so construction stays linear
-        // instead of paying a million-unknown factor's fill.
+        // chip-scale grids take AMG-preconditioned CG so construction stays
+        // linear instead of paying a million-unknown factor's fill.
         let nominal = dc.solve_auto()?;
         Ok(PowerGrid {
             netlist,

@@ -32,7 +32,8 @@
 //! so `V̄` needs only the branch resistances and the node voltages.
 //!
 //! The whole screen is therefore: one DC solve ([`emgrid_sparse::solve_spd`]
-//! — direct or IC(0)-CG, picked by problem size), one union-find over
+//! — direct or AMG-preconditioned CG, picked by problem size; usually the
+//! one [`PowerGrid`] already ran), one union-find over
 //! same-layer branches to recover the trees ([`InterconnectTrees`]), and
 //! two passes to form `V̄` and the per-node stresses. Every step is
 //! deterministic and bit-identical across thread counts, so a screening
@@ -84,7 +85,10 @@ impl From<SparseError> for ScreenError {
 pub struct ScreenOptions {
     /// Linear-solve engine for the operating point (default `auto`:
     /// direct below [`emgrid_sparse::method::AUTO_DIRECT_LIMIT`] unknowns,
-    /// IC(0)-CG above).
+    /// CG preconditioned by smoothed-aggregation AMG above). When it
+    /// resolves to the engine `auto` picks, with that engine's options at
+    /// their defaults apart from `threads`, the grid's nominal solution is
+    /// reused instead of solving again.
     pub method: Method,
     /// Direct-path factorization options.
     pub factor: FactorOptions,
@@ -390,6 +394,31 @@ fn fmt_num(n: f64) -> String {
     }
 }
 
+/// Whether a screen of an `n`-unknown grid can take the solution
+/// `PowerGrid::from_netlist` computed instead of solving again: `options`
+/// must resolve to the engine `Method::Auto` picks, with that engine's
+/// options equal to the defaults apart from `threads`. That is exactly the
+/// solve the grid ran, and a thread count never changes a bit of either
+/// engine's result.
+fn reuses_nominal(options: &ScreenOptions, n: usize) -> bool {
+    let engine = options.method.resolve(n);
+    engine == Method::Auto.resolve(n)
+        && match engine {
+            Method::Direct => {
+                FactorOptions {
+                    threads: 1,
+                    ..options.factor
+                } == FactorOptions::default()
+            }
+            _ => {
+                CgOptions {
+                    threads: 1,
+                    ..options.cg.clone()
+                } == CgOptions::default()
+            }
+        }
+}
+
 /// Screens `grid` at its DC operating point: solves once, decomposes into
 /// interconnect trees, forms the steady-state stress at every via array's
 /// tree endpoints and ranks the arrays by criticality.
@@ -408,17 +437,8 @@ pub fn screen_grid(
     let _span = obs::span("screen");
     obs::counter("emgrid_screen_runs_total", "screening passes run").inc();
     let dc = grid.dc();
-    // `PowerGrid::from_netlist` already solved this exact system with the
-    // auto-selected engine and default options; all-default screen options
-    // reuse that solution instead of paying a second chip-scale solve.
-    // Any explicit override still solves with the requested engine (and by
-    // the determinism contract, default-equivalent overrides produce the
-    // same bits either way).
-    let nominal_is_reusable = options.method == Method::Auto
-        && options.factor == FactorOptions::default()
-        && options.cg == CgOptions::default();
     let solved;
-    let solution: &DcSolution = if nominal_is_reusable {
+    let solution: &DcSolution = if reuses_nominal(options, dc.unknown_count()) {
         grid.nominal_solution()
     } else {
         let x = {
@@ -669,24 +689,127 @@ mod tests {
     #[test]
     fn report_bytes_are_identical_across_threads() {
         // The screening determinism contract: thread counts move wall
-        // time, never bytes.
-        let g = grid(12, 11);
+        // time, never bytes — on either engine. The grid is past the AMG
+        // coarse-level size, so CG runs real V-cycles.
+        let g = grid(28, 24);
+        assert!(g.dc().unknown_count() > emgrid_sparse::amg::MAX_COARSE);
         let tech = Technology::default();
-        let mut reports = Vec::new();
-        for threads in [1usize, 4] {
-            let mut options = ScreenOptions {
-                top_k: Some(25),
-                ..ScreenOptions::default()
-            };
-            options.factor.threads = threads;
-            options.cg.threads = threads;
-            let r = screen_grid(&g, &tech, &options).unwrap();
-            reports.push((r.to_json(), r.render()));
+        for method in [Method::Auto, Method::Cg] {
+            let mut reports = Vec::new();
+            for threads in [1usize, 4] {
+                let mut options = ScreenOptions {
+                    method,
+                    top_k: Some(25),
+                    ..ScreenOptions::default()
+                };
+                options.factor.threads = threads;
+                options.cg.threads = threads;
+                let r = screen_grid(&g, &tech, &options).unwrap();
+                reports.push((r.to_json(), r.render()));
+            }
+            for pair in reports.windows(2) {
+                assert_eq!(pair[0].0, pair[1].0, "{method:?}: json bytes differ");
+                assert_eq!(pair[0].1, pair[1].1, "{method:?}: rendered bytes differ");
+            }
         }
-        for pair in reports.windows(2) {
-            assert_eq!(pair[0].0, pair[1].0, "json bytes differ");
-            assert_eq!(pair[0].1, pair[1].1, "rendered bytes differ");
+    }
+
+    #[test]
+    fn nominal_reuse_follows_the_resolved_engine() {
+        use emgrid_sparse::method::AUTO_DIRECT_LIMIT;
+        use emgrid_sparse::{Ordering, Preconditioner};
+        let (small, large) = (AUTO_DIRECT_LIMIT, AUTO_DIRECT_LIMIT + 1);
+        let with = |f: &dyn Fn(&mut ScreenOptions)| {
+            let mut o = ScreenOptions::default();
+            f(&mut o);
+            o
+        };
+        let cases: Vec<(&str, ScreenOptions, bool, bool)> = vec![
+            ("defaults", ScreenOptions::default(), true, true),
+            ("direct", with(&|o| o.method = Method::Direct), true, false),
+            ("cg", with(&|o| o.method = Method::Cg), false, true),
+            (
+                "threads",
+                with(&|o| {
+                    o.factor.threads = 4;
+                    o.cg.threads = 8;
+                }),
+                true,
+                true,
+            ),
+            // Options of the engine that does not run are irrelevant.
+            (
+                "nd ordering",
+                with(&|o| o.factor.ordering = Ordering::Nd),
+                false,
+                true,
+            ),
+            (
+                "cg tolerance",
+                with(&|o| o.cg.tolerance = 1e-12),
+                true,
+                false,
+            ),
+            (
+                "ic0",
+                with(&|o| {
+                    o.method = Method::Cg;
+                    o.cg.preconditioner = Preconditioner::IncompleteCholesky;
+                }),
+                false,
+                false,
+            ),
+            // Selection knobs never touch the solve.
+            ("top_k", with(&|o| o.top_k = Some(3)), true, true),
+        ];
+        for (label, options, at_small, at_large) in cases {
+            assert_eq!(
+                reuses_nominal(&options, small),
+                at_small,
+                "{label}, n = {small}"
+            );
+            assert_eq!(
+                reuses_nominal(&options, large),
+                at_large,
+                "{label}, n = {large}"
+            );
         }
+    }
+
+    #[test]
+    fn reused_and_resolved_screens_have_identical_bytes() {
+        // The rule's premise: the engine `auto` picks, at default options
+        // and any thread count, reproduces the grid's nominal solution bit
+        // for bit, so reusing it leaves every report byte where a second
+        // solve would have put it.
+        let g = grid(14, 12);
+        let dc = g.dc();
+        let bits = |s: &DcSolution| s.voltages().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let again = solve_spd(
+            dc.matrix(),
+            dc.rhs(),
+            Method::Direct,
+            &FactorOptions::default().with_threads(4),
+            &CgOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(
+            bits(&dc.solution_from_unknowns(&again)),
+            bits(g.nominal_solution())
+        );
+
+        let tech = Technology::default();
+        let bytes = |options: ScreenOptions| screen_grid(&g, &tech, &options).unwrap().to_json();
+        let reference = bytes(ScreenOptions::default());
+        let mut direct = ScreenOptions {
+            method: Method::Direct,
+            ..ScreenOptions::default()
+        };
+        direct.factor.threads = 4;
+        assert_eq!(bytes(direct), reference);
+        let mut threaded = ScreenOptions::default();
+        threaded.cg.threads = 4;
+        assert_eq!(bytes(threaded), reference);
     }
 
     #[test]

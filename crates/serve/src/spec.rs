@@ -1142,6 +1142,7 @@ fn reject_unknown_keys(doc: &Json, allowed: &[&str]) -> Result<(), SpecError> {
 mod tests {
     use super::*;
     use crate::json;
+    use proptest::prelude::*;
 
     fn spec(text: &str) -> Result<JobSpec, SpecError> {
         JobSpec::from_json(&json::parse(text).unwrap())
@@ -1623,5 +1624,288 @@ mod tests {
         }
         // fea has no Monte Carlo; the key stays unknown there.
         assert!(spec(r#"{"kind":"fea","variation":{}}"#).is_err());
+    }
+
+    /// Every key the spec grammar knows, top-level and nested, plus one it
+    /// does not.
+    const SPEC_KEYS: &[&str] = &[
+        "schema",
+        "kind",
+        "array",
+        "pattern",
+        "criterion",
+        "trials",
+        "seed",
+        "threads",
+        "target_ci",
+        "current_density",
+        "variation",
+        "edge_current_factor",
+        "temperature_sigma_c",
+        "linewidth_sigma",
+        "variance_analysis",
+        "grid_trials",
+        "benchmark",
+        "netlist",
+        "repair_vias",
+        "screening",
+        "top_k",
+        "stress_threshold",
+        "solver",
+        "ordering",
+        "supernodal",
+        "kernels",
+        "method",
+        "resolution",
+        "use_cache",
+        "vias",
+    ];
+
+    /// Every label the grammar accepts somewhere, plus near misses.
+    const SPEC_LABELS: &[&str] = &[
+        "characterize",
+        "analyze",
+        "fea",
+        "1x1",
+        "4x4",
+        "8x8",
+        "3x3",
+        "plus",
+        "tee",
+        "ell",
+        "wl",
+        "r2x",
+        "rinf",
+        "pg1",
+        "pg100k",
+        "pg1m",
+        "pg9",
+        "natural",
+        "rcm",
+        "amd",
+        "nd",
+        "auto",
+        "direct",
+        "cg",
+        "scalar",
+        "blocked",
+        "V1 a 0 1\nR1 a b 1\nRv n1_0_0 n3_0_0 0.5\n",
+        "",
+    ];
+
+    /// Numbers at and around every bound the validators check.
+    const SPEC_NUMBERS: &[f64] = &[
+        0.0,
+        -0.0,
+        1.0,
+        2.0,
+        -1.0,
+        0.5,
+        0.04,
+        0.25,
+        5.0,
+        5.1,
+        3.7,
+        64.0,
+        65.0,
+        400.0,
+        2000.0,
+        1e6,
+        1e6 + 1.0,
+        1e10,
+        2e10,
+        9.007_199_254_740_993e15,
+        1e300,
+        -1e300,
+        1e-300,
+        5e-324,
+    ];
+
+    fn pick<'a, T>(rng: &mut TestRng, items: &'a [T]) -> &'a T {
+        &items[rng.next_below(items.len() as u64) as usize]
+    }
+
+    /// A value biased towards what some key of the grammar accepts: a
+    /// label, a boundary number, a boolean, or a nested block of spec keys.
+    fn spec_value(rng: &mut TestRng, depth: usize) -> Json {
+        match rng.next_below(if depth == 0 { 6 } else { 7 }) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.next_below(2) == 0),
+            2 | 3 => Json::n(*pick(rng, SPEC_NUMBERS)),
+            4 => Json::s(*pick(rng, SPEC_LABELS)),
+            5 => Json::Arr(vec![Json::n(*pick(rng, SPEC_NUMBERS))]),
+            _ => spec_object(rng, depth - 1),
+        }
+    }
+
+    fn spec_object(rng: &mut TestRng, depth: usize) -> Json {
+        Json::Obj(
+            (0..rng.next_below(7))
+                .map(|_| (pick(rng, SPEC_KEYS).to_string(), spec_value(rng, depth)))
+                .collect(),
+        )
+    }
+
+    /// A document that usually names a real kind, so the generated keys
+    /// reach that kind's validators.
+    fn spec_document(rng: &mut TestRng) -> Json {
+        let mut doc = match spec_object(rng, 2) {
+            Json::Obj(pairs) => pairs,
+            _ => unreachable!("spec_object builds objects"),
+        };
+        if rng.next_below(8) != 0 {
+            let kind = *pick(rng, &["characterize", "analyze", "fea"]);
+            doc.retain(|(k, _)| k != "kind");
+            doc.insert(0, ("kind".into(), Json::s(kind)));
+            if kind == "analyze" && rng.next_below(4) != 0 {
+                doc.retain(|(k, _)| k != "benchmark" && k != "netlist");
+                doc.push(("benchmark".into(), Json::s("pg1")));
+            }
+        }
+        Json::Obj(doc)
+    }
+
+    /// The job blocks of the committed sweep manifests and a spread of
+    /// canonical documents: the starting points the mangler damages.
+    fn committed_specs() -> Vec<String> {
+        let sweeps = [
+            include_str!("../../../examples/sweeps/fig08.json"),
+            include_str!("../../../examples/sweeps/fig09.json"),
+            include_str!("../../../examples/sweeps/screen_topk.json"),
+            include_str!("../../../examples/sweeps/smoke.json"),
+            include_str!("../../../examples/sweeps/variation_edge.json"),
+        ];
+        let mut specs: Vec<String> = sweeps
+            .iter()
+            .map(|text| json::parse(text).unwrap().get("job").unwrap().to_string())
+            .collect();
+        specs.extend(
+            [
+                r#"{"schema":1,"kind":"characterize","target_ci":0.05,"current_density":2e10}"#,
+                r#"{"kind":"analyze","netlist":"V1 a 0 1\nR1 a b 1\n","repair_vias":0.5}"#,
+                r#"{"kind":"analyze","benchmark":"pg1","solver":{"ordering":"nd","method":"cg","kernels":"scalar"}}"#,
+                r#"{"kind":"fea","array":"8x8","resolution":0.4,"use_cache":false,"solver":{"ordering":"rcm"}}"#,
+            ]
+            .map(String::from),
+        );
+        specs
+    }
+
+    /// Damages a committed spec: half the time one field of the parsed
+    /// document is dropped, replaced or joined by a generated one (so the
+    /// damage reaches the field validators); otherwise the text itself is
+    /// cut, grows a key or punctuation token, or has a byte overwritten.
+    fn mangle(rng: &mut TestRng, text: &str) -> String {
+        const PUNCT: &[&str] = &[
+            "{", "}", "[", "]", ":", ",", "\"", "\\", "-", "e", "0", "9", ".",
+        ];
+        if rng.next_below(2) == 0 {
+            let Ok(Json::Obj(mut pairs)) = json::parse(text) else {
+                unreachable!("committed specs are objects")
+            };
+            let at = rng.next_below(pairs.len() as u64 + 1) as usize;
+            match rng.next_below(3) {
+                0 if at < pairs.len() => drop(pairs.remove(at)),
+                1 if at < pairs.len() => pairs[at].1 = spec_value(rng, 1),
+                _ => pairs.insert(at, (pick(rng, SPEC_KEYS).to_string(), spec_value(rng, 1))),
+            }
+            return Json::Obj(pairs).to_string();
+        }
+        let mut bytes = text.as_bytes().to_vec();
+        let at = rng.next_below(bytes.len() as u64 + 1) as usize;
+        match rng.next_below(4) {
+            0 => {
+                let end = (at + 1 + rng.next_below(12) as usize).min(bytes.len());
+                bytes.drain(at.min(end)..end);
+            }
+            1 => {
+                let token = format!("\"{}\"", pick(rng, SPEC_KEYS));
+                bytes.splice(at..at, token.into_bytes());
+            }
+            2 => {
+                let token = pick(rng, PUNCT).as_bytes().to_vec();
+                bytes.splice(at..at, token);
+            }
+            _ => {
+                if at < bytes.len() {
+                    bytes[at] = rng.next_below(256) as u8;
+                }
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    /// The properties every document must meet: parsing never panics, an
+    /// accepted spec resolves, and its canonical form parses back to the
+    /// same spec and the same bytes.
+    fn check_spec(doc: &Json) -> Result<(), TestCaseError> {
+        let Ok(spec) = JobSpec::from_json(doc) else {
+            return Ok(());
+        };
+        prop_assert!(spec.resolve().is_ok(), "accepted but unresolvable: {doc}");
+        let canonical = spec.to_json();
+        let again = JobSpec::from_json(&canonical);
+        prop_assert_eq!(again.as_ref(), Ok(&spec));
+        let bytes = canonical.to_string();
+        prop_assert_eq!(again.unwrap().to_json().to_string(), bytes.clone());
+        // The text form round-trips through the JSON parser too.
+        prop_assert_eq!(JobSpec::from_json(&json::parse(&bytes).unwrap()), Ok(spec));
+        Ok(())
+    }
+
+    #[test]
+    fn generators_reach_accepted_specs() {
+        // The properties below are only as strong as the share of cases
+        // that get past validation: keep both generators well above zero.
+        let mut rng = TestRng::from_name("spec-coverage");
+        let specs = committed_specs();
+        let (mut generated, mut mangled) = (0, 0);
+        for _ in 0..1000 {
+            generated += usize::from(JobSpec::from_json(&spec_document(&mut rng)).is_ok());
+            let base = pick(&mut rng, &specs).clone();
+            let text = mangle(&mut rng, &base);
+            mangled +=
+                usize::from(json::parse(&text).is_ok_and(|doc| JobSpec::from_json(&doc).is_ok()));
+        }
+        assert!(
+            generated >= 50,
+            "{generated} of 1000 generated documents accepted"
+        );
+        assert!(
+            mangled >= 50,
+            "{mangled} of 1000 mangled documents accepted"
+        );
+    }
+
+    #[test]
+    fn committed_specs_are_accepted() {
+        for text in committed_specs() {
+            let doc = json::parse(&text).unwrap();
+            assert!(JobSpec::from_json(&doc).is_ok(), "{text}");
+            check_spec(&doc).unwrap();
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+        #[test]
+        fn generated_documents_never_panic_and_accepted_ones_round_trip(
+            doc in FnStrategy(spec_document),
+        ) {
+            check_spec(&doc)?;
+        }
+
+        #[test]
+        fn mangled_committed_specs_never_panic_and_accepted_ones_round_trip(
+            text in FnStrategy(|rng: &mut TestRng| {
+                let specs = committed_specs();
+                let base = pick(rng, &specs).clone();
+                mangle(rng, &base)
+            }),
+        ) {
+            if let Ok(doc) = json::parse(&text) {
+                check_spec(&doc)?;
+            }
+        }
     }
 }

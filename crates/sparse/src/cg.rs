@@ -2,10 +2,14 @@
 //!
 //! The finite-element systems produced when characterizing via-array stress
 //! can reach hundreds of thousands of unknowns, and chip-scale power grids
-//! millions; CG preconditioned by the zero-fill incomplete Cholesky factor
-//! ([`Ic0`], the default) keeps memory linear in the number of nonzeros
-//! where a direct factorization would fill in.
+//! millions; CG keeps memory linear in the number of nonzeros where a
+//! direct factorization would fill in. Grid solves take the default
+//! smoothed-aggregation AMG V-cycle ([`Amg`]), whose iteration count grows
+//! far more slowly with the grid than IC(0)'s; the elasticity systems of
+//! the FEA engine name the zero-fill incomplete Cholesky factor ([`Ic0`])
+//! instead.
 
+use crate::amg::Amg;
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
 use crate::ic0::Ic0;
@@ -20,9 +24,14 @@ pub enum Preconditioner {
     Jacobi,
     /// Zero-fill incomplete Cholesky ([`Ic0`]) — costs one structured
     /// factorization up front, typically cuts iteration counts several-fold
-    /// on FEM/grid matrices (the default).
-    #[default]
+    /// on FEM matrices. The FEA engine's choice for elasticity.
     IncompleteCholesky,
+    /// One smoothed-aggregation AMG V-cycle ([`Amg`]) — built for scalar
+    /// matrices whose near-null space is the constant vector (grid
+    /// conductance matrices); a few tens of iterations at chip scale (the
+    /// default).
+    #[default]
+    SmoothedAggregation,
 }
 
 /// Options controlling [`conjugate_gradient`].
@@ -32,7 +41,7 @@ pub struct CgOptions {
     pub tolerance: f64,
     /// Hard iteration cap.
     pub max_iterations: usize,
-    /// Preconditioner (default: IC(0)).
+    /// Preconditioner (default: smoothed-aggregation AMG).
     pub preconditioner: Preconditioner,
     /// Worker threads for the SpMV / dot / axpy kernels (default 1).
     ///
@@ -62,14 +71,13 @@ pub struct CgOutcome {
     pub iterations: usize,
     /// Final relative residual.
     pub residual: f64,
-    /// Wall time spent building the preconditioner (the IC(0)
-    /// factorization for [`Preconditioner::IncompleteCholesky`]; near
-    /// zero for Jacobi).
+    /// Wall time spent building the preconditioner (the AMG hierarchy
+    /// or the IC(0) factorization; near zero for Jacobi).
     pub precond_time: Duration,
 }
 
-/// Solves the SPD system `A x = b` by preconditioned CG (IC(0) unless
-/// `options` picks Jacobi).
+/// Solves the SPD system `A x = b` by preconditioned CG (smoothed-
+/// aggregation AMG unless `options` picks another preconditioner).
 ///
 /// `x0` provides a warm start; pass `None` to start from zero.
 ///
@@ -127,13 +135,14 @@ pub fn conjugate_gradient(
         });
     }
 
-    enum Prec {
+    enum Prec<'a> {
         Diagonal(Vec<f64>),
         Ic(Box<Ic0>),
+        Amg(Box<Amg<'a>>),
     }
     let precond_span = obs::span("precondition");
     let precond_start = Instant::now();
-    let prec = match options.preconditioner {
+    let mut prec = match options.preconditioner {
         Preconditioner::Jacobi => Prec::Diagonal(
             (0..n)
                 .map(|i| {
@@ -147,14 +156,16 @@ pub fn conjugate_gradient(
                 .collect(),
         ),
         Preconditioner::IncompleteCholesky => Prec::Ic(Box::new(Ic0::factor(a)?)),
+        Preconditioner::SmoothedAggregation => Prec::Amg(Box::new(Amg::setup(a, threads)?)),
     };
     let precond_time = precond_start.elapsed();
     drop(precond_span);
     // Writes z = M⁻¹ r into a buffer reused across iterations.
-    let apply_prec = |r: &[f64], z: &mut [f64]| match &prec {
+    let mut apply_prec = |r: &[f64], z: &mut [f64]| match &mut prec {
         Prec::Diagonal(d) => parallel_fill(z, VEC_CHUNK, threads, |i, zi| *zi = r[i] * d[i]),
         // Triangular solves are inherently sequential across rows.
         Prec::Ic(f) => f.apply_into(r, z),
+        Prec::Amg(m) => m.apply_into(r, z),
     };
 
     let mut x = match x0 {
@@ -280,11 +291,14 @@ mod tests {
 
     #[test]
     fn iteration_cap_is_reported() {
+        // IC(0) by name: at this size the AMG default is an exact solve
+        // and would converge in one iteration.
         let a = laplacian_2d(10, 10);
         let b = vec![1.0; 100];
         let opts = CgOptions {
             tolerance: 1e-14,
             max_iterations: 2,
+            preconditioner: Preconditioner::IncompleteCholesky,
             ..CgOptions::default()
         };
         let err = conjugate_gradient(&a, &b, None, &opts).unwrap_err();
@@ -356,31 +370,66 @@ mod tests {
 
     #[test]
     fn solve_is_bit_identical_across_thread_counts() {
-        let a = laplacian_2d(20, 20);
-        let b: Vec<f64> = (0..400).map(|i| ((i * 11) % 17) as f64 - 8.0).collect();
-        let run = |threads| {
+        // 48×40 is past the AMG coarse-level size, so the default runs
+        // real V-cycles (several levels, many row chunks per level).
+        let a = laplacian_2d(48, 40);
+        let b: Vec<f64> = (0..a.rows())
+            .map(|i| ((i * 11) % 17) as f64 - 8.0)
+            .collect();
+        for preconditioner in [
+            Preconditioner::SmoothedAggregation,
+            Preconditioner::IncompleteCholesky,
+            Preconditioner::Jacobi,
+        ] {
+            let run = |threads| {
+                conjugate_gradient(
+                    &a,
+                    &b,
+                    None,
+                    &CgOptions {
+                        preconditioner,
+                        threads,
+                        ..CgOptions::default()
+                    },
+                )
+                .unwrap()
+            };
+            let seq = run(1);
+            assert!(seq.iterations > 1, "{preconditioner:?}");
+            for threads in [2, 8] {
+                let par = run(threads);
+                let label = format!("{preconditioner:?}, threads = {threads}");
+                assert_eq!(par.iterations, seq.iterations, "{label}");
+                assert_eq!(par.residual.to_bits(), seq.residual.to_bits(), "{label}");
+                assert_eq!(par.x, seq.x, "{label}");
+            }
+        }
+    }
+
+    #[test]
+    fn smoothed_aggregation_cuts_iterations_below_ic0() {
+        let a = laplacian_2d(64, 64);
+        let b: Vec<f64> = (0..a.rows()).map(|i| ((i * 13) % 7) as f64 - 3.0).collect();
+        let run = |preconditioner| {
             conjugate_gradient(
                 &a,
                 &b,
                 None,
                 &CgOptions {
-                    threads,
+                    preconditioner,
                     ..CgOptions::default()
                 },
             )
             .unwrap()
         };
-        let seq = run(1);
-        for threads in [2, 8] {
-            let par = run(threads);
-            assert_eq!(par.iterations, seq.iterations, "threads = {threads}");
-            assert_eq!(
-                par.residual.to_bits(),
-                seq.residual.to_bits(),
-                "threads = {threads}"
-            );
-            assert_eq!(par.x, seq.x, "threads = {threads}");
-        }
+        let amg = run(Preconditioner::SmoothedAggregation);
+        let ic = run(Preconditioner::IncompleteCholesky);
+        assert!(
+            amg.iterations * 2 < ic.iterations,
+            "amg {} vs ic {} iterations",
+            amg.iterations,
+            ic.iterations
+        );
     }
 
     proptest! {

@@ -49,6 +49,7 @@
 // these numerical kernels; silence clippy's iterator suggestion crate-wide.
 #![allow(clippy::needless_range_loop)]
 
+pub mod amg;
 pub mod cg;
 pub mod coo;
 pub mod csr;
@@ -63,6 +64,7 @@ pub(crate) mod panel;
 pub mod smw;
 pub(crate) mod supernodal;
 
+pub use amg::Amg;
 pub use cg::{conjugate_gradient, CgOptions, CgOutcome, Preconditioner};
 pub use coo::TripletMatrix;
 pub use csr::CsrMatrix;

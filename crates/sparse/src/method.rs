@@ -1,9 +1,10 @@
 //! Direct-vs-iterative method selection for SPD solves.
 //!
 //! Small and medium meshes favor the supernodal LDLᵀ factorization (one
-//! factor, many cheap triangular solves); chip-scale grids favor IC(0)-
-//! preconditioned CG, whose memory stays linear in `nnz` where a direct
-//! factor's fill does not. [`Method`] names the choice the way
+//! factor, many cheap triangular solves); chip-scale grids favor CG
+//! preconditioned by a smoothed-aggregation AMG V-cycle ([`crate::amg`]),
+//! whose memory stays linear in `nnz` where a direct factor's fill does
+//! not. [`Method`] names the choice the way
 //! [`crate::ldl::Ordering`] names orderings — `auto`, `direct` or `cg` —
 //! and [`Method::resolve`] turns `Auto` into a concrete engine from the
 //! matrix dimension alone, so every knob surface (CLI, job specs, screen
@@ -15,9 +16,9 @@ use crate::error::SparseError;
 use crate::ldl::{FactorOptions, LdlFactor};
 
 /// Above this many unknowns `Auto` switches from the direct factorization
-/// to IC(0)-CG. The crossover is memory-driven: a dissected power-grid
-/// factor holds roughly `30–60·n` nonzeros, so by 200k unknowns the factor
-/// alone outweighs the matrix by an order of magnitude while IC(0)-CG
+/// to AMG-preconditioned CG. The crossover is memory-driven: a dissected
+/// power-grid factor holds roughly `30–60·n` nonzeros, so by 200k unknowns
+/// the factor alone outweighs the matrix by an order of magnitude while CG
 /// keeps working in `O(nnz)`.
 pub const AUTO_DIRECT_LIMIT: usize = 200_000;
 
@@ -30,7 +31,8 @@ pub enum Method {
     Auto,
     /// Supernodal LDLᵀ via [`LdlFactor::factor_with`].
     Direct,
-    /// IC(0)-preconditioned conjugate gradients.
+    /// Preconditioned conjugate gradients under [`CgOptions`] (the
+    /// smoothed-aggregation AMG V-cycle by default).
     Cg,
 }
 
@@ -68,7 +70,7 @@ impl Method {
 /// Solves the SPD system `A x = b` with the engine `method` resolves to.
 ///
 /// The direct path factors with `factor` and runs one triangular solve;
-/// the CG path runs CG under `cg` (IC(0)-preconditioned by default).
+/// the CG path runs CG under `cg` (AMG-preconditioned by default).
 ///
 /// # Errors
 ///

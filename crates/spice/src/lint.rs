@@ -206,19 +206,20 @@ fn is_via(netlist: &Netlist, a: Node, b: Node) -> bool {
     }
 }
 
-/// Minimal union-find.
-struct Dsu {
+/// Minimal union-find (shared with the MNA builder's floating-island
+/// check).
+pub(crate) struct Dsu {
     parent: Vec<usize>,
 }
 
 impl Dsu {
-    fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Dsu {
             parent: (0..n).collect(),
         }
     }
 
-    fn find(&mut self, mut x: usize) -> usize {
+    pub(crate) fn find(&mut self, mut x: usize) -> usize {
         while self.parent[x] != x {
             self.parent[x] = self.parent[self.parent[x]];
             x = self.parent[x];
@@ -226,7 +227,7 @@ impl Dsu {
         x
     }
 
-    fn union(&mut self, a: usize, b: usize) {
+    pub(crate) fn union(&mut self, a: usize, b: usize) {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra != rb {
             self.parent[ra] = rb;

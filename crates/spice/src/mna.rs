@@ -12,6 +12,7 @@ use std::fmt;
 
 use emgrid_sparse::{CsrMatrix, FactorOptions, LdlFactor, SparseError, TripletMatrix};
 
+use crate::lint::Dsu;
 use crate::netlist::{Element, Netlist, Node};
 
 /// Errors from building or solving the MNA system.
@@ -22,8 +23,11 @@ pub enum MnaError {
     UnsupportedSource(String),
     /// A node is pinned to two different voltages.
     ConflictingPins(String),
-    /// The conductance matrix is singular — some node has no resistive path
-    /// to a pad or ground.
+    /// A node has no resistive path to a pad or ground, so its voltage is
+    /// undefined (the lowest-numbered such node is named).
+    Floating(String),
+    /// The linear solve failed: the conductance matrix is not numerically
+    /// positive definite, or CG did not converge.
     Singular(SparseError),
     /// The deck has no unknowns to solve for.
     Empty,
@@ -37,6 +41,9 @@ impl fmt::Display for MnaError {
             }
             MnaError::ConflictingPins(n) => {
                 write!(f, "node `{n}` pinned to conflicting voltages")
+            }
+            MnaError::Floating(n) => {
+                write!(f, "node `{n}` has no resistive path to a pad or ground")
             }
             MnaError::Singular(e) => write!(f, "conductance matrix is singular: {e}"),
             MnaError::Empty => write!(f, "netlist has no solvable nodes"),
@@ -78,8 +85,14 @@ impl DcAnalysis {
     /// # Errors
     ///
     /// Returns [`MnaError::UnsupportedSource`] or
-    /// [`MnaError::ConflictingPins`] for malformed sources, and
-    /// [`MnaError::Empty`] when nothing is solvable.
+    /// [`MnaError::ConflictingPins`] for malformed sources,
+    /// [`MnaError::Empty`] when nothing is solvable, and
+    /// [`MnaError::Floating`] when some unknown has no resistive path to a
+    /// pinned node. That check is structural, so a floating island fails
+    /// here whichever engine would have solved the system: the direct
+    /// factor would meet a zero pivot, and CG would return an unloaded
+    /// island's zero start as its voltage (or not converge on a loaded
+    /// one).
     pub fn new(netlist: &Netlist) -> Result<Self, MnaError> {
         let nn = netlist.node_count();
         let mut pinned: Vec<Option<f64>> = vec![None; nn];
@@ -143,6 +156,9 @@ impl DcAnalysis {
                 },
             }
         };
+        // Components of the conducting graph over the unknowns, with slot
+        // `n` standing for every pinned node (and ground).
+        let mut islands = Dsu::new(n + 1);
         for e in netlist.elements() {
             match e {
                 Element::Resistor { a, b, value, .. } => {
@@ -153,11 +169,17 @@ impl DcAnalysis {
                             g.push(j, j, cond);
                             g.push(i, j, -cond);
                             g.push(j, i, -cond);
+                            if cond != 0.0 {
+                                islands.union(i, j);
+                            }
                         }
                         (NodeClass::Unknown(i), NodeClass::Fixed(v))
                         | (NodeClass::Fixed(v), NodeClass::Unknown(i)) => {
                             g.push(i, i, cond);
                             rhs[i] += cond * v;
+                            if cond != 0.0 {
+                                islands.union(i, n);
+                            }
                         }
                         (NodeClass::Fixed(_), NodeClass::Fixed(_)) => {}
                     }
@@ -174,6 +196,12 @@ impl DcAnalysis {
                 }
                 Element::VoltageSource { .. } => {}
             }
+        }
+        let anchored = islands.find(n);
+        if let Some(i) = (0..n).find(|&i| islands.find(i) != anchored) {
+            return Err(MnaError::Floating(
+                netlist.node_name(unknown_node[i]).to_owned(),
+            ));
         }
 
         Ok(DcAnalysis {
@@ -217,25 +245,25 @@ impl DcAnalysis {
     ///
     /// # Errors
     ///
-    /// Returns [`MnaError::Singular`] when a node floats (no path to any
-    /// pad).
+    /// Returns [`MnaError::Singular`] when the factorization meets a
+    /// non-positive pivot.
     pub fn solve(&self) -> Result<DcSolution, MnaError> {
         self.solve_with(&FactorOptions::default())
     }
 
     /// [`DcAnalysis::solve`] with the engine picked by problem size:
-    /// direct factorization below the auto crossover, IC(0)-CG above it —
-    /// a chip-scale grid's operating point stays `O(nnz)` in time and
-    /// memory instead of paying a million-unknown factor's fill.
+    /// direct factorization below the auto crossover, AMG-preconditioned
+    /// CG above it — a chip-scale grid's operating point stays `O(nnz)` in
+    /// time and memory instead of paying a million-unknown factor's fill.
     ///
     /// Below the crossover this is bit-identical to [`DcAnalysis::solve`]
     /// (same factorization, same options); above it the CG solution is
-    /// deterministic for any thread count or kernel backend.
+    /// deterministic for any thread count.
     ///
     /// # Errors
     ///
-    /// Returns [`MnaError::Singular`] when a node floats (no path to any
-    /// pad).
+    /// Returns [`MnaError::Singular`] when either engine fails (a
+    /// non-positive pivot, or CG not converging).
     pub fn solve_auto(&self) -> Result<DcSolution, MnaError> {
         let x = emgrid_sparse::solve_spd(
             &self.matrix,
@@ -247,12 +275,12 @@ impl DcAnalysis {
         Ok(self.solution_from_unknowns(&x))
     }
 
-    /// [`DcSystem::solve`] with explicit factorization options.
+    /// [`DcAnalysis::solve`] with explicit factorization options.
     ///
     /// # Errors
     ///
-    /// Returns [`MnaError::Singular`] when a node floats (no path to any
-    /// pad).
+    /// Returns [`MnaError::Singular`] when the factorization meets a
+    /// non-positive pivot.
     pub fn solve_with(&self, opts: &FactorOptions) -> Result<DcSolution, MnaError> {
         let factor = LdlFactor::factor_with(&self.matrix, opts)?;
         let x = factor.solve(&self.rhs);
@@ -372,10 +400,24 @@ I3 n3 0 0.001
     }
 
     #[test]
-    fn floating_node_is_reported_singular() {
-        let n = parse("V1 a 0 1.0\nR1 a b 1.0\nR2 c d 1.0\n").unwrap();
-        let err = DcAnalysis::new(&n).unwrap().solve().unwrap_err();
-        assert!(matches!(err, MnaError::Singular(_)));
+    fn floating_island_is_reported_by_name() {
+        // `c`–`d` conduct only between themselves; `e` is touched by a
+        // load alone. Both float; the first island is named.
+        let n = parse("V1 a 0 1.0\nR1 a b 1.0\nR2 c d 1.0\nI1 e 0 1m\n").unwrap();
+        let err = DcAnalysis::new(&n).unwrap_err();
+        assert_eq!(err, MnaError::Floating("c".into()));
+        assert_eq!(
+            err.to_string(),
+            "node `c` has no resistive path to a pad or ground"
+        );
+        let n = parse("V1 a 0 1.0\nR1 a b 1.0\nI1 e 0 1m\n").unwrap();
+        assert_eq!(
+            DcAnalysis::new(&n).unwrap_err(),
+            MnaError::Floating("e".into())
+        );
+        // A chain reaching a pad only through other unknowns is anchored.
+        let n = parse("V1 a 0 1.0\nR1 b c 1.0\nR2 c d 1.0\nR3 d a 1.0\n").unwrap();
+        assert!(DcAnalysis::new(&n).is_ok());
     }
 
     #[test]

@@ -431,3 +431,49 @@ fn ic0_factor_and_cg_bits_are_pinned() {
         );
     }
 }
+
+/// Pins the smoothed-aggregation AMG hierarchy and the AMG-CG solve on the
+/// conductance matrix of a generated three-layer stack (the chip-scale
+/// profiles' structure, 5,760 unknowns): the level sizes, one V-cycle's
+/// output, and the solution, iteration count and residual at every thread
+/// count. Any reordering of the aggregation, the Galerkin products or the
+/// smoother's arithmetic fails here.
+#[test]
+fn amg_hierarchy_and_cg_bits_are_pinned() {
+    use emgrid::sparse::{conjugate_gradient, Amg, CgOptions};
+    use emgrid::spice::DcAnalysis;
+
+    let netlist = GridSpec {
+        layers: 3,
+        ..GridSpec::custom("amg", 48, 40)
+    }
+    .generate();
+    let dc = DcAnalysis::new(&netlist).unwrap();
+    let (a, b) = (dc.matrix(), dc.rhs());
+    for threads in [1, 2, 8] {
+        let label = format!("threads = {threads}");
+        let mut amg = Amg::setup(a, threads).unwrap();
+        let cycle = fnv1a(amg.apply(b).iter().map(|v| v.to_bits()));
+        let out = conjugate_gradient(
+            a,
+            b,
+            None,
+            &CgOptions {
+                threads,
+                ..CgOptions::default()
+            },
+        )
+        .unwrap();
+        let digest = fnv1a(
+            out.x
+                .iter()
+                .map(|v| v.to_bits())
+                .chain([out.iterations as u64, out.residual.to_bits()]),
+        );
+        assert_eq!(amg.level_sizes(), &[5760, 1280, 49], "{label}");
+        assert_eq!(cycle, 0xce91_6a26_26e2_6fa4, "AMG V-cycle moved: {label}");
+        assert_eq!(out.iterations, 17, "{label}");
+        assert_eq!(out.residual.to_bits(), 0x3dd2_3c51_d816_b7f5, "{label}");
+        assert_eq!(digest, 0xd214_2b5f_7e41_fe6b, "AMG-CG solve moved: {label}");
+    }
+}
