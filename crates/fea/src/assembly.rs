@@ -226,6 +226,76 @@ pub fn assemble_with(
         (dofs, count)
     };
 
+    // Neighbor `t = 9(z+1) + 3(y+1) + (x+1)` sits at grid offset
+    // (x, y, z) ∈ {-1, 0, 1}³; ascending `t` is ascending node order, hence
+    // ascending column order.
+    let neighbor = |la: usize, lb: usize| {
+        let (a, b) = (HEX_CORNERS[la], HEX_CORNERS[lb]);
+        9 * (1 + b[2] - a[2]) + 3 * (1 + b[1] - a[1]) + (1 + b[0] - a[0])
+    };
+    let neighbor_node =
+        |node: usize, t: usize| node + t / 9 * plane + t / 3 % 3 * npx + t % 3 - plane - npx - 1;
+    // A node's incident occupied cells in ascending cell order, each with
+    // the node's local index in it and the cell's lowest node, and the
+    // neighbors those cells couple it to.
+    let incident = |node: usize| {
+        let (i, j, k) = (node % npx, (node / npx) % npy, node / plane);
+        let mut cells = [(0usize, 0usize, 0usize); 8];
+        let mut ncells = 0;
+        for ck in k.saturating_sub(1)..=k.min(nz - 1) {
+            for cj in j.saturating_sub(1)..=j.min(ny - 1) {
+                for ci in i.saturating_sub(1)..=i.min(nx - 1) {
+                    let e = cell_element[(ck * ny + cj) * nx + ci];
+                    if e != u32::MAX {
+                        let la = LOCAL[(i - ci) + 2 * (j - cj) + 4 * (k - ck)];
+                        let origin = (ck * npy + cj) * npx + ci;
+                        cells[ncells] = (e as usize, la, origin);
+                        ncells += 1;
+                    }
+                }
+            }
+        }
+        let mut coupled = [false; 27];
+        for &(_, la, _) in &cells[..ncells] {
+            for lb in 0..8 {
+                coupled[neighbor(la, lb)] = true;
+            }
+        }
+        (cells, ncells, coupled)
+    };
+
+    // Count the nonzeros first and allocate the output before the chunk
+    // buffers: freed above it, the buffers leave no hole the heap cannot
+    // return to the system.
+    let nnz = emgrid_runtime::parallel_reduce(
+        mesh.node_count(),
+        NODE_CHUNK,
+        threads,
+        |_, nodes| {
+            nodes
+                .map(|node| {
+                    let nrows = free_dofs(node).1;
+                    if nrows == 0 {
+                        return 0;
+                    }
+                    let (_, _, coupled) = incident(node);
+                    let len: usize = (0..27)
+                        .filter(|&t| coupled[t])
+                        .map(|t| free_dofs(neighbor_node(node, t)).1)
+                        .sum();
+                    nrows * len
+                })
+                .sum::<usize>()
+        },
+        |a, b| a + b,
+    )
+    .unwrap_or(0);
+    let mut row_ptr = Vec::with_capacity(n + 1);
+    row_ptr.push(0);
+    let mut col_idx = Vec::with_capacity(nnz);
+    let mut values = Vec::with_capacity(nnz);
+    let mut f = Vec::with_capacity(n);
+
     let chunks =
         emgrid_runtime::parallel_map_chunks(mesh.node_count(), NODE_CHUNK, threads, |_, nodes| {
             let mut lens: Vec<usize> = Vec::with_capacity(3 * nodes.len());
@@ -237,44 +307,13 @@ pub fn assemble_with(
                 if nrows == 0 {
                     continue;
                 }
-                let (i, j, k) = (node % npx, (node / npx) % npy, node / plane);
-                // Incident occupied cells in ascending cell order, each with
-                // the node's local index in it and the cell's lowest node.
-                let mut cells = [(0usize, 0usize, 0usize); 8];
-                let mut ncells = 0;
-                for ck in k.saturating_sub(1)..=k.min(nz - 1) {
-                    for cj in j.saturating_sub(1)..=j.min(ny - 1) {
-                        for ci in i.saturating_sub(1)..=i.min(nx - 1) {
-                            let e = cell_element[(ck * ny + cj) * nx + ci];
-                            if e != u32::MAX {
-                                let la = LOCAL[(i - ci) + 2 * (j - cj) + 4 * (k - ck)];
-                                let origin = (ck * npy + cj) * npx + ci;
-                                cells[ncells] = (e as usize, la, origin);
-                                ncells += 1;
-                            }
-                        }
-                    }
-                }
-                // Neighbor `t = 9(z+1) + 3(y+1) + (x+1)` sits at grid offset
-                // (x, y, z) ∈ {-1, 0, 1}³; ascending `t` is ascending node
-                // order, hence ascending column order.
-                let neighbor = |la: usize, lb: usize| {
-                    let (a, b) = (HEX_CORNERS[la], HEX_CORNERS[lb]);
-                    9 * (1 + b[2] - a[2]) + 3 * (1 + b[1] - a[1]) + (1 + b[0] - a[0])
-                };
-                let mut coupled = [false; 27];
-                for &(_, la, _) in &cells[..ncells] {
-                    for lb in 0..8 {
-                        coupled[neighbor(la, lb)] = true;
-                    }
-                }
+                let (cells, ncells, coupled) = incident(node);
                 // Row slot of each coupled neighbor's first free DOF.
                 let mut slot = [0usize; 27];
                 let first_col = cols.len();
                 for t in (0..27).filter(|&t| coupled[t]) {
                     slot[t] = cols.len() - first_col;
-                    let m = node + t / 9 * plane + t / 3 % 3 * npx + t % 3 - plane - npx - 1;
-                    let (dofs, count) = free_dofs(m);
+                    let (dofs, count) = free_dofs(neighbor_node(node, t));
                     cols.extend(dofs[..count].iter().map(|&(_, eq)| eq));
                 }
                 let len = cols.len() - first_col;
@@ -308,12 +347,6 @@ pub fn assemble_with(
             (lens, cols, vals, load)
         });
 
-    let nnz: usize = chunks.iter().map(|c| c.1.len()).sum();
-    let mut row_ptr = Vec::with_capacity(n + 1);
-    row_ptr.push(0);
-    let mut col_idx = Vec::with_capacity(nnz);
-    let mut values = Vec::with_capacity(nnz);
-    let mut f = Vec::with_capacity(n);
     for (lens, cols, vals, load) in chunks {
         for len in lens {
             row_ptr.push(row_ptr[row_ptr.len() - 1] + len);
@@ -322,6 +355,7 @@ pub fn assemble_with(
         values.extend_from_slice(&vals);
         f.extend_from_slice(&load);
     }
+    debug_assert_eq!(col_idx.len(), nnz);
     AssembledSystem {
         stiffness: CsrMatrix::from_parts(n, n, row_ptr, col_idx, values),
         load: f,

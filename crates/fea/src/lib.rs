@@ -60,6 +60,7 @@ pub mod geometry;
 pub mod material;
 pub mod mesh;
 pub mod model;
+mod rigid;
 pub mod stress;
 pub mod verification;
 

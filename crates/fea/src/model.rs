@@ -7,11 +7,14 @@ use std::time::{Duration, Instant};
 
 use emgrid_runtime::obs;
 use emgrid_sparse::{
-    conjugate_gradient, CgOptions, FactorOptions, LdlFactor, Ordering, Preconditioner, SparseError,
+    deflated_conjugate_gradient, CgOptions, Deflation, FactorOptions, LdlFactor, Ordering,
+    Preconditioner, SparseError,
 };
 
 use crate::assembly::{assemble_with, AssembledSystem};
 use crate::geometry::CharacterizationModel;
+use crate::mesh::HexMesh;
+use crate::rigid::rigid_body_basis;
 use crate::stress::StressField;
 
 /// Errors from the finite-element pipeline.
@@ -50,14 +53,16 @@ impl From<SparseError> for FeaError {
 /// Linear solver selection for the assembled system.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SolveMethod {
-    /// Direct LDLᵀ below `direct_limit` unknowns, conjugate gradient above.
+    /// Direct LDLᵀ below `direct_limit` unknowns, the deflated CG of
+    /// [`SolveMethod::Iterative`] (to a 1e-7 relative residual) above.
     Auto {
         /// Largest system solved directly.
         direct_limit: usize,
     },
     /// Always use the sparse direct factorization.
     Direct,
-    /// Always use IC(0)-preconditioned conjugate gradient.
+    /// Always use IC(0)-preconditioned conjugate gradient, deflated by the
+    /// six rigid-body modes of every 4×4×4-node box of the mesh.
     Iterative {
         /// Relative residual target.
         tolerance: f64,
@@ -82,7 +87,8 @@ pub struct SolveStats {
     pub unknowns: usize,
     /// Stored nonzeros in the assembled stiffness matrix.
     pub nonzeros: usize,
-    /// Solver actually used: `"direct-ldl"` or `"cg-ic0"`.
+    /// Solver actually used: `"direct-ldl"` or `"dcg-ic0"` (IC(0)-CG
+    /// deflated by the rigid-body modes).
     pub solver: &'static str,
     /// CG iterations performed (0 for a direct solve).
     pub iterations: usize,
@@ -93,7 +99,8 @@ pub struct SolveStats {
     /// Wall time of the linear solve (factorization included).
     pub solve_time: Duration,
     /// Factorization share of the solve: the LDLᵀ factorization for a
-    /// direct solve, the IC(0) preconditioner build for CG.
+    /// direct solve; for CG, the coarse setup (rigid-body basis, `A Z` and
+    /// the factor of `ZᵀAZ`) plus the IC(0) preconditioner build.
     pub factor_time: Duration,
 }
 
@@ -165,6 +172,39 @@ impl ThermalStressAnalysis {
         Ok((factor.solve(&sys.load), factor_time))
     }
 
+    /// Solves the CG branch shared by [`SolveMethod::Iterative`] and the
+    /// large-system arm of [`SolveMethod::Auto`]: IC(0)-CG deflated by the
+    /// rigid-body modes of the mesh's boxes. Returns the solution, the
+    /// solver label, the iteration count, the residual and the factor time
+    /// (the coarse setup plus the IC(0) factorization).
+    fn deflated_cg_solve(
+        &self,
+        mesh: &HexMesh,
+        sys: &AssembledSystem,
+        tolerance: f64,
+        max_iterations: usize,
+    ) -> Result<(Vec<f64>, &'static str, usize, f64, Duration), FeaError> {
+        let setup_start = Instant::now();
+        let deflation = {
+            let _span = obs::span("deflation");
+            Deflation::new(&sys.stiffness, rigid_body_basis(mesh, &sys.dof_map))?
+        };
+        let setup_time = setup_start.elapsed();
+        // IC(0), not the CG default: smoothed aggregation's constant
+        // near-null space does not span the rigid-body modes of a 3-DOF
+        // problem; the deflation space does.
+        let options = CgOptions {
+            tolerance,
+            max_iterations,
+            preconditioner: Preconditioner::IncompleteCholesky,
+            threads: self.threads,
+        };
+        let out =
+            deflated_conjugate_gradient(&sys.stiffness, &sys.load, None, &options, &deflation)?;
+        let factor_time = setup_time + out.precond_time;
+        Ok((out.x, "dcg-ic0", out.iterations, out.residual, factor_time))
+    }
+
     /// Meshes, assembles and solves the thermoelastic problem, returning the
     /// recovered stress field.
     ///
@@ -193,15 +233,6 @@ impl ThermalStressAnalysis {
         let n = sys.dof_map.free_count();
         let nonzeros = sys.stiffness.values().len();
 
-        // Elasticity stays on IC(0): smoothed aggregation's constant
-        // near-null space does not span the rigid-body modes of a 3-DOF
-        // problem.
-        let cg_opts = |tolerance, max_iterations| CgOptions {
-            tolerance,
-            max_iterations,
-            preconditioner: Preconditioner::IncompleteCholesky,
-            threads: self.threads,
-        };
         let solve_start = Instant::now();
         let solve_span = obs::span("solve");
         let (solution, solver, iterations, residual, factor_time) = match self.method {
@@ -213,35 +244,11 @@ impl ThermalStressAnalysis {
                 let (x, factor_time) = self.direct_solve(&sys)?;
                 (x, "direct-ldl", 0, 0.0, factor_time)
             }
-            SolveMethod::Auto { .. } => {
-                let out =
-                    conjugate_gradient(&sys.stiffness, &sys.load, None, &cg_opts(1e-7, 40_000))?;
-                (
-                    out.x,
-                    "cg-ic0",
-                    out.iterations,
-                    out.residual,
-                    out.precond_time,
-                )
-            }
+            SolveMethod::Auto { .. } => self.deflated_cg_solve(&mesh, &sys, 1e-7, 40_000)?,
             SolveMethod::Iterative {
                 tolerance,
                 max_iterations,
-            } => {
-                let out = conjugate_gradient(
-                    &sys.stiffness,
-                    &sys.load,
-                    None,
-                    &cg_opts(tolerance, max_iterations),
-                )?;
-                (
-                    out.x,
-                    "cg-ic0",
-                    out.iterations,
-                    out.residual,
-                    out.precond_time,
-                )
-            }
+            } => self.deflated_cg_solve(&mesh, &sys, tolerance, max_iterations)?,
         };
         drop(solve_span);
         let solve_time = solve_start.elapsed();
@@ -345,12 +352,13 @@ mod tests {
     }
 
     #[test]
-    fn iterative_solve_stays_on_ic0_cg() {
+    fn iterative_solve_takes_deflated_ic0_cg() {
         // The FEA path names IC(0) itself rather than taking the CG
         // default (smoothed aggregation assumes a constant near-null
-        // space, which 3-DOF elasticity does not have). Label, iteration
-        // count and per-via stress bits are pinned, so a preconditioner
-        // change anywhere under this path shows here.
+        // space, which 3-DOF elasticity does not have) and deflates it by
+        // the rigid-body modes. Label, iteration count and per-via stress
+        // bits are pinned, so a change to the preconditioner, the basis or
+        // the projection anywhere under this path shows here.
         let (field, stats) = ThermalStressAnalysis::new(small_model(IntersectionPattern::Plus))
             .with_method(SolveMethod::Iterative {
                 tolerance: 1e-8,
@@ -358,7 +366,7 @@ mod tests {
             })
             .run_with_stats()
             .unwrap();
-        assert_eq!(stats.solver, "cg-ic0");
+        assert_eq!(stats.solver, "dcg-ic0");
         let digest = field
             .per_via_peak_stress()
             .iter()
@@ -366,12 +374,13 @@ mod tests {
             .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
                 (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
             });
-        assert_eq!(stats.iterations, 67);
-        assert_eq!(digest, 0x30d0_0b53_0a00_362d, "per-via stresses moved");
+        assert_eq!(stats.iterations, 28);
+        assert_eq!(digest, 0x445c_2192_0538_b4bc, "per-via stresses moved");
     }
 
     #[test]
     fn ic0_outperforms_jacobi_on_stiffness_systems() {
+        use emgrid_sparse::conjugate_gradient;
         // The motivation for wiring IC(0) into the FEA path: multi-material
         // stiffness matrices are badly conditioned (E spans 16–223 GPa),
         // where the incomplete factorization cuts CG iterations hard.

@@ -427,7 +427,7 @@ fn smoothed_prolongator(
 
 /// Row-wise (Gustavson) sparse product `A·B`: row `i` sums `A[i, k]·B[k, :]`
 /// over `A`'s row in stored order.
-fn spgemm(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
+pub(crate) fn spgemm(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
     assert_eq!(a.cols(), b.rows(), "spgemm dimension mismatch");
     // Reserving the product count up front (an upper bound on the nonzeros)
     // means the output never reallocates: untouched capacity is never

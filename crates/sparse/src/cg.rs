@@ -7,10 +7,19 @@
 //! smoothed-aggregation AMG V-cycle ([`Amg`]), whose iteration count grows
 //! far more slowly with the grid than IC(0)'s; the elasticity systems of
 //! the FEA engine name the zero-fill incomplete Cholesky factor ([`Ic0`])
-//! instead.
+//! instead, and enter through [`deflated_conjugate_gradient`].
+//!
+//! That entry point runs the same loop in its deflated (DEF1) form: given
+//! a [`Deflation`] with projection `P = I − A Z E⁻¹ Zᵀ`, `P` is applied to
+//! the initial residual and to every `A p`, so CG iterates on
+//! `P A x̂ = P b` with the chosen preconditioner, and the returned solution
+//! is `x = x̂ + Z E⁻¹ Zᵀ (b − A x̂)`. The tracked residual `P (b − A x̂)` is
+//! that solution's true residual, so the tolerance means the same thing
+//! on both paths.
 
 use crate::amg::Amg;
 use crate::csr::CsrMatrix;
+use crate::deflation::Deflation;
 use crate::error::SparseError;
 use crate::ic0::Ic0;
 use crate::kernels::{axpy, dot, norm, xpby, VEC_CHUNK};
@@ -110,6 +119,37 @@ pub fn conjugate_gradient(
     x0: Option<&[f64]>,
     options: &CgOptions,
 ) -> Result<CgOutcome, SparseError> {
+    solve(a, b, x0, options, None)
+}
+
+/// [`conjugate_gradient`] deflated by the coarse space of `deflation`
+/// (the DEF1 form; see the module docs). `options` still picks the
+/// preconditioner, and the reported residual is the returned solution's
+/// true relative residual. Iterates are bit-identical for any
+/// `options.threads`.
+///
+/// # Errors
+///
+/// As [`conjugate_gradient`]; [`SparseError::DimensionMismatch`] also
+/// when `deflation` was built for another dimension.
+pub fn deflated_conjugate_gradient(
+    a: &CsrMatrix,
+    b: &[f64],
+    x0: Option<&[f64]>,
+    options: &CgOptions,
+    deflation: &Deflation,
+) -> Result<CgOutcome, SparseError> {
+    solve(a, b, x0, options, Some(deflation))
+}
+
+/// The one CG loop behind both entry points.
+fn solve(
+    a: &CsrMatrix,
+    b: &[f64],
+    x0: Option<&[f64]>,
+    options: &CgOptions,
+    deflation: Option<&Deflation>,
+) -> Result<CgOutcome, SparseError> {
     if a.rows() != a.cols() {
         return Err(SparseError::NotSquare {
             rows: a.rows(),
@@ -121,6 +161,12 @@ pub fn conjugate_gradient(
         return Err(SparseError::DimensionMismatch {
             expected: n,
             found: b.len(),
+        });
+    }
+    if let Some(d) = deflation.filter(|d| d.len() != n) {
+        return Err(SparseError::DimensionMismatch {
+            expected: n,
+            found: d.len(),
         });
     }
     let threads = options.threads.max(1);
@@ -183,16 +229,28 @@ pub fn conjugate_gradient(
     let mut r = vec![0.0; n];
     a.par_matvec_into(&x, &mut r, threads);
     parallel_fill(&mut r, VEC_CHUNK, threads, |i, ri| *ri = b[i] - *ri);
+    if let Some(d) = deflation {
+        d.project(&mut r, threads);
+    }
     let mut z = vec![0.0; n];
     apply_prec(&r, &mut z);
     let mut p = z.clone();
     let mut rz = dot(&r, &z, threads);
     let mut ap = vec![0.0; n];
+    // Adds the coarse component x̂ lacks, with `ap` as the residual buffer.
+    let finish = |mut x: Vec<f64>, ap: &mut [f64]| {
+        if let Some(d) = deflation {
+            a.par_matvec_into(&x, ap, threads);
+            parallel_fill(ap, VEC_CHUNK, threads, |i, ri| *ri = b[i] - *ri);
+            d.correct(&mut x, ap, threads);
+        }
+        x
+    };
 
     let mut residual = norm(&r, threads) / bnorm;
     if residual <= options.tolerance {
         return Ok(CgOutcome {
-            x,
+            x: finish(x, &mut ap),
             iterations: 0,
             residual,
             precond_time,
@@ -202,6 +260,9 @@ pub fn conjugate_gradient(
     let _iterate_span = obs::span("iterate");
     for it in 1..=options.max_iterations {
         a.par_matvec_into(&p, &mut ap, threads);
+        if let Some(d) = deflation {
+            d.project(&mut ap, threads);
+        }
         let pap = dot(&p, &ap, threads);
         if pap <= 0.0 || !pap.is_finite() {
             return Err(SparseError::NotPositiveDefinite {
@@ -215,7 +276,7 @@ pub fn conjugate_gradient(
         residual = norm(&r, threads) / bnorm;
         if residual <= options.tolerance {
             return Ok(CgOutcome {
-                x,
+                x: finish(x, &mut ap),
                 iterations: it,
                 residual,
                 precond_time,

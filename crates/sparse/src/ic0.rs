@@ -10,6 +10,11 @@
 //! non-positive inside the truncated pattern); the standard remedy applied
 //! here is a retried **shifted** factorization of `A + α·diag(A)` with
 //! geometrically increasing `α`.
+//!
+//! The factor is stored once, as `L` in CSR, reserved at its exact size.
+//! The forward sweep `L y = r` reads each row as a dot product; the
+//! backward sweep `Lᵀ z = y` walks the same rows in descending order as a
+//! column-oriented scatter, so no transposed copy is kept.
 
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
@@ -22,11 +27,6 @@ pub struct Ic0 {
     row_ptr: Vec<usize>,
     col_idx: Vec<u32>,
     values: Vec<f64>,
-    /// The same factor transposed (upper-triangular CSR) for the backward
-    /// solve.
-    t_row_ptr: Vec<usize>,
-    t_col_idx: Vec<u32>,
-    t_values: Vec<f64>,
     /// Diagonal shift that was needed (0 when the plain factorization
     /// succeeded).
     shift: f64,
@@ -63,10 +63,14 @@ impl Ic0 {
 
     fn try_factor(a: &CsrMatrix, shift: f64) -> Result<Self, SparseError> {
         let n = a.rows();
-        // Extract the lower-triangular pattern (columns <= row).
+        // Extract the lower-triangular pattern (columns <= row), counted
+        // first so the factor is allocated once at its exact size.
+        let nnz = (0..n)
+            .map(|i| a.row(i).filter(|&(j, _)| j <= i).count())
+            .sum();
         let mut row_ptr = vec![0usize; n + 1];
-        let mut col_idx: Vec<u32> = Vec::new();
-        let mut values: Vec<f64> = Vec::new();
+        let mut col_idx: Vec<u32> = Vec::with_capacity(nnz);
+        let mut values: Vec<f64> = Vec::with_capacity(nnz);
         for i in 0..n {
             for (j, v) in a.row(i) {
                 if j <= i {
@@ -125,36 +129,11 @@ impl Ic0 {
             values[ri_end - 1] = d.sqrt();
         }
 
-        // Transpose for the backward sweep.
-        let mut t_counts = vec![0usize; n + 1];
-        for &c in &col_idx {
-            t_counts[c as usize + 1] += 1;
-        }
-        for i in 0..n {
-            t_counts[i + 1] += t_counts[i];
-        }
-        let t_row_ptr = t_counts.clone();
-        let mut t_col_idx = vec![0u32; col_idx.len()];
-        let mut t_values = vec![0.0f64; values.len()];
-        let mut next = t_counts;
-        for i in 0..n {
-            for idx in row_ptr[i]..row_ptr[i + 1] {
-                let c = col_idx[idx] as usize;
-                let slot = next[c];
-                t_col_idx[slot] = i as u32;
-                t_values[slot] = values[idx];
-                next[c] += 1;
-            }
-        }
-
         Ok(Ic0 {
             n,
             row_ptr,
             col_idx,
             values,
-            t_row_ptr,
-            t_col_idx,
-            t_values,
             shift,
         })
     }
@@ -194,10 +173,12 @@ impl Ic0 {
 
     /// [`Ic0::apply`] into a caller-provided buffer (no allocation).
     ///
-    /// Each row keeps its running value in a local accumulator: the
-    /// forward sweep computes `z[i] = (r[i] - Σ L[i,c]·z[c]) / L[i,i]` and
-    /// the backward sweep `z[i] = (z[i] - Σ L[c,i]·z[c]) / L[i,i]`, with the
-    /// terms subtracted one at a time in ascending stored order.
+    /// The forward sweep keeps each row's running value in a local
+    /// accumulator, `z[i] = (r[i] - Σ L[i,c]·z[c]) / L[i,i]` with the terms
+    /// subtracted in ascending stored order. The backward sweep visits the
+    /// rows in descending order: row `i` finalizes `z[i] /= L[i,i]`, then
+    /// scatters `z[c] -= L[i,c]·z[i]` into its columns in ascending stored
+    /// order.
     ///
     /// # Panics
     ///
@@ -215,16 +196,15 @@ impl Ic0 {
             }
             z[i] = acc / self.values[end - 1];
         }
-        // Backward: Lᵀ z = y (transposed CSR rows are the columns of L; the
-        // diagonal is the first stored entry of each transposed row). Row i
-        // reads only finalized rows c > i.
+        // Backward: Lᵀ z = y, column-oriented. Column i of Lᵀ is row i of
+        // L; once z[i] is final, its terms leave the rows c < i.
         for i in (0..self.n).rev() {
-            let (start, end) = (self.t_row_ptr[i], self.t_row_ptr[i + 1]);
-            let mut acc = z[i];
-            for idx in start + 1..end {
-                acc -= self.t_values[idx] * z[self.t_col_idx[idx] as usize];
+            let (start, end) = (self.row_ptr[i], self.row_ptr[i + 1]);
+            let zi = z[i] / self.values[end - 1];
+            z[i] = zi;
+            for idx in start..end - 1 {
+                z[self.col_idx[idx] as usize] -= self.values[idx] * zi;
             }
-            z[i] = acc / self.t_values[start];
         }
     }
 }
@@ -269,6 +249,33 @@ mod tests {
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
         let x = f.apply(&b);
         assert!(a.residual_norm(&x, &b) < 1e-10);
+    }
+
+    #[test]
+    fn apply_inverts_the_stored_factor() {
+        // On a 2-D pattern (real fill dropped), z = apply(r) must still
+        // satisfy L Lᵀ z = r for the L that factor_parts exposes: the
+        // scatter backward sweep reads the same single copy of L.
+        let a = laplacian_2d(8, 6);
+        let f = Ic0::factor(&a).unwrap();
+        let (row_ptr, col_idx, values) = f.factor_parts();
+        let n = a.rows();
+        assert_eq!(row_ptr[n], values.len());
+        let r: Vec<f64> = (0..n).map(|i| ((i * 13) % 7) as f64 - 3.0).collect();
+        let z = f.apply(&r);
+        // w = Lᵀ z, then L w.
+        let mut w = vec![0.0; n];
+        for i in 0..n {
+            for k in row_ptr[i]..row_ptr[i + 1] {
+                w[col_idx[k] as usize] += values[k] * z[i];
+            }
+        }
+        for i in 0..n {
+            let lw: f64 = (row_ptr[i]..row_ptr[i + 1])
+                .map(|k| values[k] * w[col_idx[k] as usize])
+                .sum();
+            assert!((lw - r[i]).abs() < 1e-12, "row {i}: {lw} vs {}", r[i]);
+        }
     }
 
     #[test]

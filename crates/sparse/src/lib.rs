@@ -8,7 +8,9 @@
 //!   finite-element assembly of the Cu dual-damascene stack
 //!   ([`ldl::LdlFactor`]),
 //! * an **iterative solver** for the larger finite-element systems
-//!   ([`cg::conjugate_gradient`]),
+//!   ([`cg::conjugate_gradient`]), with a coarse-space deflation
+//!   ([`deflation::Deflation`], [`cg::deflated_conjugate_gradient`]) that
+//!   removes the rigid-body error IC(0) leaves in elasticity,
 //! * an **incremental solver** that updates a factored system after a
 //!   low-rank modification — each electromigration failure event changes a
 //!   single conductance, which is a rank-1 update handled by the
@@ -53,6 +55,7 @@ pub mod amg;
 pub mod cg;
 pub mod coo;
 pub mod csr;
+pub mod deflation;
 pub mod dense;
 pub mod error;
 pub mod ic0;
@@ -65,9 +68,12 @@ pub mod smw;
 pub(crate) mod supernodal;
 
 pub use amg::Amg;
-pub use cg::{conjugate_gradient, CgOptions, CgOutcome, Preconditioner};
+pub use cg::{
+    conjugate_gradient, deflated_conjugate_gradient, CgOptions, CgOutcome, Preconditioner,
+};
 pub use coo::TripletMatrix;
 pub use csr::CsrMatrix;
+pub use deflation::Deflation;
 pub use dense::DenseMatrix;
 pub use error::SparseError;
 pub use ic0::Ic0;

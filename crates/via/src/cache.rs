@@ -46,8 +46,9 @@ use emgrid_sparse::Ordering as FactorOrdering;
 /// every key. Bump it on any layout change, and on any solver change that
 /// moves the stored bits, so stale entries read as misses instead of
 /// garbage or another build's rounding. v2: the FEA assembly sums each
-/// stiffness entry in cell order.
-pub(crate) const FORMAT: &str = "emgrid-stress-cache-v2";
+/// stiffness entry in cell order. v3: the FEA's CG is deflated by
+/// rigid-body modes and IC(0)'s backward sweep is a scatter.
+pub(crate) const FORMAT: &str = "emgrid-stress-cache-v3";
 
 /// A directory of cached characterization results.
 #[derive(Debug, Clone)]
@@ -373,11 +374,11 @@ mod tests {
         let _ = fs::remove_dir_all(cache.dir());
     }
 
-    /// An `emgrid-stress-cache-v2` entry: the 8-per-line wrap, lowercase
+    /// An `emgrid-stress-cache-v3` entry: the 8-per-line wrap, lowercase
     /// zero-padded hex, `-0.0` and the smallest normal. Its bytes may
     /// change only with the format tag.
     const GOLDEN_ENTRY: &str = "\
-emgrid-stress-cache-v2
+emgrid-stress-cache-v3
 key deadbeef01234567
 per_via 3
 41b017df80000000 8000000000000000 0010000000000000

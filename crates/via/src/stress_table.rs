@@ -383,8 +383,9 @@ pub struct FeaPrimitiveReport {
     pub model_index: usize,
     /// Whether the result came from the persistent cache.
     pub cache_hit: bool,
-    /// `"direct-ldl"`, `"cg-ic0"`, `"cache"`, or `"dedup"` (shared the
-    /// solve of an earlier model identical up to layer pair).
+    /// `"direct-ldl"`, `"dcg-ic0"` (IC(0)-CG deflated by rigid-body
+    /// modes), `"cache"`, or `"dedup"` (shared the solve of an earlier
+    /// model identical up to layer pair).
     pub solver: &'static str,
     /// Free unknowns of the solve (0 for cache/dedup).
     pub unknowns: usize,
@@ -658,10 +659,10 @@ mod tests {
 
     #[test]
     fn stale_v1_cache_entries_are_recomputed() {
-        // A v1 entry has today's layout but the previous assembly's
-        // rounding; planted at the current key it must read as a miss,
-        // be solved afresh and be overwritten — never served, never an
-        // error.
+        // v1 and v2 entries have today's layout but an earlier solver's
+        // rounding (v1: the previous assembly; v2: undeflated IC(0)-CG).
+        // Planted at the current key, each must read as a miss, be solved
+        // afresh and be overwritten — never served, never an error.
         let dir =
             std::env::temp_dir().join(format!("emgrid-table-v1-cache-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -669,29 +670,31 @@ mod tests {
         let models = [(coarse_model(0.5), LayerPair::IntermediateTop)];
         let defaults = FeaOptions::default();
         let key = StressCache::key(&models[0].0, &defaults.method, defaults.ordering);
-        let stale = CacheEntry {
-            per_via_stress: vec![1.0; 4],
-            displacements: vec![],
-        };
-        let path = cache.store(key, &stale).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let v1 = text.replacen(crate::cache::FORMAT, "emgrid-stress-cache-v1", 1);
-        assert_ne!(v1, text);
-        std::fs::write(&path, v1).unwrap();
-        assert!(cache.load(key).is_none(), "a v1 entry must be a miss");
-
-        let opts = FeaOptions {
-            cache: Some(cache.clone()),
-            ..FeaOptions::default()
-        };
-        let (table, report) = StressTable::characterize_with_fea_opts(&models, &opts).unwrap();
-        assert_eq!(report.cache_hits, 0);
-        assert_ne!(report.primitives[0].solver, "cache");
         let (fresh, _) =
             StressTable::characterize_with_fea_opts(&models, &FeaOptions::default()).unwrap();
-        assert_eq!(table.entries(), fresh.entries());
-        let stored = cache.load(key).expect("the recomputed entry is stored");
-        assert_eq!(stored.per_via_stress, fresh.entries()[0].per_via_stress);
+        for old in ["emgrid-stress-cache-v1", "emgrid-stress-cache-v2"] {
+            let stale = CacheEntry {
+                per_via_stress: vec![1.0; 4],
+                displacements: vec![],
+            };
+            let path = cache.store(key, &stale).unwrap();
+            let text = std::fs::read_to_string(&path).unwrap();
+            let planted = text.replacen(crate::cache::FORMAT, old, 1);
+            assert_ne!(planted, text);
+            std::fs::write(&path, planted).unwrap();
+            assert!(cache.load(key).is_none(), "a {old} entry must be a miss");
+
+            let opts = FeaOptions {
+                cache: Some(cache.clone()),
+                ..FeaOptions::default()
+            };
+            let (table, report) = StressTable::characterize_with_fea_opts(&models, &opts).unwrap();
+            assert_eq!(report.cache_hits, 0, "{old}");
+            assert_ne!(report.primitives[0].solver, "cache", "{old}");
+            assert_eq!(table.entries(), fresh.entries(), "{old}");
+            let stored = cache.load(key).expect("the recomputed entry is stored");
+            assert_eq!(stored.per_via_stress, fresh.entries()[0].per_via_stress);
+        }
 
         let _ = std::fs::remove_dir_all(&dir);
     }

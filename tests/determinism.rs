@@ -418,7 +418,7 @@ fn ic0_factor_and_cg_bits_are_pinned() {
         let out = conjugate_gradient(&a, &b, None, &options).unwrap();
         let label = format!("threads = {threads}");
         assert_eq!(out.iterations, 19, "{label}");
-        assert_eq!(out.residual.to_bits(), 0x3dd6_6b28_9279_000d, "{label}");
+        assert_eq!(out.residual.to_bits(), 0x3dd6_6b28_927c_60d4, "{label}");
         let digest = fnv1a(
             out.x
                 .iter()
@@ -426,7 +426,7 @@ fn ic0_factor_and_cg_bits_are_pinned() {
                 .chain([out.iterations as u64, out.residual.to_bits()]),
         );
         assert_eq!(
-            digest, 0x6f35_f5b1_19f0_ca7d,
+            digest, 0xe2c8_fc06_b254_4838,
             "IC(0)-CG solve moved: {label}"
         );
     }

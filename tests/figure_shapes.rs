@@ -118,3 +118,82 @@ fn fig10_system_criteria_ordering() {
     assert!(ir_wl > wl_wl, "{ir_wl} vs {wl_wl}");
     assert!(ir_rinf > ir_wl, "{ir_rinf} vs {ir_wl}");
 }
+
+/// Per-via peak stresses (MPa) of the Fig. 6/7 FEA primitive — the figure
+/// binaries' model (2 µm wires, 1 µm margin) — at a 0.5 µm test mesh.
+fn fea_peaks_mpa(pattern: IntersectionPattern, array: ViaArrayGeometry) -> Vec<f64> {
+    let model = CharacterizationModel {
+        pattern,
+        array,
+        wire_width: 2.0,
+        margin: 1.0,
+        resolution: 0.5,
+        ..CharacterizationModel::default()
+    };
+    ThermalStressAnalysis::new(model)
+        .run()
+        .expect("figure primitive solves")
+        .per_via_peak_stress()
+        .iter()
+        .map(|s| s / 1e6)
+        .collect()
+}
+
+/// Mean peak stress of the perimeter (`true`) or interior vias.
+fn ring_mean(array: &ViaArrayGeometry, peaks: &[f64], perimeter: bool) -> f64 {
+    let ring: Vec<f64> = (0..peaks.len())
+        .filter(|&i| array.is_perimeter(i) == perimeter)
+        .map(|i| peaks[i])
+        .collect();
+    ring.iter().sum::<f64>() / ring.len() as f64
+}
+
+#[test]
+fn fig6_fea_pattern_peaks_order_and_ratios() {
+    // Paper Fig. 6: Plus > T > L, T/Plus ≈ 0.92 and L/Plus ≈ 0.85
+    // (measured here: 362.1 / 333.1 / 288.1 MPa, ratios 0.92 and 0.80).
+    let peak = |pattern| {
+        fea_peaks_mpa(pattern, ViaArrayGeometry::paper_4x4())
+            .into_iter()
+            .fold(f64::NEG_INFINITY, f64::max)
+    };
+    let plus = peak(IntersectionPattern::Plus);
+    let tee = peak(IntersectionPattern::Tee);
+    let ell = peak(IntersectionPattern::Ell);
+    assert!(plus > tee && tee > ell, "plus {plus} tee {tee} ell {ell}");
+    let (tee_ratio, ell_ratio) = (tee / plus, ell / plus);
+    assert!((tee_ratio - 0.92).abs() <= 0.1, "T/Plus {tee_ratio}");
+    assert!((ell_ratio - 0.85).abs() <= 0.1, "L/Plus {ell_ratio}");
+}
+
+#[test]
+fn fig1_fea_interior_vias_see_less_stress_than_the_perimeter() {
+    // Paper Fig. 1: the array shields its interior vias (measured here:
+    // 329.0 vs 349.9 MPa on the 4×4 Plus primitive).
+    let array = ViaArrayGeometry::paper_4x4();
+    let peaks = fea_peaks_mpa(IntersectionPattern::Plus, array);
+    let (interior, perimeter) = (
+        ring_mean(&array, &peaks, false),
+        ring_mean(&array, &peaks, true),
+    );
+    assert!(
+        interior < perimeter,
+        "interior {interior} vs perimeter {perimeter}"
+    );
+}
+
+#[test]
+fn fig7_fea_8x8_interior_sees_less_stress_than_4x4() {
+    // Paper Fig. 7: of two equal-area arrays, the 8×8's interior vias see
+    // smaller peaks (measured here: 322.1 vs 329.0 MPa).
+    let interior = |array: ViaArrayGeometry| {
+        ring_mean(
+            &array,
+            &fea_peaks_mpa(IntersectionPattern::Plus, array),
+            false,
+        )
+    };
+    let i4 = interior(ViaArrayGeometry::paper_4x4());
+    let i8 = interior(ViaArrayGeometry::paper_8x8());
+    assert!(i8 < i4, "8x8 interior {i8} vs 4x4 interior {i4}");
+}
