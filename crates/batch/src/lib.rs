@@ -12,7 +12,7 @@
 //!   (`POST /v1/sweeps`) or an in-process [`LocalBackend`]
 //!   (`emgrid sweep`), both polled disk-first;
 //! * [`engine`] — the per-sweep dispatcher and resume protocol;
-//! * [`report`] — aggregation into TTF-vs-j curves and Plus/T/L tables;
+//! * `report` — aggregation into TTF-vs-j curves and Plus/T/L tables;
 //! * [`http`] — the `/v1/sweeps` routes, mounted via the daemon's route
 //!   hook.
 //!

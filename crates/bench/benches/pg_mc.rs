@@ -1,5 +1,5 @@
 //! Throughput of the level-2 (power grid) Monte Carlo on the benchmark
-//! profiles, comparing the system criteria and solver strategies.
+//! profiles, comparing the system criteria.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use emgrid::prelude::*;
@@ -44,17 +44,6 @@ fn bench_pg_mc(c: &mut Criterion) {
                 b.iter(|| {
                     let mc = PowerGridMc::new(grid.clone(), rel)
                         .with_system_criterion(SystemCriterion::WeakestLink);
-                    black_box(mc.run(10, 1).unwrap())
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("refactor_strategy_10_trials", sites),
-            &grid,
-            |b, grid| {
-                b.iter(|| {
-                    let mc =
-                        PowerGridMc::new(grid.clone(), rel).with_solver(SolverStrategy::Refactor);
                     black_box(mc.run(10, 1).unwrap())
                 })
             },

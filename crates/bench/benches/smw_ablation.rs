@@ -1,6 +1,6 @@
 //! Ablation of a design choice called out in DESIGN.md: after each
-//! via-array failure, re-solve the grid with incremental
-//! Sherman–Morrison–Woodbury updates vs. a full refactorization.
+//! via-array failure, re-solve the grid with an incremental rank-1 update
+//! of the factor vs. a full refactorization.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use emgrid::prelude::*;

@@ -53,7 +53,6 @@ pub struct FlatMc {
     tech: Technology,
     sigma_t: Vec<f64>,
     system_criterion: SystemCriterion,
-    rebase_interval: usize,
 }
 
 impl FlatMc {
@@ -79,7 +78,6 @@ impl FlatMc {
             tech,
             sigma_t,
             system_criterion: SystemCriterion::IrDropFraction(0.10),
-            rebase_interval: 48,
         }
     }
 
@@ -193,9 +191,6 @@ impl FlatMc {
                 _ => true, // benchmark grids keep via endpoints unknown
             };
             if !ok {
-                return Ok(t);
-            }
-            if solver.rank() >= self.rebase_interval && solver.rebase().is_err() {
                 return Ok(t);
             }
             let x = match solver.solve(&rhs) {

@@ -18,8 +18,13 @@ pub struct IrDropReport {
 impl IrDropReport {
     /// Evaluates the IR drop of a solution on a grid.
     pub fn evaluate(grid: &PowerGrid, solution: &DcSolution) -> Self {
-        let vdd = grid.vdd();
-        let worst_drop = vdd - solution.min_voltage();
+        Self::from_min_voltage(grid.vdd(), solution.min_voltage())
+    }
+
+    /// The report of an operating point whose lowest node voltage is
+    /// `min_voltage`.
+    pub(crate) fn from_min_voltage(vdd: f64, min_voltage: f64) -> Self {
+        let worst_drop = vdd - min_voltage;
         IrDropReport {
             worst_drop,
             worst_fraction: worst_drop / vdd,

@@ -5,9 +5,9 @@
 //! array's TTF comes from the level-1 characterization
 //! ([`emgrid_via::ViaArrayReliability`]), rescaled to its local current.
 //! A Monte Carlo plays array failures forward — every failure is a rank-1
-//! conductance update handled incrementally by Sherman–Morrison–Woodbury —
-//! until the system failure criterion (weakest link, or IR drop above a
-//! fraction of Vdd) is breached.
+//! conductance update applied to the grid's factor in place — until the
+//! system failure criterion (weakest link, or IR drop above a fraction of
+//! Vdd) is breached.
 //!
 //! * [`model::PowerGrid`] — netlist → grid model with via-site detection,
 //! * [`irdrop`] — IR-drop evaluation of DC solutions,
@@ -48,7 +48,7 @@ pub use flat::{FlatMc, FlatResult};
 pub use irdrop::IrDropReport;
 pub use mc::{
     GridCheckpoint, GridSession, GridVariation, McResult, PowerGridMc, SiteAssignment,
-    SolverStrategy, SystemCriterion, TrialOutcome,
+    SystemCriterion, TrialOutcome,
 };
 pub use model::{PgError, PowerGrid, ViaSite};
 pub use report::{Table2Row, TtfCurve};
@@ -57,9 +57,7 @@ pub use signoff::{current_density_signoff, SignoffReport, WireGeometry};
 /// Convenient re-exports for typical use.
 pub mod prelude {
     pub use crate::flat::{FlatMc, FlatResult};
-    pub use crate::mc::{
-        GridVariation, McResult, PowerGridMc, SiteAssignment, SolverStrategy, SystemCriterion,
-    };
+    pub use crate::mc::{GridVariation, McResult, PowerGridMc, SiteAssignment, SystemCriterion};
     pub use crate::model::{PgError, PowerGrid, ViaSite};
     pub use crate::report::{Table2Row, TtfCurve};
     pub use emgrid_em::{Technology, SECONDS_PER_YEAR};

@@ -4,9 +4,10 @@
 //! Each trial samples a TTF for every via array from its precharacterized
 //! lognormal (rescaled to the array's local current), then plays failures
 //! forward. A failed array's conductance is removed from the grid — a
-//! rank-1 update applied through the Sherman–Morrison–Woodbury incremental
-//! solver — the IR drop is re-evaluated, and surviving arrays' remaining
-//! lives rescale with their new currents. The trial ends when the system
+//! rank-1 update of the trial's factor, which also keeps the trial's
+//! solution current — the IR drop is re-evaluated, and one pass over the
+//! surviving arrays ages them, rescales their remaining lives to their new
+//! currents and finds the next victim. The trial ends when the system
 //! criterion (weakest link or an IR-drop threshold) is breached; the system
 //! TTF is the failure time of the last component that caused the breach.
 
@@ -19,7 +20,8 @@ use emgrid_runtime::{
     run_trials_session, Checkpoint, CheckpointError, RunReport, RuntimeConfig, TrialRecord,
     TrialSession,
 };
-use emgrid_sparse::{FactorOptions, IncrementalSolver, LdlFactor, TripletMatrix};
+use emgrid_sparse::{FactorOptions, IncrementalSolver};
+use emgrid_spice::netlist::{Element, Node};
 use emgrid_stats::Ecdf;
 use emgrid_stats::Rng;
 use emgrid_via::variation::{
@@ -40,9 +42,9 @@ pub struct TrialOutcome {
 }
 
 /// Checkpoint line `trial <ttf> <failed site> <failed site> ...`, under
-/// the format line `emgrid-grid-checkpoint-v1`.
+/// the format line `emgrid-grid-checkpoint-v2`.
 impl TrialRecord for TrialOutcome {
-    const FORMAT: &'static str = "emgrid-grid-checkpoint-v1";
+    const FORMAT: &'static str = "emgrid-grid-checkpoint-v2";
     const TAG: &'static str = "trial";
 
     fn encode_fields(&self, out: &mut String) {
@@ -83,29 +85,6 @@ pub enum SystemCriterion {
     /// Failed when the worst IR drop reaches this fraction of Vdd
     /// (the paper uses 0.10).
     IrDropFraction(f64),
-}
-
-/// How the grid is re-solved after each failure.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SolverStrategy {
-    /// Sherman–Morrison–Woodbury incremental updates against the base
-    /// factorization, folding updates into a fresh factorization every
-    /// `rebase_interval` failures.
-    Incremental {
-        /// Rank at which accumulated updates are folded and refactored.
-        rebase_interval: usize,
-    },
-    /// Full sparse refactorization after every failure (the baseline the
-    /// `smw_ablation` bench compares against).
-    Refactor,
-}
-
-impl Default for SolverStrategy {
-    fn default() -> Self {
-        SolverStrategy::Incremental {
-            rebase_interval: 64,
-        }
-    }
 }
 
 /// How via-array characterizations are assigned to grid sites.
@@ -200,6 +179,62 @@ struct RunSetup {
     site_rels: Vec<ViaArrayReliability>,
     /// Nominal current density per via site, floored.
     nominal_j: Vec<f64>,
+    /// What the per-failure pass reads of each via site.
+    site_terms: Vec<SiteTerms>,
+    /// Lowest pinned voltage of the grid, V: with the unknowns, the nodes
+    /// whose minimum sets the worst IR drop.
+    min_pinned: f64,
+}
+
+/// One via site as the per-failure pass reads it: the values that
+/// [`PowerGrid::via_currents`] and the current-density floor look up per
+/// call, resolved once, so the pass evaluates the same expressions on the
+/// same values.
+struct SiteTerms {
+    /// The resistor's first terminal, as `DcSolution::resistor_current`
+    /// reads it.
+    a: Terminal,
+    /// The resistor's second terminal.
+    b: Terminal,
+    /// The resistor's value, Ω.
+    resistance: f64,
+    /// Conducting area of the site's array, m².
+    area: f64,
+    /// Floor on the site's current density, A/m².
+    j_floor: f64,
+}
+
+/// A resistor terminal: an unknown of the reduced system, or a pinned
+/// voltage (ground pins 0 V).
+#[derive(Clone, Copy)]
+enum Terminal {
+    Unknown(usize),
+    Pinned(f64),
+}
+
+impl Terminal {
+    fn voltage(self, x: &[f64]) -> f64 {
+        match self {
+            Terminal::Unknown(i) => x[i],
+            Terminal::Pinned(v) => v,
+        }
+    }
+}
+
+impl RunSetup {
+    /// Current (A, absolute value) through via site `k` when the unknowns
+    /// are `x`: bit for bit site `k`'s entry of [`PowerGrid::via_currents`]
+    /// of the solution that `x` makes.
+    fn site_current(&self, k: usize, x: &[f64]) -> f64 {
+        let s = &self.site_terms[k];
+        ((s.a.voltage(x) - s.b.voltage(x)) / s.resistance).abs()
+    }
+
+    /// The IR-drop report of the unknowns `x`: bit for bit
+    /// [`IrDropReport::evaluate`] of the solution that `x` makes.
+    fn ir_drop(&self, vdd: f64, x: &[f64]) -> IrDropReport {
+        IrDropReport::from_min_voltage(vdd, x.iter().copied().fold(self.min_pinned, f64::min))
+    }
 }
 
 /// The collected system TTFs of a power-grid Monte Carlo run.
@@ -278,9 +313,8 @@ pub struct PowerGridMc {
     grid: PowerGrid,
     assignment: SiteAssignment,
     system_criterion: SystemCriterion,
-    solver: SolverStrategy,
-    /// Sparse factorization configuration for the grid conductance solves
-    /// (base factor, SMW rebases, and full refactorizations).
+    /// Sparse factorization configuration of the grid conductance factor
+    /// that every trial updates.
     factor: FactorOptions,
     /// Lower bound on per-array current density, as a fraction of the
     /// characterization reference (guards the 1/j² rescale against
@@ -304,7 +338,6 @@ impl PowerGridMc {
             grid,
             assignment: SiteAssignment::Uniform(reliability),
             system_criterion: SystemCriterion::IrDropFraction(0.10),
-            solver: SolverStrategy::default(),
             factor: FactorOptions::default(),
             current_floor_fraction: 1e-3,
             active: None,
@@ -339,12 +372,6 @@ impl PowerGridMc {
     /// Sets the system failure criterion (default: 10% IR drop).
     pub fn with_system_criterion(mut self, criterion: SystemCriterion) -> Self {
         self.system_criterion = criterion;
-        self
-    }
-
-    /// Sets the re-solve strategy (default: incremental SMW).
-    pub fn with_solver(mut self, solver: SolverStrategy) -> Self {
-        self.solver = solver;
         self
     }
 
@@ -419,19 +446,44 @@ impl PowerGridMc {
         solver.solve(&rhs).map_err(singular)?;
         let nominal_currents = self.grid.via_currents(self.grid.nominal_solution());
         let site_rels = self.assign_sites(&nominal_currents);
-        let nominal_j = nominal_currents
+        let terminal = |node: Node| match dc.unknown_index(node) {
+            Some(i) => Terminal::Unknown(i),
+            None => Terminal::Pinned(dc.pinned_voltage(node).expect("non-unknown node is pinned")),
+        };
+        let elements = self.grid.netlist().elements();
+        let site_terms: Vec<SiteTerms> = self
+            .grid
+            .via_sites()
             .iter()
             .zip(&site_rels)
-            .map(|(i, rel)| {
-                let j_floor = rel.reference_current_density * self.current_floor_fraction;
-                (i / rel.config.effective_area_m2()).max(j_floor)
+            .map(|(site, rel)| {
+                let Element::Resistor { a, b, value, .. } = &elements[site.element_index] else {
+                    unreachable!("via sites are resistors");
+                };
+                SiteTerms {
+                    a: terminal(*a),
+                    b: terminal(*b),
+                    resistance: *value,
+                    area: rel.config.effective_area_m2(),
+                    j_floor: rel.reference_current_density * self.current_floor_fraction,
+                }
             })
             .collect();
+        let nominal_j = nominal_currents
+            .iter()
+            .zip(&site_terms)
+            .map(|(i, s)| (i / s.area).max(s.j_floor))
+            .collect();
+        let min_pinned = (0..self.grid.netlist().node_count())
+            .filter_map(|id| dc.pinned_voltage(Node::Id(id as u32)))
+            .fold(f64::INFINITY, f64::min);
         Ok(RunSetup {
             solver,
             rhs,
             site_rels,
             nominal_j,
+            site_terms,
+            min_pinned,
         })
     }
 
@@ -713,15 +765,14 @@ impl PowerGridMc {
         let mut solver = setup.solver.clone();
         let mut failed_sites: Vec<usize> = Vec::new();
         let mut t = 0.0;
-        let dc = self.grid.dc();
+        let mut next = alive
+            .iter()
+            .enumerate()
+            .filter(|&(_, &a)| a)
+            .map(|(k, _)| (k, remaining[k]))
+            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite lifetimes"));
         let ttf_seconds = loop {
-            let Some((victim, dt)) = alive
-                .iter()
-                .enumerate()
-                .filter(|&(_, &a)| a)
-                .map(|(k, _)| (k, remaining[k]))
-                .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite lifetimes"))
-            else {
+            let Some((victim, dt)) = next else {
                 // Every array failed without breaching the threshold (only
                 // possible on grids whose loads keep paths through wires).
                 break t;
@@ -729,91 +780,39 @@ impl PowerGridMc {
             t += dt;
             alive[victim] = false;
             failed_sites.push(victim);
-            for k in 0..m {
-                if alive[k] {
-                    remaining[k] = (remaining[k] - dt).max(0.0);
-                }
-            }
 
-            // Remove the failed array's conductance and re-solve.
-            let site = &sites[victim];
-            let g = 1.0 / site.resistance;
-            let update_ok = match self.solver {
-                SolverStrategy::Incremental { rebase_interval } => {
-                    let ok = match (dc.unknown_index(site.lower), dc.unknown_index(site.upper)) {
-                        (Some(i), Some(jx)) => solver.update_edge(i, jx, -g).is_ok(),
-                        (Some(i), None) => {
-                            let pin = dc
-                                .pinned_voltage(site.upper)
-                                .expect("non-unknown node is pinned");
-                            rhs[i] -= g * pin;
-                            solver.update_ground(i, -g).is_ok()
-                        }
-                        (None, Some(jx)) => {
-                            let pin = dc
-                                .pinned_voltage(site.lower)
-                                .expect("non-unknown node is pinned");
-                            rhs[jx] -= g * pin;
-                            solver.update_ground(jx, -g).is_ok()
-                        }
-                        (None, None) => true,
-                    };
-                    if ok && solver.rank() >= rebase_interval {
-                        solver.rebase().is_ok()
-                    } else {
-                        ok
-                    }
-                }
-                SolverStrategy::Refactor => {
-                    // Refactor path updates rhs for pinned endpoints too.
-                    match (dc.unknown_index(site.lower), dc.unknown_index(site.upper)) {
-                        (Some(i), None) => {
-                            let pin = dc.pinned_voltage(site.upper).expect("pinned");
-                            rhs[i] -= g * pin;
-                        }
-                        (None, Some(jx)) => {
-                            let pin = dc.pinned_voltage(site.lower).expect("pinned");
-                            rhs[jx] -= g * pin;
-                        }
-                        _ => {}
-                    }
-                    true
-                }
-            };
-            if !update_ok {
+            if !self.fail_site(victim, &mut solver, &mut rhs) {
                 // The failure disconnected part of the grid from every pad:
                 // the supply to those loads is gone — system failure.
                 break t;
             }
 
-            let x = match self.solver {
-                SolverStrategy::Incremental { .. } => match solver.solve(&rhs) {
-                    Ok(x) => x,
-                    Err(_) => break t,
-                },
-                SolverStrategy::Refactor => match self.refactor_solve(&failed_sites, &rhs) {
-                    Ok(x) => x,
-                    Err(_) => break t,
-                },
+            let x = match solver.solve(&rhs) {
+                Ok(x) => x,
+                Err(_) => break t,
             };
-            let solution = dc.solution_from_unknowns(&x);
-            let report = IrDropReport::evaluate(&self.grid, &solution);
-            if report.violates(threshold) {
+            if setup.ir_drop(self.grid.vdd(), &x).violates(threshold) {
                 break t;
             }
 
-            // Rescale survivors to their new currents (TTF ∝ 1/j²).
-            let currents = self.grid.via_currents(&solution);
+            // One pass over the survivors: age each by `dt`, rescale it to
+            // its new current (TTF ∝ 1/j²), and keep the first minimum of
+            // the rescaled lives as the next victim.
+            next = None;
             for k in 0..m {
-                if alive[k] {
-                    let rel = &site_rels[k];
-                    let j_floor = rel.reference_current_density * self.current_floor_fraction;
-                    let mut j_new = (currents[k] / rel.config.effective_area_m2()).max(j_floor);
-                    if let Some(f) = fields {
-                        j_new *= f.inv_width[k];
-                    }
-                    remaining[k] = rescale_remaining_life(remaining[k], j[k], j_new);
-                    j[k] = j_new;
+                if !alive[k] {
+                    continue;
+                }
+                let site = &setup.site_terms[k];
+                let mut j_new = (setup.site_current(k, &x) / site.area).max(site.j_floor);
+                if let Some(f) = fields {
+                    j_new *= f.inv_width[k];
+                }
+                let life = rescale_remaining_life((remaining[k] - dt).max(0.0), j[k], j_new);
+                remaining[k] = life;
+                j[k] = j_new;
+                if next.is_none_or(|(_, best)| life < best) {
+                    next = Some((k, life));
                 }
             }
         };
@@ -823,38 +822,32 @@ impl PowerGridMc {
         })
     }
 
-    /// Full refactorization solve with the given failed sites removed.
-    fn refactor_solve(
-        &self,
-        failed_sites: &[usize],
-        rhs: &[f64],
-    ) -> Result<Vec<f64>, emgrid_sparse::SparseError> {
+    /// Removes via site `k`'s conductance from the system: a rank-1 update
+    /// of the factor, plus a right-hand-side change when one terminal is
+    /// pinned. Returns `false` when the update is rejected because it
+    /// disconnects part of the grid from every pad.
+    fn fail_site(&self, k: usize, solver: &mut IncrementalSolver, rhs: &mut [f64]) -> bool {
         let dc = self.grid.dc();
-        let base = dc.matrix();
-        let n = base.rows();
-        let mut t = TripletMatrix::with_capacity(n, n, base.nnz() + failed_sites.len() * 4);
-        for r in 0..n {
-            for (c, v) in base.row(r) {
-                t.push(r, c, v);
+        let site = &self.grid.via_sites()[k];
+        let g = 1.0 / site.resistance;
+        match (dc.unknown_index(site.lower), dc.unknown_index(site.upper)) {
+            (Some(i), Some(jx)) => solver.update_edge(i, jx, -g).is_ok(),
+            (Some(i), None) => {
+                let pin = dc
+                    .pinned_voltage(site.upper)
+                    .expect("non-unknown node is pinned");
+                rhs[i] -= g * pin;
+                solver.update_ground(i, -g).is_ok()
             }
-        }
-        for &k in failed_sites {
-            let site = &self.grid.via_sites()[k];
-            let g = 1.0 / site.resistance;
-            match (dc.unknown_index(site.lower), dc.unknown_index(site.upper)) {
-                (Some(i), Some(j)) => {
-                    t.push(i, i, -g);
-                    t.push(j, j, -g);
-                    t.push(i, j, g);
-                    t.push(j, i, g);
-                }
-                (Some(i), None) | (None, Some(i)) => {
-                    t.push(i, i, -g);
-                }
-                (None, None) => {}
+            (None, Some(jx)) => {
+                let pin = dc
+                    .pinned_voltage(site.lower)
+                    .expect("non-unknown node is pinned");
+                rhs[jx] -= g * pin;
+                solver.update_ground(jx, -g).is_ok()
             }
+            (None, None) => true,
         }
-        Ok(LdlFactor::factor_with(&t.to_csr(), &self.factor)?.solve(rhs))
     }
 }
 
@@ -864,6 +857,7 @@ mod tests {
     use emgrid_em::Technology;
     use emgrid_fea::geometry::IntersectionPattern;
     use emgrid_runtime::CancelToken;
+    use emgrid_sparse::LdlFactor;
     use emgrid_spice::benchgen::GridSpec;
     use emgrid_stats::OnlineStats;
     use emgrid_via::{FailureCriterion, ViaArrayConfig, ViaArrayMc};
@@ -913,22 +907,110 @@ mod tests {
     }
 
     #[test]
-    fn smw_and_refactor_agree() {
+    fn incremental_solves_match_fresh_factors_along_a_trial() {
+        // Replay a PG1 trial's failure sequence through the trial's solver:
+        // after every failure its solution matches a fresh factor of the
+        // updated matrix.
         let rel = reliability(FailureCriterion::OpenCircuit);
-        let smw = PowerGridMc::new(small_grid(), rel)
-            .with_solver(SolverStrategy::Incremental { rebase_interval: 8 })
-            .run(15, 11)
-            .unwrap();
-        let refactor = PowerGridMc::new(small_grid(), rel)
-            .with_solver(SolverStrategy::Refactor)
-            .run(15, 11)
-            .unwrap();
-        for (a, b) in smw.ttf_seconds().iter().zip(refactor.ttf_seconds()) {
-            assert!(
-                (a - b).abs() / a < 1e-6,
-                "smw {a} vs refactor {b} (same seed must agree)"
-            );
+        let grid = PowerGrid::from_netlist(GridSpec::pg1().generate()).unwrap();
+        let mc = PowerGridMc::new(grid.clone(), rel);
+        let setup = mc.prepare().unwrap();
+        let outcome = mc.run_one_trial(11, 0, &setup).unwrap();
+        assert!(
+            outcome.failed_sites.len() > 100,
+            "{}",
+            outcome.failed_sites.len()
+        );
+        let mut solver = setup.solver.clone();
+        let mut rhs = setup.rhs.clone();
+        for (step, &k) in outcome.failed_sites.iter().enumerate() {
+            if !mc.fail_site(k, &mut solver, &mut rhs) {
+                // Only the trial's last failure may disconnect the grid.
+                assert_eq!(step + 1, outcome.failed_sites.len());
+                break;
+            }
+            let x = solver.solve(&rhs).unwrap();
+            let fresh = LdlFactor::factor_with(&solver.to_matrix(), &FactorOptions::default())
+                .unwrap()
+                .solve(&rhs);
+            let scale = fresh.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            for (u, v) in x.iter().zip(&fresh) {
+                assert!((u - v).abs() <= 1e-10 * scale, "failure {step}: {u} vs {v}");
+            }
         }
+    }
+
+    /// Checks the per-failure pass's currents and IR drop against
+    /// `via_currents` and `IrDropReport::evaluate`, bit for bit.
+    fn assert_pass_matches(mc: &PowerGridMc, setup: &RunSetup, x: &[f64], label: &str) {
+        let grid = mc.grid();
+        let solution = grid.dc().solution_from_unknowns(x);
+        for (k, want) in grid.via_currents(&solution).iter().enumerate() {
+            let got = setup.site_current(k, x);
+            assert_eq!(got.to_bits(), want.to_bits(), "{label}: site {k}");
+        }
+        let want = IrDropReport::evaluate(grid, &solution);
+        let got = setup.ir_drop(grid.vdd(), x);
+        assert_eq!(
+            got.worst_drop.to_bits(),
+            want.worst_drop.to_bits(),
+            "{label}"
+        );
+        assert_eq!(
+            got.worst_fraction.to_bits(),
+            want.worst_fraction.to_bits(),
+            "{label}"
+        );
+    }
+
+    #[test]
+    fn fused_pass_matches_via_currents_and_ir_drop_bitwise() {
+        let rel = reliability(FailureCriterion::OpenCircuit);
+        let grid = PowerGrid::from_netlist(GridSpec::pg1().generate()).unwrap();
+        let mc = PowerGridMc::new(grid.clone(), rel);
+        let setup = mc.prepare().unwrap();
+        let mut solver = setup.solver.clone();
+        let mut rhs = setup.rhs.clone();
+        assert_pass_matches(&mc, &setup, &solver.solve(&rhs).unwrap(), "nominal");
+        // Fail the 40 arrays that carry the most current.
+        let nominal = grid.via_currents(grid.nominal_solution());
+        let mut hottest: Vec<usize> = (0..nominal.len()).collect();
+        hottest.sort_by(|&a, &b| nominal[b].total_cmp(&nominal[a]));
+        let mut failed = 0;
+        for &k in &hottest[..40] {
+            failed += usize::from(mc.fail_site(k, &mut solver, &mut rhs));
+        }
+        assert_eq!(failed, 40);
+        let x = solver.solve(&rhs).unwrap();
+        assert_pass_matches(&mc, &setup, &x, "40 failed");
+    }
+
+    #[test]
+    fn fused_pass_reads_pinned_via_terminals() {
+        // Vias whose upper terminal is a pad node: the pass reads the
+        // pinned voltage, and a failure there moves the right-hand side.
+        let deck = "\
+V1 n2_0_0 0 1.8
+V2 n2_1_1 0 1.8
+Rv1 n1_0_0 n2_0_0 0.5
+Rv2 n1_1_1 n2_1_1 0.5
+Rv3 n1_0_1 n2_0_1 0.5
+R1 n1_0_0 n1_0_1 0.1
+R2 n1_0_1 n1_1_1 0.1
+R3 n2_0_1 n2_0_0 0.1
+I1 n1_0_1 0 0.2
+";
+        let grid = PowerGrid::from_netlist(emgrid_spice::parse(deck).unwrap()).unwrap();
+        assert_eq!(grid.via_sites().len(), 3);
+        let mc = PowerGridMc::new(grid, reliability(FailureCriterion::OpenCircuit));
+        let setup = mc.prepare().unwrap();
+        let mut solver = setup.solver.clone();
+        let mut rhs = setup.rhs.clone();
+        assert_pass_matches(&mc, &setup, &solver.solve(&rhs).unwrap(), "nominal");
+        assert!(mc.fail_site(0, &mut solver, &mut rhs));
+        assert_ne!(rhs, setup.rhs);
+        let x = solver.solve(&rhs).unwrap();
+        assert_pass_matches(&mc, &setup, &x, "site 0 failed");
     }
 
     #[test]
@@ -1179,10 +1261,10 @@ mod tests {
         assert_eq!(resumed.site_failure_counts(), whole.site_failure_counts());
     }
 
-    /// An `emgrid-grid-checkpoint-v1` file, with an empty site list, `-0.0`
+    /// An `emgrid-grid-checkpoint-v2` file, with an empty site list, `-0.0`
     /// and a subnormal TTF. Its bytes may change only with the format line.
     const GOLDEN_CHECKPOINT: &str = "\
-emgrid-grid-checkpoint-v1
+emgrid-grid-checkpoint-v2
 stream 4 c0758eea876f7ccb 41202064c3789cfe c086232bdd7abcd2 4034b8fa0f022227
 trial 4167d78400000000 3 1 4
 trial 8000000000000000
@@ -1230,7 +1312,7 @@ trial 41cdc80dd0000000 12 0 7
 
     /// Tokens of the checkpoint grammar and near-misses of it.
     const CHECKPOINT_TOKENS: &[&str] = &[
-        "emgrid-grid-checkpoint-v1",
+        "emgrid-grid-checkpoint-v2",
         "stream",
         "trial",
         "0",

@@ -311,7 +311,7 @@ tuple_strategy!(A.0, B.1, C.2, D.3, E.4, F.5);
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// A fixed size or a size range for [`vec`].
+    /// A fixed size or a size range for [`vec()`].
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,
@@ -342,7 +342,7 @@ pub mod collection {
         }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

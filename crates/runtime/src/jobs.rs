@@ -245,7 +245,7 @@ pub struct JobEngine<R: Send + 'static> {
 impl<R: Send + 'static> JobEngine<R> {
     /// Starts `workers` worker threads over a queue bounded at
     /// `queue_depth` jobs, retaining the last
-    /// [`DEFAULT_TERMINAL_RETENTION`] terminal records in memory.
+    /// 1024 (`DEFAULT_TERMINAL_RETENTION`) terminal records in memory.
     ///
     /// # Panics
     ///

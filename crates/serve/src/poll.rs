@@ -46,7 +46,7 @@ impl PollFd {
         self.fd
     }
 
-    /// Returned readiness mask from the last [`poll`] call.
+    /// Returned readiness mask from the last [`poll_fds`] call.
     pub fn revents(&self) -> i16 {
         self.revents
     }

@@ -47,7 +47,7 @@ const PHASE_RETENTION: usize = 1024;
 /// which must stay byte-identical whatever the timings were.
 ///
 /// Bounded like the engine's terminal-record ring: beyond
-/// [`PHASE_RETENTION`] jobs the oldest entry is evicted.
+/// 1024 jobs (`PHASE_RETENTION`) the oldest entry is evicted.
 #[derive(Debug, Default)]
 pub struct PhaseLog {
     /// Insertion order (for eviction) alongside the id → phases map.
@@ -730,6 +730,42 @@ mod tests {
             panic!("resume from a misfit checkpoint failed: {resumed:?}")
         };
         assert_eq!(resumed, reference);
+        let _ = std::fs::remove_dir_all(store.root());
+        let _ = std::fs::remove_dir_all(store2.root());
+    }
+
+    #[test]
+    fn analyze_resume_from_a_v1_grid_checkpoint_recomputes_from_trial_zero() {
+        let store = temp_store("v1-reference");
+        let (_, reference) = run_to_outcome(netlist_analyze_spec(40), &store, 0);
+        let JobOutcome::Done(reference) = reference else {
+            panic!("reference failed: {reference:?}")
+        };
+
+        // An 8-trial prefix with its first TTF moved, so a job that used it
+        // could not land on the reference bytes.
+        let store2 = temp_store("v1-resume");
+        let (id, _) = run_to_outcome(netlist_analyze_spec(8), &store2, 8);
+        let text = store2.read_checkpoint(id).expect("checkpoint persisted");
+        let mut cp = GridCheckpoint::decode(&text).unwrap();
+        cp.outputs[0].ttf_seconds *= 1.5;
+        let v2 = cp.encode();
+        let resume = |text: &str| {
+            store2.write_checkpoint(id, text).unwrap();
+            let (resumed_id, outcome) = run_to_outcome(netlist_analyze_spec(40), &store2, 8);
+            assert_eq!(resumed_id, id, "store keying broken");
+            let JobOutcome::Done(doc) = outcome else {
+                panic!("resumed run failed: {outcome:?}")
+            };
+            doc
+        };
+        // Under the current format line the prefix is used...
+        assert_ne!(resume(&v2), reference, "the moved TTF must show");
+        // ...and under the previous one, whose TTFs came from another
+        // solver, it is discarded: the job recomputes from trial zero.
+        let v1 = v2.replace("emgrid-grid-checkpoint-v2", "emgrid-grid-checkpoint-v1");
+        assert!(GridCheckpoint::decode(&v1).is_err());
+        assert_eq!(resume(&v1), reference);
         let _ = std::fs::remove_dir_all(store.root());
         let _ = std::fs::remove_dir_all(store2.root());
     }

@@ -1,6 +1,7 @@
 //! The daemon: lifecycle, routing, and the job-engine wiring. One
 //! `poll(2)` event loop (`event_loop.rs`) owns every connection and hands
-//! parsed requests to [`route`] on a small dispatcher pool.
+//! parsed requests to the crate-private `route` on a small dispatcher
+//! pool.
 //!
 //! # Endpoints
 //!

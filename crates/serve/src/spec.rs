@@ -124,7 +124,7 @@ pub enum DeckSource {
     /// A built-in synthetic benchmark profile (see
     /// [`emgrid_spice::GridSpec::PROFILES`]): `pg1` through `pg1m`.
     Benchmark(String),
-    /// An uploaded SPICE deck (screened by [`emgrid_spice::ingest`]).
+    /// An uploaded SPICE deck (screened by [`emgrid_spice::ingest()`]).
     Netlist(String),
 }
 

@@ -1,9 +1,9 @@
 //! Small dense matrices with LU factorization.
 //!
-//! These kernels back the 24x24 element stiffness matrices of the
-//! finite-element engine and the small "capacitance" systems of the
-//! Sherman–Morrison–Woodbury update. They are deliberately simple,
-//! row-major, and allocation-friendly rather than tuned for large sizes.
+//! These kernels are the dense reference that tests check the sparse
+//! solvers against ([`crate::CsrMatrix::to_dense`], then
+//! [`DenseMatrix::solve`]). They are deliberately simple, row-major, and
+//! allocation-friendly rather than tuned for large sizes.
 
 use crate::error::SparseError;
 
@@ -221,14 +221,6 @@ impl LuFactor {
     /// Returns [`SparseError::NotSquare`], or [`SparseError::Singular`] when
     /// a pivot is at most `16·ε·n·max|a|` in magnitude.
     pub fn factor(a: &DenseMatrix) -> Result<Self, SparseError> {
-        Self::factor_scaled(a, a.max_abs())
-    }
-
-    /// [`LuFactor::factor`] with the singularity test relative to `scale`
-    /// instead of `max|a|`. For a matrix formed as a sum of terms that may
-    /// cancel, the size of the terms, not of the cancelled entries, says
-    /// which pivot is numerically zero.
-    pub(crate) fn factor_scaled(a: &DenseMatrix, scale: f64) -> Result<Self, SparseError> {
         if a.rows != a.cols {
             return Err(SparseError::NotSquare {
                 rows: a.rows,
@@ -238,7 +230,7 @@ impl LuFactor {
         let n = a.rows;
         // Relative, so the verdict does not change when the matrix is
         // rescaled.
-        let tiny = f64::EPSILON * 16.0 * (n as f64).max(1.0) * scale;
+        let tiny = f64::EPSILON * 16.0 * (n as f64).max(1.0) * a.max_abs();
         let mut lu = a.data.clone();
         let mut perm: Vec<usize> = (0..n).collect();
         for k in 0..n {

@@ -23,7 +23,12 @@ pub const VEC_CHUNK: usize = 4096;
 /// Fixed row-block size for threaded CSR mat-vec products.
 pub const ROW_CHUNK: usize = 512;
 
+// The kernels are `#[inline]` so that `cg::solve` inlines them whichever
+// codegen unit the crate's partitioning puts this module in: without it,
+// adding code elsewhere in the crate has moved them out of line.
+
 /// Chunked dot product `aᵀ b`, bit-identical for any `threads`.
+#[inline]
 pub fn dot(a: &[f64], b: &[f64], threads: usize) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     parallel_reduce(
@@ -37,11 +42,13 @@ pub fn dot(a: &[f64], b: &[f64], threads: usize) -> f64 {
 }
 
 /// Chunked Euclidean norm `||a||`, bit-identical for any `threads`.
+#[inline]
 pub fn norm(a: &[f64], threads: usize) -> f64 {
     dot(a, a, threads).sqrt()
 }
 
 /// `y[i] += alpha * x[i]` over fixed chunks.
+#[inline]
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64], threads: usize) {
     debug_assert_eq!(x.len(), y.len());
     parallel_chunks_mut(y, VEC_CHUNK, threads, |start, yc| {
@@ -50,6 +57,7 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64], threads: usize) {
 }
 
 /// `p[i] = z[i] + beta * p[i]` (the CG direction update) over fixed chunks.
+#[inline]
 pub fn xpby(z: &[f64], beta: f64, p: &mut [f64], threads: usize) {
     debug_assert_eq!(z.len(), p.len());
     parallel_chunks_mut(p, VEC_CHUNK, threads, |start, pc| {

@@ -6,11 +6,11 @@
 //!   a symbolic pass computes the elimination tree and column counts, then a
 //!   numeric pass computes one row of `L` at a time using the tree to find
 //!   each row's sparsity pattern; and
-//! * a blocked supernodal factorization ([`crate::supernodal`]) that groups
-//!   columns with nested patterns into dense panels and applies
-//!   cache-contiguous update kernels — the default, and the faster choice on
-//!   the mesh-structured conductance and stiffness matrices this workspace
-//!   produces.
+//! * a blocked supernodal factorization (the crate-private `supernodal`
+//!   module) that groups columns with nested patterns into dense panels and
+//!   applies cache-contiguous update kernels — the default, and the faster
+//!   choice on the mesh-structured conductance and stiffness matrices this
+//!   workspace produces.
 //!
 //! [`FactorOptions`] selects the fill-reducing ordering (natural, reverse
 //! Cuthill–McKee, or minimum degree via [`crate::ordering::amd`]), the numeric
@@ -504,6 +504,17 @@ impl LdlFactor {
     /// bit-identity tests compare these arrays directly) and diagnostics.
     pub fn factor_parts(&self) -> (&[usize], &[u32], &[f64], &[f64]) {
         (&self.col_ptr, &self.row_idx, &self.values, &self.diag)
+    }
+
+    /// [`LdlFactor::factor_parts`] with the numeric arrays writable, for
+    /// in-place updates that keep the pattern (and so the solve plan).
+    pub(crate) fn factor_parts_mut(&mut self) -> (&[usize], &[u32], &mut [f64], &mut [f64]) {
+        (
+            &self.col_ptr,
+            &self.row_idx,
+            &mut self.values,
+            &mut self.diag,
+        )
     }
 }
 

@@ -12,17 +12,17 @@
 //!   ([`deflation::Deflation`], [`cg::deflated_conjugate_gradient`]) that
 //!   removes the rigid-body error IC(0) leaves in elasticity,
 //! * an **incremental solver** that updates a factored system after a
-//!   low-rank modification — each electromigration failure event changes a
-//!   single conductance, which is a rank-1 update handled by the
-//!   Sherman–Morrison–Woodbury identity ([`smw::IncrementalSolver`]).
+//!   rank-1 modification — each electromigration failure event changes a
+//!   single conductance. [`smw::IncrementalSolver`] updates the LDLᵀ factor
+//!   in place along one elimination-tree path and keeps the last solution
+//!   current by a Sherman–Morrison step.
 //!
 //! Everything is built from scratch on plain `Vec`-based storage: a triplet
 //! builder ([`coo::TripletMatrix`]), compressed sparse row storage
 //! ([`csr::CsrMatrix`]), fill-reducing orderings (reverse Cuthill–McKee and
 //! minimum degree, [`ordering`]), a blocked supernodal numeric engine behind
 //! [`ldl::LdlFactor::factor_with`] and small dense kernels
-//! ([`dense::DenseMatrix`]) used for element matrices and Woodbury
-//! capacitance systems.
+//! ([`dense::DenseMatrix`]) that tests use as a reference.
 //!
 //! # Example
 //!

@@ -423,7 +423,7 @@ const ND_BASE: usize = 64;
 /// recursively and the separator *last*. On planar-ish meshes (power
 /// grids, FEA stiffness graphs) separators have size `O(√n)`, which bounds
 /// Cholesky fill by `O(n log n)` — the asymptotics that matter once grids
-/// reach millions of nodes. Pieces of at most [`ND_BASE`] vertices are
+/// reach millions of nodes. Pieces of at most 64 vertices (`ND_BASE`) are
 /// ordered by [`amd`] on the extracted subgraph.
 ///
 /// Determinism: BFS frontiers expand in sorted adjacency order, ties in

@@ -309,9 +309,10 @@ fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
 
 /// Pins every bit of a sequential PG1 level-2 run: system TTFs, failures
 /// per trial and the per-site failure histogram. PG1 takes ~140 failures
-/// per trial, so each trial crosses two SMW rebases. A solver change that
-/// reorders any floating-point operation of the re-solves moves the
-/// Table 2 numbers, and fails here.
+/// per trial, each a rank-1 update of the trial's factor and a kept
+/// solution carried across all of them. A solver change that reorders any
+/// floating-point operation of the re-solves moves the Table 2 numbers,
+/// and fails here.
 #[test]
 fn grid_mc_result_bits_are_pinned() {
     let rel = via_mc()
@@ -328,13 +329,13 @@ fn grid_mc_result_bits_are_pinned() {
             .chain(r.site_failure_counts().iter().map(|&c| c as u64)),
     );
     assert_eq!(
-        digest, 0xda51_af55_445d_cb5a,
+        digest, 0x523c_151a_2547_f3d5,
         "PG1 grid Monte Carlo result moved"
     );
 }
 
 /// The same pin for the flat per-via Monte Carlo, whose every via failure
-/// is an SMW update and re-solve of the whole grid.
+/// is a rank-1 update and re-solve of the whole grid.
 #[test]
 fn flat_mc_result_bits_are_pinned() {
     let grid = PowerGrid::from_netlist(GridSpec::custom("flat", 6, 6).generate()).unwrap();
@@ -347,7 +348,7 @@ fn flat_mc_result_bits_are_pinned() {
     .unwrap();
     let digest = fnv1a(r.ttf_seconds().iter().map(|t| t.to_bits()));
     assert_eq!(
-        digest, 0x5646_d5c8_8d36_078a,
+        digest, 0xe70c_046b_fe53_da6d,
         "flat Monte Carlo result moved"
     );
 }
