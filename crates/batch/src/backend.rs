@@ -1,7 +1,8 @@
-//! Where sweep jobs actually run: an abstraction over "the daemon's job
-//! engine" so the same dispatcher drives both `POST /v1/sweeps` (through
-//! [`JobsApi`]) and `emgrid sweep` (through an in-process
-//! [`LocalBackend`]).
+//! Where sweep jobs run: the [`JobBackend`] trait the dispatcher fans
+//! jobs out through. Its one production implementation is the job
+//! service's [`JobsApi`] handle, which both `POST /v1/sweeps` and
+//! `emgrid sweep` mount the engine over; the trait lets the conformance
+//! tests substitute a double that sabotages chosen jobs.
 //!
 //! Polling is **disk-first**: the job store is the authoritative record
 //! (the engine's worker closures persist results and errors *before* the
@@ -10,25 +11,17 @@
 //! the property that makes resume-after-`kill -9` indistinguishable from
 //! an uninterrupted run.
 
-use std::io;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
-
-use emgrid_runtime::{JobEngine, JobId, JobOutcome, JobStatus, SubmitError};
-use emgrid_serve::metrics::Metrics;
-use emgrid_serve::runner::{run_job, RunEnv};
-use emgrid_serve::{DiskJob, JobSpec, JobStore, JobsApi, JobsApiError};
+use emgrid_runtime::{JobId, JobStatus};
+use emgrid_serve::{JobSpec, JobsApi, JobsApiError};
 
 /// The dispatcher's view of one job, reconciled disk-first.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobPoll {
     /// Nothing anywhere: the bound id was never persisted — submit fresh.
     Missing,
-    /// Spec on disk but the engine does not know the id (a restart
-    /// happened after persist but the requeue has not reached it, or the
-    /// backend does not auto-requeue) — resubmit under the same id.
+    /// Spec on disk but the engine does not know the id (the queue turned
+    /// the job away after its spec was persisted) — resubmit under the
+    /// same id.
     Unscheduled,
     /// Queued, running or checkpointed — check again later.
     Pending,
@@ -44,17 +37,6 @@ pub enum JobPoll {
     Interrupted,
 }
 
-/// Why a backend rejected a submission.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SubmitRejected {
-    /// The engine queue is full; retry after jobs drain.
-    QueueFull,
-    /// The backend is shutting down; abort the sweep (a restart resumes).
-    ShuttingDown,
-    /// The spec could not be persisted.
-    Persist(String),
-}
-
 /// The engine a sweep dispatcher fans jobs out through.
 pub trait JobBackend: Send + Sync {
     /// Allocates a fresh job id (never reused while the process lives).
@@ -67,10 +49,10 @@ pub trait JobBackend: Send + Sync {
     /// Persists `spec` under `id` and queues it. The caller owns `id`
     /// exclusively and has confirmed via [`poll`](Self::poll) that the
     /// engine does not currently know it.
-    fn submit(&self, id: JobId, spec: &JobSpec) -> Result<(), SubmitRejected>;
+    fn submit(&self, id: JobId, spec: &JobSpec) -> Result<(), JobsApiError>;
 
     /// Queues a job whose spec is already persisted under `id`.
-    fn resubmit(&self, id: JobId, spec: JobSpec) -> Result<(), SubmitRejected>;
+    fn resubmit(&self, id: JobId, spec: JobSpec) -> Result<(), JobsApiError>;
 
     /// Reconciles one job's state, disk-first.
     fn poll(&self, id: JobId) -> JobPoll;
@@ -86,35 +68,6 @@ pub trait JobBackend: Send + Sync {
     fn shutting_down(&self) -> bool;
 }
 
-/// The shared disk-first poll: `store` then `engine`, in that order.
-fn poll_store_then_engine(
-    store: &JobStore,
-    engine_status: Option<JobStatus>,
-    id: JobId,
-) -> JobPoll {
-    if store.read_result(id).is_some() {
-        return JobPoll::Done;
-    }
-    if let Some(message) = store.read_error(id) {
-        return JobPoll::Failed(message);
-    }
-    if store.is_cancelled(id) {
-        return JobPoll::Cancelled;
-    }
-    match engine_status {
-        // Engine-cancelled with no client marker: daemon shutdown.
-        Some(JobStatus::Cancelled) => JobPoll::Interrupted,
-        // Engine-terminal but its persisted artifact has not appeared:
-        // the worker's disk write failed. Surface it rather than letting
-        // the dispatcher poll forever.
-        Some(JobStatus::Done) => JobPoll::Failed("result was not persisted".into()),
-        Some(JobStatus::Failed) => JobPoll::Failed("failure was not persisted".into()),
-        Some(_) => JobPoll::Pending,
-        None if store.exists(id) => JobPoll::Unscheduled,
-        None => JobPoll::Missing,
-    }
-}
-
 impl JobBackend for JobsApi {
     fn allocate_id(&self) -> JobId {
         JobsApi::allocate_id(self)
@@ -124,24 +77,38 @@ impl JobBackend for JobsApi {
         JobsApi::reserve_above(self, floor);
     }
 
-    fn submit(&self, id: JobId, spec: &JobSpec) -> Result<(), SubmitRejected> {
-        JobsApi::submit(self, id, spec).map_err(|e| match e {
-            JobsApiError::QueueFull => SubmitRejected::QueueFull,
-            JobsApiError::ShuttingDown => SubmitRejected::ShuttingDown,
-            JobsApiError::Persist(e) => SubmitRejected::Persist(e.to_string()),
-        })
+    fn submit(&self, id: JobId, spec: &JobSpec) -> Result<(), JobsApiError> {
+        JobsApi::submit(self, id, spec)
     }
 
-    fn resubmit(&self, id: JobId, spec: JobSpec) -> Result<(), SubmitRejected> {
-        JobsApi::resubmit(self, id, spec).map_err(|e| match e {
-            JobsApiError::QueueFull => SubmitRejected::QueueFull,
-            JobsApiError::ShuttingDown => SubmitRejected::ShuttingDown,
-            JobsApiError::Persist(e) => SubmitRejected::Persist(e.to_string()),
-        })
+    fn resubmit(&self, id: JobId, spec: JobSpec) -> Result<(), JobsApiError> {
+        JobsApi::resubmit(self, id, spec)
     }
 
+    /// The store first, then the engine, in that order.
     fn poll(&self, id: JobId) -> JobPoll {
-        poll_store_then_engine(&self.store(), self.engine_status(id), id)
+        let store = self.store();
+        if store.read_result(id).is_some() {
+            return JobPoll::Done;
+        }
+        if let Some(message) = store.read_error(id) {
+            return JobPoll::Failed(message);
+        }
+        if store.is_cancelled(id) {
+            return JobPoll::Cancelled;
+        }
+        match self.engine_status(id) {
+            // Engine-cancelled with no client marker: daemon shutdown.
+            Some(JobStatus::Cancelled) => JobPoll::Interrupted,
+            // Engine-terminal but its persisted artifact has not appeared:
+            // the worker's disk write failed. Surface it rather than letting
+            // the dispatcher poll forever.
+            Some(JobStatus::Done) => JobPoll::Failed("result was not persisted".into()),
+            Some(JobStatus::Failed) => JobPoll::Failed("failure was not persisted".into()),
+            Some(_) => JobPoll::Pending,
+            None if store.exists(id) => JobPoll::Unscheduled,
+            None => JobPoll::Missing,
+        }
     }
 
     fn read_result(&self, id: JobId) -> Option<Vec<u8>> {
@@ -154,185 +121,5 @@ impl JobBackend for JobsApi {
 
     fn shutting_down(&self) -> bool {
         JobsApi::shutting_down(self)
-    }
-}
-
-struct LocalInner {
-    engine: JobEngine<String>,
-    store: JobStore,
-    metrics: Metrics,
-    checkpoint_every: usize,
-    cache_dir: Option<PathBuf>,
-    next_id: AtomicU64,
-    shutting: AtomicBool,
-    /// Live ids, for draining on shutdown.
-    known: Mutex<Vec<JobId>>,
-}
-
-/// An in-process backend for `emgrid sweep`: its own job engine and
-/// store, with the daemon's restart semantics (unfinished jobs found in
-/// the state directory are requeued on open).
-#[derive(Clone)]
-pub struct LocalBackend {
-    inner: Arc<LocalInner>,
-}
-
-impl LocalBackend {
-    /// Opens the job store at `state_dir`, requeues any unfinished jobs
-    /// found there, and starts `workers` worker threads.
-    ///
-    /// # Errors
-    ///
-    /// Propagates job-store failures.
-    pub fn open(
-        state_dir: impl Into<PathBuf>,
-        workers: usize,
-        checkpoint_every: usize,
-    ) -> io::Result<LocalBackend> {
-        let store = JobStore::open(state_dir)?;
-        let mut unfinished = Vec::new();
-        let mut max_id = 0;
-        for (id, state) in store.scan() {
-            max_id = max_id.max(id);
-            if let DiskJob::Unfinished { spec, .. } = state {
-                match JobSpec::from_json(&spec) {
-                    Ok(spec) => unfinished.push((id, spec)),
-                    Err(e) => {
-                        let _ = store.write_error(id, &format!("unreadable spec: {e}"));
-                    }
-                }
-            }
-        }
-        // The queue never blocks a sweep: the dispatcher bounds in-flight
-        // work itself, and the startup requeue must always fit.
-        let queue_depth = 256usize.max(unfinished.len());
-        let backend = LocalBackend {
-            inner: Arc::new(LocalInner {
-                engine: JobEngine::new(workers.max(1), queue_depth),
-                store,
-                metrics: Metrics::default(),
-                checkpoint_every,
-                cache_dir: None,
-                next_id: AtomicU64::new(max_id + 1),
-                shutting: AtomicBool::new(false),
-                known: Mutex::new(Vec::new()),
-            }),
-        };
-        for (id, spec) in unfinished {
-            let _ = backend.enqueue(id, spec);
-        }
-        Ok(backend)
-    }
-
-    /// The backend's job store.
-    pub fn store(&self) -> &JobStore {
-        &self.inner.store
-    }
-
-    fn enqueue(&self, id: JobId, spec: JobSpec) -> Result<(), SubmitRejected> {
-        let inner = Arc::clone(&self.inner);
-        self.inner
-            .engine
-            .submit_with_id(id, move |ctx| {
-                let env = RunEnv {
-                    store: &inner.store,
-                    metrics: &inner.metrics,
-                    checkpoint_every: inner.checkpoint_every,
-                    cache_dir: inner.cache_dir.as_deref(),
-                    max_netlist_bytes: 8 * 1024 * 1024,
-                    max_netlist_lines: 400_000,
-                    phases: None,
-                };
-                let outcome = run_job(&spec, ctx, &env);
-                // Terminal artifacts land on disk before the engine sees
-                // the outcome — the invariant disk-first polling rests on.
-                match &outcome {
-                    JobOutcome::Done(result) => {
-                        let _ = inner.store.write_result(ctx.id, result);
-                    }
-                    JobOutcome::Failed(message) => {
-                        let _ = inner.store.write_error(ctx.id, message);
-                    }
-                    JobOutcome::Cancelled => {}
-                }
-                outcome
-            })
-            .map(|_| ())
-            .map_err(|e| match e {
-                SubmitError::QueueFull => SubmitRejected::QueueFull,
-                SubmitError::ShuttingDown => SubmitRejected::ShuttingDown,
-            })?;
-        let mut known = self.inner.known.lock().unwrap_or_else(|e| e.into_inner());
-        known.retain(|kid| {
-            self.inner
-                .engine
-                .status(*kid)
-                .is_some_and(|status| !status.is_terminal())
-        });
-        known.push(id);
-        Ok(())
-    }
-
-    /// Interrupts outstanding work the way a daemon shutdown does:
-    /// running Monte Carlo jobs commit a final checkpoint and report
-    /// engine-cancelled (no client marker), queued jobs never start.
-    /// Used by the in-process resume tests; `kill -9` is the production
-    /// equivalent.
-    pub fn shutdown_now(&self) {
-        self.inner.shutting.store(true, Ordering::SeqCst);
-        let ids: Vec<JobId> = self
-            .inner
-            .known
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone();
-        for id in &ids {
-            self.inner.engine.cancel(*id);
-        }
-        for id in ids {
-            let _ = self
-                .inner
-                .engine
-                .wait_terminal(id, Duration::from_secs(600));
-        }
-        self.inner.engine.begin_shutdown();
-    }
-}
-
-impl JobBackend for LocalBackend {
-    fn allocate_id(&self) -> JobId {
-        self.inner.next_id.fetch_add(1, Ordering::SeqCst)
-    }
-
-    fn reserve_above(&self, floor: JobId) {
-        self.inner.next_id.fetch_max(floor + 1, Ordering::SeqCst);
-    }
-
-    fn submit(&self, id: JobId, spec: &JobSpec) -> Result<(), SubmitRejected> {
-        self.inner
-            .store
-            .write_spec(id, &spec.to_json())
-            .map_err(|e| SubmitRejected::Persist(e.to_string()))?;
-        self.enqueue(id, spec.clone())
-    }
-
-    fn resubmit(&self, id: JobId, spec: JobSpec) -> Result<(), SubmitRejected> {
-        self.enqueue(id, spec)
-    }
-
-    fn poll(&self, id: JobId) -> JobPoll {
-        poll_store_then_engine(&self.inner.store, self.inner.engine.status(id), id)
-    }
-
-    fn read_result(&self, id: JobId) -> Option<Vec<u8>> {
-        self.inner.store.read_result(id)
-    }
-
-    fn mark_sweep(&self, id: JobId, sweep: &str) {
-        let _ = self.inner.store.write_sweep(id, sweep);
-    }
-
-    fn shutting_down(&self) -> bool {
-        self.inner.shutting.load(Ordering::SeqCst)
     }
 }

@@ -32,9 +32,9 @@ use std::time::{Duration, Instant};
 
 use emgrid_runtime::obs;
 use emgrid_scenarios::{SweepJob, SweepSpec};
-use emgrid_serve::SpecError;
+use emgrid_serve::{JobsApiError, SpecError};
 
-use crate::backend::{JobBackend, JobPoll, SubmitRejected};
+use crate::backend::{JobBackend, JobPoll};
 use crate::manifest::{EntryState, Manifest, SweepStore};
 use crate::report::aggregate;
 
@@ -397,7 +397,7 @@ impl SweepEngine {
                                         submitted_at[idx] = Some(Instant::now());
                                         in_flight += 1;
                                     }
-                                    Err(SubmitRejected::ShuttingDown) => return,
+                                    Err(JobsApiError::ShuttingDown) => return,
                                     // Queue pressure: retry next tick.
                                     Err(_) => {}
                                 }
@@ -413,7 +413,7 @@ impl SweepEngine {
                                         submitted_at[idx] = Some(Instant::now());
                                         in_flight += 1;
                                     }
-                                    Err(SubmitRejected::ShuttingDown) => return,
+                                    Err(JobsApiError::ShuttingDown) => return,
                                     Err(_) => {}
                                 }
                             }
@@ -440,7 +440,7 @@ impl SweepEngine {
                                 submitted_at[idx] = Some(Instant::now());
                                 in_flight += 1;
                             }
-                            Err(SubmitRejected::ShuttingDown) => return,
+                            Err(JobsApiError::ShuttingDown) => return,
                             // Stays `submitted` with a bound id; the next
                             // tick polls it as missing and retries.
                             Err(_) => {}

@@ -8,9 +8,8 @@
 //! artifact).
 //!
 //! * [`manifest`] — the crash-safe sweep store and entry state machine;
-//! * [`backend`] — where jobs run: the daemon's [`JobsApi`]
-//!   (`POST /v1/sweeps`) or an in-process [`LocalBackend`]
-//!   (`emgrid sweep`), both polled disk-first;
+//! * [`backend`] — where jobs run: the job service's [`JobsApi`] handle,
+//!   behind both `POST /v1/sweeps` and `emgrid sweep`, polled disk-first;
 //! * [`engine`] — the per-sweep dispatcher and resume protocol;
 //! * `report` — aggregation into TTF-vs-j curves and Plus/T/L tables;
 //! * [`http`] — the `/v1/sweeps` routes, mounted via the daemon's route
@@ -23,7 +22,6 @@
 //! `tests/` hold the crate to it.
 //!
 //! [`JobsApi`]: emgrid_serve::JobsApi
-//! [`LocalBackend`]: backend::LocalBackend
 
 pub mod backend;
 pub mod engine;
@@ -31,6 +29,6 @@ pub mod http;
 pub mod manifest;
 mod report;
 
-pub use backend::{JobBackend, JobPoll, LocalBackend, SubmitRejected};
+pub use backend::{JobBackend, JobPoll};
 pub use engine::{Submission, SubmissionState, SweepEngine, SweepStatus};
 pub use manifest::{Entry, EntryState, Manifest, SweepStore};

@@ -1,16 +1,16 @@
-//! Conformance suite for the sweep engine over the in-process backend:
+//! Conformance suite for the sweep engine over a socketless job service:
 //! report byte-stability across worker counts and in-flight windows,
 //! partial-failure aggregation, and shutdown-mid-sweep resume.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use emgrid_batch::backend::{JobBackend, JobPoll, SubmitRejected};
-use emgrid_batch::{LocalBackend, SubmissionState, SweepEngine};
+use emgrid_batch::backend::{JobBackend, JobPoll};
+use emgrid_batch::{SubmissionState, SweepEngine};
 use emgrid_runtime::JobId;
-use emgrid_serve::{JobBody, JobSpec};
+use emgrid_serve::{JobBody, JobService, JobSpec, JobsApi, JobsApiError, ServeConfig};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -33,13 +33,24 @@ const SMALL_SWEEP: &str = r#"{
     }
 }"#;
 
-/// Runs `spec_text` to completion on a fresh backend and returns the
+/// Opens a job service over `state_dir`, as `emgrid sweep` does.
+fn open_service(state_dir: &Path, workers: usize) -> JobService {
+    JobService::open(&ServeConfig {
+        state_dir: state_dir.to_path_buf(),
+        workers,
+        checkpoint_every: 16,
+        ..ServeConfig::default()
+    })
+    .unwrap()
+}
+
+/// Runs `spec_text` to completion on a fresh service and returns the
 /// report bytes.
 fn run_sweep(tag: &str, spec_text: &str, workers: usize, max_in_flight: usize) -> Vec<u8> {
     let root = temp_dir(tag);
-    let backend = LocalBackend::open(root.join("jobs"), workers, 16).unwrap();
+    let service = open_service(&root.join("jobs"), workers);
     let engine = SweepEngine::new(
-        Arc::new(backend),
+        Arc::new(service.jobs_api()),
         root.join("jobs").join("sweeps"),
         max_in_flight,
     )
@@ -78,8 +89,13 @@ fn report_is_worker_count_and_in_flight_invariant() {
 #[test]
 fn resubmitting_a_completed_sweep_is_idempotent() {
     let root = temp_dir("idem");
-    let backend = LocalBackend::open(root.join("jobs"), 2, 16).unwrap();
-    let engine = SweepEngine::new(Arc::new(backend), root.join("jobs").join("sweeps"), 4).unwrap();
+    let service = open_service(&root.join("jobs"), 2);
+    let engine = SweepEngine::new(
+        Arc::new(service.jobs_api()),
+        root.join("jobs").join("sweeps"),
+        4,
+    )
+    .unwrap();
     let first = engine.submit_text(SMALL_SWEEP).unwrap();
     engine.wait_idle();
     let report = engine.report_bytes(&first.sweep).unwrap();
@@ -90,12 +106,12 @@ fn resubmitting_a_completed_sweep_is_idempotent() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// Delegates to [`LocalBackend`] but sabotages jobs whose spec carries a
+/// Delegates to [`JobsApi`] but sabotages jobs whose spec carries a
 /// marker seed: the spec is persisted and an error artifact written, as
 /// if a worker had failed the job.
 #[derive(Clone)]
 struct Sabotage {
-    inner: LocalBackend,
+    inner: JobsApi,
     marker_seed: u64,
 }
 
@@ -112,12 +128,12 @@ impl JobBackend for Sabotage {
     fn reserve_above(&self, floor: JobId) {
         self.inner.reserve_above(floor);
     }
-    fn submit(&self, id: JobId, spec: &JobSpec) -> Result<(), SubmitRejected> {
+    fn submit(&self, id: JobId, spec: &JobSpec) -> Result<(), JobsApiError> {
         if self.sabotaged(spec) {
             self.inner
                 .store()
                 .write_spec(id, &spec.to_json())
-                .map_err(|e| SubmitRejected::Persist(e.to_string()))?;
+                .map_err(JobsApiError::Persist)?;
             let _ = self
                 .inner
                 .store()
@@ -126,7 +142,7 @@ impl JobBackend for Sabotage {
         }
         self.inner.submit(id, spec)
     }
-    fn resubmit(&self, id: JobId, spec: JobSpec) -> Result<(), SubmitRejected> {
+    fn resubmit(&self, id: JobId, spec: JobSpec) -> Result<(), JobsApiError> {
         if self.sabotaged(&spec) {
             let _ = self
                 .inner
@@ -153,8 +169,9 @@ impl JobBackend for Sabotage {
 #[test]
 fn a_failed_job_is_listed_in_the_report_not_dropped() {
     let root = temp_dir("partial");
+    let service = open_service(&root.join("jobs"), 2);
     let backend = Sabotage {
-        inner: LocalBackend::open(root.join("jobs"), 2, 16).unwrap(),
+        inner: service.jobs_api(),
         marker_seed: 999,
     };
     let engine = SweepEngine::new(Arc::new(backend), root.join("jobs").join("sweeps"), 4).unwrap();
@@ -182,7 +199,7 @@ fn a_failed_job_is_listed_in_the_report_not_dropped() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// Shutdown mid-sweep, then resume on fresh backend + engine instances
+/// Shutdown mid-sweep, then resume on fresh service + engine instances
 /// over the same state directories: the final report must be
 /// byte-identical to an uninterrupted control run.
 #[test]
@@ -201,8 +218,8 @@ fn shutdown_mid_sweep_resumes_to_an_identical_report() {
     let jobs_dir = root.join("jobs");
     let sweeps_dir = jobs_dir.join("sweeps");
     let sweep = {
-        let backend = LocalBackend::open(&jobs_dir, 1, 16).unwrap();
-        let engine = SweepEngine::new(Arc::new(backend.clone()), &sweeps_dir, 1).unwrap();
+        let service = open_service(&jobs_dir, 1);
+        let engine = SweepEngine::new(Arc::new(service.jobs_api()), &sweeps_dir, 1).unwrap();
         let submission = engine.submit_text(spec_text).unwrap();
         assert_eq!(submission.state, SubmissionState::Started);
         // Let the sweep make real progress (at least one settled job),
@@ -216,17 +233,17 @@ fn shutdown_mid_sweep_resumes_to_an_identical_report() {
             assert!(Instant::now() < deadline, "sweep made no progress");
             std::thread::sleep(Duration::from_millis(10));
         }
-        backend.shutdown_now();
+        service.shutdown(true);
         engine.wait_idle();
         // Interrupted, not completed: no report yet.
         assert!(engine.report_bytes(&submission.sweep).is_none());
         submission.sweep
     };
 
-    // "Restart": fresh backend (requeues unfinished jobs from disk) and
+    // "Restart": fresh service (requeues unfinished jobs from disk) and
     // a fresh engine that resumes every report-less sweep.
-    let backend = LocalBackend::open(&jobs_dir, 1, 16).unwrap();
-    let engine = SweepEngine::new(Arc::new(backend), &sweeps_dir, 1).unwrap();
+    let service = open_service(&jobs_dir, 1);
+    let engine = SweepEngine::new(Arc::new(service.jobs_api()), &sweeps_dir, 1).unwrap();
     assert_eq!(engine.resume_all(), 1);
     engine.wait_idle();
     let resumed = engine

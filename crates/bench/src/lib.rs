@@ -13,27 +13,70 @@
 //! FEA mesh resolution for the figure binaries can be overridden with the
 //! `EMGRID_RESOLUTION` environment variable (µm, default 0.25); Monte Carlo
 //! trial counts with `EMGRID_TRIALS` (default 2000 for level 1, 500 for
-//! level 2, the paper's `N_trials`).
+//! level 2, the paper's `N_trials`). A set override must be a positive
+//! number: anything else stops the binary with a message naming it.
+
+use std::str::FromStr;
 
 use emgrid::prelude::*;
 
+/// A value an `EMGRID_*` override may hold: a count or a length, which
+/// only means something when positive and finite.
+trait Override: FromStr {
+    /// What a valid value looks like, for the error message.
+    const EXPECTED: &'static str;
+
+    fn is_valid(&self) -> bool;
+}
+
+impl Override for usize {
+    const EXPECTED: &'static str = "a positive integer";
+
+    fn is_valid(&self) -> bool {
+        *self > 0
+    }
+}
+
+impl Override for f64 {
+    const EXPECTED: &'static str = "a positive finite number";
+
+    fn is_valid(&self) -> bool {
+        self.is_finite() && *self > 0.0
+    }
+}
+
+/// Parses the text of the override `name`; `None` means unset.
+fn parse_override<T: Override>(name: &str, text: Option<&str>) -> Result<Option<T>, String> {
+    let Some(text) = text else {
+        return Ok(None);
+    };
+    match text.parse::<T>() {
+        Ok(value) if value.is_valid() => Ok(Some(value)),
+        _ => Err(format!("{name}=`{text}` is not {}", T::EXPECTED)),
+    }
+}
+
+/// The `EMGRID_*` override `name`, or `None` when unset. A malformed or
+/// out-of-range value stops the binary (exit 2): a typo must not quietly
+/// run the default configuration.
+fn env_override<T: Override>(name: &str) -> Option<T> {
+    let text = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    parse_override(name, text.as_deref()).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
 /// Mesh resolution for figure FEA runs (µm), `EMGRID_RESOLUTION` override.
 pub fn fea_resolution() -> f64 {
-    std::env::var("EMGRID_RESOLUTION")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.25)
+    env_override("EMGRID_RESOLUTION").unwrap_or(0.25)
 }
 
 /// FEA worker threads for figure runs, `EMGRID_FEA_THREADS` override
 /// (default 1). Assembly and CG kernels run fixed-chunk deterministic
 /// arithmetic, so stress fields are bit-identical for any thread count.
 pub fn fea_threads() -> usize {
-    std::env::var("EMGRID_FEA_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1)
+    env_override("EMGRID_FEA_THREADS").unwrap_or(1)
 }
 
 /// Solves a figure model through the persistent stress cache
@@ -84,39 +127,26 @@ pub fn solve_figure_field(model: &CharacterizationModel) -> emgrid::fea::StressF
 
 /// Level-1 Monte Carlo trial count, `EMGRID_TRIALS` override.
 pub fn level1_trials() -> usize {
-    std::env::var("EMGRID_TRIALS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2000)
+    env_override("EMGRID_TRIALS").unwrap_or(2000)
 }
 
 /// Level-2 (power grid) Monte Carlo trial count: the paper's 500, or the
 /// `EMGRID_GRID_TRIALS` override.
 pub fn level2_trials() -> usize {
-    std::env::var("EMGRID_GRID_TRIALS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(500)
+    env_override("EMGRID_GRID_TRIALS").unwrap_or(500)
 }
 
 /// Monte Carlo worker threads, `EMGRID_THREADS` override (default 1).
 /// Results are bit-identical for any thread count.
 pub fn mc_threads() -> usize {
-    std::env::var("EMGRID_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1)
+    env_override("EMGRID_THREADS").unwrap_or(1)
 }
 
 /// Optional CI-based early termination, `EMGRID_TARGET_CI` override: stop
 /// once the 95% CI half-width on the mean `ln TTF` reaches this value
 /// instead of exhausting the trial budget. Unset = fixed budget.
 pub fn mc_target_ci() -> Option<f64> {
-    std::env::var("EMGRID_TARGET_CI")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&hw| hw > 0.0)
+    env_override("EMGRID_TARGET_CI")
 }
 
 /// The runtime configuration every figure/table binary runs its Monte
@@ -238,6 +268,33 @@ mod tests {
             runtime_config().early_stop,
             mc_target_ci().map(EarlyStop::to_half_width)
         );
+    }
+
+    #[test]
+    fn overrides_parse_or_name_the_bad_value() {
+        assert_eq!(parse_override::<usize>("EMGRID_TRIALS", None), Ok(None));
+        assert_eq!(
+            parse_override::<usize>("EMGRID_TRIALS", Some("100")),
+            Ok(Some(100))
+        );
+        assert_eq!(
+            parse_override::<f64>("EMGRID_RESOLUTION", Some("0.4")),
+            Ok(Some(0.4))
+        );
+        for bad in ["1OO", "0", "-3", "", "2.5"] {
+            let e = parse_override::<usize>("EMGRID_TRIALS", Some(bad)).unwrap_err();
+            assert_eq!(
+                e,
+                format!("EMGRID_TRIALS=`{bad}` is not a positive integer")
+            );
+        }
+        for bad in ["junk", "0", "-0.25", "inf", "NaN"] {
+            let e = parse_override::<f64>("EMGRID_TARGET_CI", Some(bad)).unwrap_err();
+            assert_eq!(
+                e,
+                format!("EMGRID_TARGET_CI=`{bad}` is not a positive finite number")
+            );
+        }
     }
 
     #[test]

@@ -218,6 +218,33 @@ fn option_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .map(|s| s.as_str())
 }
 
+/// The flags that take no value; every other `--flag` takes the token
+/// after it.
+const VALUELESS_FLAGS: [&str; 5] = [
+    "--trace",
+    "--json",
+    "--no-cache",
+    "--variance-analysis",
+    "--debug-panic-route",
+];
+
+/// The first positional argument, stepping over each `--flag value` pair
+/// and each valueless flag alone.
+fn positional(args: &[String]) -> Option<&str> {
+    let mut i = 0;
+    while let Some(arg) = args.get(i) {
+        if !arg.starts_with("--") {
+            return Some(arg);
+        }
+        i += if VALUELESS_FLAGS.contains(&arg.as_str()) {
+            1
+        } else {
+            2
+        };
+    }
+    None
+}
+
 fn parse_usize(args: &[String], name: &str, default: usize) -> Result<usize, CliError> {
     match option_value(args, name) {
         None => Ok(default),
@@ -392,18 +419,7 @@ fn parse_variation(args: &[String]) -> Result<Option<Variation>, CliError> {
 }
 
 fn load_deck(args: &[String]) -> Result<emgrid_spice::Netlist, CliError> {
-    // First positional argument: skip `--option value` pairs.
-    let mut path = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i].starts_with("--") {
-            i += 2;
-        } else {
-            path = Some(&args[i]);
-            break;
-        }
-    }
-    let path = path.ok_or_else(|| CliError("missing deck path".to_owned()))?;
+    let path = positional(args).ok_or_else(|| CliError("missing deck path".to_owned()))?;
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError(format!("cannot read `{path}`: {e}")))?;
     let mut netlist = parse(&text).map_err(|e| CliError(format!("parse error: {e}")))?;
@@ -861,45 +877,43 @@ fn serve_config(args: &[String]) -> Result<ServeConfig, CliError> {
     })
 }
 
-/// Runs one sweep spec to completion on an in-process backend and prints
-/// where the aggregated report landed. Sharing `--state-dir` with a prior
-/// interrupted run resumes it from the completed jobs.
+/// Runs one sweep spec to completion on a socketless job service and
+/// prints where the aggregated report landed. Sharing `--state-dir` with
+/// a prior interrupted run resumes it from the completed jobs.
 fn cmd_sweep(args: &[String]) -> Result<String, CliError> {
-    use emgrid_batch::{LocalBackend, SweepEngine};
+    use emgrid_batch::SweepEngine;
+    use emgrid_serve::JobService;
 
-    // First positional argument: the sweep spec path.
-    let mut path = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i].starts_with("--") {
-            i += 2;
-        } else {
-            path = Some(&args[i]);
-            break;
-        }
-    }
-    let path = path.ok_or_else(|| CliError("missing sweep spec path".to_owned()))?;
+    let path = positional(args).ok_or_else(|| CliError("missing sweep spec path".to_owned()))?;
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError(format!("cannot read `{path}`: {e}")))?;
 
-    let workers = parse_usize(args, "--workers", 2)?;
+    let defaults = ServeConfig::default();
+    let workers = parse_usize(args, "--workers", defaults.workers)?;
     if workers == 0 {
         return Err(CliError("--workers must be at least 1".to_owned()));
     }
-    let checkpoint_every = parse_usize(args, "--checkpoint-every", 64)?;
+    let checkpoint_every = parse_usize(args, "--checkpoint-every", defaults.checkpoint_every)?;
     let max_in_flight = parse_usize(args, "--max-in-flight", 2 * workers)?;
     if max_in_flight == 0 {
         return Err(CliError("--max-in-flight must be at least 1".to_owned()));
     }
-    let state_dir: std::path::PathBuf = option_value(args, "--state-dir")
-        .unwrap_or("results/jobs")
-        .into();
-
-    let backend = LocalBackend::open(&state_dir, workers, checkpoint_every)
-        .map_err(|e| CliError(format!("cannot open state dir: {e}")))?;
+    let config = ServeConfig {
+        state_dir: option_value(args, "--state-dir")
+            .map(Into::into)
+            .unwrap_or(defaults.state_dir),
+        workers,
+        checkpoint_every,
+        // The dispatcher never has more jobs in flight than this, and a
+        // full queue is retried on its next tick.
+        queue_depth: max_in_flight,
+        ..defaults
+    };
+    let service =
+        JobService::open(&config).map_err(|e| CliError(format!("cannot open state dir: {e}")))?;
     let engine = SweepEngine::new(
-        std::sync::Arc::new(backend),
-        state_dir.join("sweeps"),
+        std::sync::Arc::new(service.jobs_api()),
+        config.state_dir.join("sweeps"),
         max_in_flight,
     )
     .map_err(|e| CliError(format!("cannot open sweep store: {e}")))?;
@@ -945,18 +959,7 @@ fn cmd_validate(args: &[String]) -> Result<String, CliError> {
     use emgrid_serve::json::{self, Json};
     use emgrid_serve::{JobSpec, SpecError};
 
-    // First positional argument: the spec path.
-    let mut path = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i].starts_with("--") {
-            i += 2;
-        } else {
-            path = Some(&args[i]);
-            break;
-        }
-    }
-    let path = path.ok_or_else(|| CliError("missing spec path".to_owned()))?;
+    let path = positional(args).ok_or_else(|| CliError("missing spec path".to_owned()))?;
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError(format!("cannot read `{path}`: {e}")))?;
     let doc =
@@ -1096,6 +1099,8 @@ mod tests {
 
         let out = run(&[String::from("lint"), path.clone()]).unwrap();
         assert!(out.contains("no issues found"), "{out}");
+        // A valueless flag in front of the deck must not swallow it.
+        assert_eq!(cmd_lint(&["--trace".into(), path.clone()]).unwrap(), out);
 
         let out = run(&[String::from("irdrop"), path.clone()]).unwrap();
         assert!(out.contains("worst IR drop"));
@@ -1252,6 +1257,7 @@ mod tests {
         let path = path.to_string_lossy().into_owned();
         let out = run(&["screen".into(), path.clone(), "--json".into()]).unwrap();
         assert!(out.contains("\"kind\":\"screen\""), "{out}");
+        assert_eq!(cmd_screen(&["--json".into(), path.clone()]).unwrap(), out);
         std::fs::remove_file(path).ok();
     }
 
@@ -1303,6 +1309,14 @@ mod tests {
             .map(str::trim)
             .unwrap();
         assert!(std::path::Path::new(report).exists(), "{out}");
+        let again = cmd_sweep(&[
+            "--trace".into(),
+            spec.to_string_lossy().into_owned(),
+            "--state-dir".into(),
+            dir.join("jobs").to_string_lossy().into_owned(),
+        ])
+        .unwrap();
+        assert_eq!(again, out, "a completed sweep reruns to the same summary");
         assert!(run(&argv("sweep")).is_err(), "missing spec path");
         assert!(run(&argv("sweep nope.json --workers 0")).is_err());
         let _ = std::fs::remove_dir_all(&dir);
@@ -1323,6 +1337,8 @@ mod tests {
             "{\"schema\":1,\"kind\":\"characterize\",\"array\":\"4x4\",\"pattern\":\"plus\",\
              \"criterion\":\"rinf\",\"trials\":2000,\"seed\":1,\"threads\":1}\n"
         );
+        let traced = cmd_validate(&["--trace".into(), job.to_string_lossy().into_owned()]);
+        assert_eq!(traced.unwrap(), out);
 
         // Sweep spec (no `kind`): validated through full axis expansion,
         // dotted variation axes included.

@@ -1,6 +1,7 @@
 //! Kill -9 the real `emgrid serve` binary mid-sweep and prove the
 //! restarted daemon finishes the sweep with exactly the report bytes an
-//! uninterrupted daemon produces.
+//! uninterrupted daemon produces — and that `emgrid sweep` writes those
+//! same bytes for the same spec.
 //!
 //! This is the process-level half of the sweep conformance suite: the
 //! in-crate tests in `emgrid-batch` interrupt through an in-process
@@ -152,6 +153,32 @@ fn sigkilled_daemon_resumes_a_sweep_to_a_byte_identical_report() {
     let expected = reference.report(&ref_sweep);
     drop(reference);
 
+    // The CLI front end runs the same spec through the same job service
+    // and must write the same report bytes.
+    let cli_dir = temp_dir("cli");
+    std::fs::create_dir_all(&cli_dir).unwrap();
+    let spec_path = cli_dir.join("sweep.json");
+    std::fs::write(&spec_path, SWEEP).unwrap();
+    let cli_state = cli_dir.join("jobs");
+    let status = Command::new(env!("CARGO_BIN_EXE_emgrid"))
+        .arg("sweep")
+        .arg(&spec_path)
+        .args(["--workers", "1", "--checkpoint-every", "8", "--state-dir"])
+        .arg(&cli_state)
+        .stdout(Stdio::null())
+        .status()
+        .expect("run emgrid sweep");
+    assert!(status.success(), "emgrid sweep exited with {status}");
+    let report_path = cli_state
+        .join("sweeps")
+        .join(&ref_sweep)
+        .join("report.json");
+    let cli_report = std::fs::read_to_string(&report_path).expect("emgrid sweep wrote a report");
+    assert_eq!(
+        cli_report, expected,
+        "emgrid sweep and POST /v1/sweeps disagree"
+    );
+
     // Victim: let the sweep settle at least one job (so the resume path
     // genuinely skips completed work) but kill long before all eight.
     let victim_dir = temp_dir("victim");
@@ -177,5 +204,6 @@ fn sigkilled_daemon_resumes_a_sweep_to_a_byte_identical_report() {
     drop(revived);
 
     let _ = std::fs::remove_dir_all(ref_dir);
+    let _ = std::fs::remove_dir_all(cli_dir);
     let _ = std::fs::remove_dir_all(victim_dir);
 }

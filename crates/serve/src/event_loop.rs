@@ -223,7 +223,7 @@ fn is_interactive(label: &str) -> bool {
     )
 }
 
-/// Runs the event loop until `shared.shutting_down` is observed. This is
+/// Runs the event loop until `shared.jobs.shutting_down` is observed. This is
 /// the body of the daemon's accept thread.
 pub(crate) fn run(listener: TcpListener, shared: Arc<Shared>, opts: EventLoopOptions) {
     if let Err(e) = listener.set_nonblocking(true) {
@@ -286,7 +286,7 @@ pub(crate) fn run(listener: TcpListener, shared: Arc<Shared>, opts: EventLoopOpt
     // pollfds[i] maps back to owners[i].
     let mut owners: Vec<Owner> = Vec::new();
 
-    while !shared.shutting_down.load(Ordering::SeqCst) {
+    while !shared.jobs.shutting_down.load(Ordering::SeqCst) {
         for done in std::mem::take(&mut *completions.lock().unwrap_or_else(|e| e.into_inner())) {
             loop_state.complete(done);
         }
@@ -425,9 +425,9 @@ impl LoopState {
     /// is both a request and a response for accounting purposes — the
     /// counters move here, whether or not the bytes ever drain.
     fn shed(&mut self, stream: TcpStream) {
-        Metrics::inc(&self.shared.metrics.http_requests);
+        Metrics::inc(&self.shared.jobs.metrics.http_requests);
         let response = Response::error(503, "too many connections");
-        self.shared.metrics.count_response(response.status);
+        self.shared.jobs.metrics.count_response(response.status);
         let out = response.to_bytes();
         if stream.set_nonblocking(true).is_err() {
             return;
@@ -557,9 +557,9 @@ impl LoopState {
         match conn.buf.try_parse(self.shared.max_body) {
             Ok(None) => {}
             Ok(Some(request)) => {
-                Metrics::inc(&self.shared.metrics.http_requests);
+                Metrics::inc(&self.shared.jobs.metrics.http_requests);
                 if conn.served > 0 {
-                    Metrics::inc(&self.shared.metrics.keepalive_reuses);
+                    Metrics::inc(&self.shared.jobs.metrics.keepalive_reuses);
                 }
                 conn.started = Instant::now();
                 conn.label = route_label(&request);
@@ -578,12 +578,12 @@ impl LoopState {
                 }
             }
             Err(HttpError::BodyTooLarge { declared, limit }) => {
-                Metrics::inc(&self.shared.metrics.http_requests);
+                Metrics::inc(&self.shared.jobs.metrics.http_requests);
                 let response = Response::error(
                     413,
                     format!("body too large: {declared} bytes (limit {limit})"),
                 );
-                self.shared.metrics.count_response(response.status);
+                self.shared.jobs.metrics.count_response(response.status);
                 let drain = declared.min(MAX_DRAIN_BYTES);
                 conn.label = "other";
                 conn.state = State::Writing {
@@ -606,8 +606,8 @@ impl LoopState {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        Metrics::inc(&self.shared.metrics.http_requests);
-        self.shared.metrics.count_response(response.status);
+        Metrics::inc(&self.shared.jobs.metrics.http_requests);
+        self.shared.jobs.metrics.count_response(response.status);
         conn.label = "other";
         conn.state = State::Writing {
             out: response.to_bytes(),
@@ -631,12 +631,12 @@ impl LoopState {
             return;
         };
         let Some(mut response) = done.response else {
-            Metrics::inc(&self.shared.metrics.connection_panics);
+            Metrics::inc(&self.shared.jobs.metrics.connection_panics);
             self.close(done.token);
             return;
         };
         response.close = !done.keep_alive;
-        self.shared.metrics.count_response(response.status);
+        self.shared.jobs.metrics.count_response(response.status);
         let then = if response.close {
             After::Close
         } else {
@@ -699,12 +699,14 @@ impl LoopState {
         match then {
             After::Close => {
                 self.shared
+                    .jobs
                     .metrics
                     .observe_route(conn.label, conn.started.elapsed());
                 self.close(token);
             }
             After::Drain(left) => {
                 self.shared
+                    .jobs
                     .metrics
                     .observe_route(conn.label, conn.started.elapsed());
                 if left == 0 {
@@ -716,6 +718,7 @@ impl LoopState {
             }
             After::KeepAlive => {
                 self.shared
+                    .jobs
                     .metrics
                     .observe_route(conn.label, conn.started.elapsed());
                 conn.served += 1;

@@ -102,15 +102,6 @@ impl Metrics {
         self.responses[class].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Written responses in a status class (`"5xx"` etc.), for tests.
-    pub fn responses_in_class(&self, class: &str) -> u64 {
-        STATUS_CLASSES
-            .iter()
-            .position(|c| *c == class)
-            .map(|i| self.responses[i].load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
-
     /// Records one request's wall time under its route label (unknown
     /// labels fold into `other`).
     pub fn observe_route(&self, route: &str, elapsed: Duration) {

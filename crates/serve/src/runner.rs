@@ -98,15 +98,14 @@ pub struct RunEnv<'a> {
     /// [`RunEnv::max_netlist_bytes`] — chip-scale decks run to millions of
     /// lines, far past the ingest default.
     pub max_netlist_lines: usize,
-    /// Phase-duration sink for status docs (`None` = don't record).
-    pub phases: Option<&'a PhaseLog>,
+    /// Phase-duration sink for status docs.
+    pub phases: &'a PhaseLog,
 }
 
 impl RunEnv<'_> {
     fn record_phase(&self, id: JobId, phase: &'static str, started: Instant) {
-        if let Some(log) = self.phases {
-            log.record(id, phase, started.elapsed().as_secs_f64());
-        }
+        self.phases
+            .record(id, phase, started.elapsed().as_secs_f64());
     }
 
     /// Counts a resume only when the checkpointed Monte Carlo really
@@ -565,6 +564,7 @@ mod tests {
         let id = engine
             .submit(move |ctx| {
                 let metrics = Metrics::default();
+                let phases = PhaseLog::default();
                 let env = RunEnv {
                     store: &store2,
                     metrics: &metrics,
@@ -572,7 +572,7 @@ mod tests {
                     cache_dir: None,
                     max_netlist_bytes: IngestLimits::default().max_bytes,
                     max_netlist_lines: IngestLimits::default().max_lines,
-                    phases: None,
+                    phases: &phases,
                 };
                 run_job(&spec, ctx, &env)
             })
@@ -814,6 +814,7 @@ mod tests {
                 // delete that raced submission.
                 ctx.cancel.cancel();
                 let metrics = Metrics::default();
+                let phases = PhaseLog::default();
                 let env = RunEnv {
                     store: &s,
                     metrics: &metrics,
@@ -821,7 +822,7 @@ mod tests {
                     cache_dir: None,
                     max_netlist_bytes: IngestLimits::default().max_bytes,
                     max_netlist_lines: IngestLimits::default().max_lines,
-                    phases: None,
+                    phases: &phases,
                 };
                 run_job(&spec, ctx, &env)
             })

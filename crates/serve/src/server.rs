@@ -1,4 +1,5 @@
-//! The daemon: lifecycle, routing, and the job-engine wiring. One
+//! The daemon: the [`JobService`] every front end runs jobs through, and
+//! the socket half [`Server`] adds to it — lifecycle and routing. One
 //! `poll(2)` event loop (`event_loop.rs`) owns every connection and hands
 //! parsed requests to the crate-private `route` on a small dispatcher
 //! pool.
@@ -16,9 +17,9 @@
 //!
 //! # Restart semantics
 //!
-//! All authoritative job state lives in the [`JobStore`]; on startup the
-//! daemon scans it and requeues every unfinished job under its original
-//! id. A job with a checkpoint resumes from its watermark instead of
+//! All authoritative job state lives in the [`JobStore`]; opening the
+//! job service scans it and requeues every unfinished job under its
+//! original id. A job with a checkpoint resumes from its watermark instead of
 //! restarting trial zero, and because the whole pipeline is deterministic
 //! the post-restart result is byte-identical to an uninterrupted run —
 //! `kill -9` costs at most `checkpoint_every` trials of progress.
@@ -113,95 +114,50 @@ impl Default for ServeConfig {
     }
 }
 
+/// The socket half's state: the job service plus what only the HTTP
+/// front end needs.
 pub(crate) struct Shared {
-    pub(crate) engine: JobEngine<String>,
-    pub(crate) store: JobStore,
-    pub(crate) metrics: Metrics,
-    pub(crate) phases: PhaseLog,
-    pub(crate) checkpoint_every: usize,
-    pub(crate) cache_dir: Option<PathBuf>,
+    pub(crate) jobs: Arc<Jobs>,
     pub(crate) max_body: usize,
-    pub(crate) max_netlist_lines: usize,
     pub(crate) max_connections: usize,
     pub(crate) request_deadline: Duration,
     pub(crate) debug_panic_route: bool,
-    pub(crate) next_id: AtomicU64,
-    pub(crate) shutting_down: AtomicBool,
     /// Extension routes (e.g. `/v1/sweeps` from `emgrid-batch`), consulted
     /// only after every built-in route has declined the request.
     pub(crate) route_hook: RwLock<Option<RouteHook>>,
     /// Connections the event loop holds open, as reported in `/metrics`.
     pub(crate) active_connections: AtomicUsize,
-    /// Ids submitted or requeued by this process that may still be live,
-    /// for shutdown (terminal ids are pruned as new work arrives).
-    pub(crate) known: Mutex<Vec<JobId>>,
 }
 
-/// A running daemon instance.
+/// A running daemon instance: a [`JobService`] plus a socket.
 pub struct Server {
     shared: Arc<Shared>,
+    service: JobService,
     addr: SocketAddr,
     accept: Option<JoinHandle<()>>,
-    shutdown_grace: Duration,
 }
 
 impl Server {
-    /// Binds, requeues unfinished jobs from the state directory, and
-    /// starts accepting connections.
+    /// Binds, opens the job service (which requeues unfinished jobs from
+    /// the state directory), and starts accepting connections.
     ///
     /// # Errors
     ///
     /// Propagates bind and state-directory failures.
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
-        let store = JobStore::open(&config.state_dir)?;
-        // Classify on-disk jobs *before* sizing the engine: at kill time up
-        // to workers + queue_depth unfinished jobs can exist (running jobs
-        // hold no queue slot), and an operator may restart with a smaller
-        // --queue-depth. The startup queue must fit every unfinished job or
-        // requeueing would fail on every boot until the state dir is pruned.
-        let mut unfinished = Vec::new();
-        let mut max_id = 0;
-        for (id, state) in store.scan() {
-            max_id = max_id.max(id);
-            match state {
-                DiskJob::Unfinished { spec } => match JobSpec::from_json(&spec) {
-                    Ok(spec) => unfinished.push((id, spec)),
-                    Err(e) => {
-                        let _ = store.write_error(id, &format!("unreadable spec: {e}"));
-                    }
-                },
-                DiskJob::Done | DiskJob::Failed(_) | DiskJob::Cancelled => {}
-            }
-        }
-        let queue_depth = config.queue_depth.max(unfinished.len());
+        // Bind first: a daemon that cannot take its address starts no job.
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
+        let service = JobService::open(&config)?;
         let shared = Arc::new(Shared {
-            engine: JobEngine::new(config.workers, queue_depth),
-            store,
-            metrics: Metrics::default(),
-            phases: PhaseLog::default(),
-            checkpoint_every: config.checkpoint_every,
-            cache_dir: config.cache_dir,
+            jobs: Arc::clone(&service.jobs),
             max_body: config.max_body_bytes,
-            max_netlist_lines: config.max_netlist_lines,
             max_connections: config.max_connections.max(1),
             request_deadline: config.request_deadline,
             debug_panic_route: config.debug_panic_route,
-            next_id: AtomicU64::new(max_id + 1),
-            shutting_down: AtomicBool::new(false),
             route_hook: RwLock::new(None),
             active_connections: AtomicUsize::new(0),
-            known: Mutex::new(Vec::new()),
         });
-        for (id, spec) in unfinished {
-            if let Err(e) = enqueue(&shared, id, spec) {
-                // The queue was sized to fit, so this cannot happen — but a
-                // startup must never turn one bad job into a crash loop. The
-                // job stays unfinished on disk for the next restart.
-                eprintln!("emgrid-serve: cannot requeue job {id}: {e}");
-            }
-        }
 
         let accept_shared = Arc::clone(&shared);
         let options = crate::event_loop::EventLoopOptions {
@@ -214,9 +170,9 @@ impl Server {
             .expect("spawn accept thread");
         Ok(Server {
             shared,
+            service,
             addr,
             accept: Some(accept),
-            shutdown_grace: config.shutdown_grace,
         })
     }
 
@@ -227,7 +183,7 @@ impl Server {
 
     /// The root of the job state directory.
     pub fn state_dir(&self) -> PathBuf {
-        self.shared.store.root().to_path_buf()
+        self.shared.jobs.store.root().to_path_buf()
     }
 
     /// Blocks the calling thread until the event loop exits — i.e. until
@@ -252,9 +208,7 @@ impl Server {
     /// A handle for submitting jobs programmatically (used by the sweep
     /// engine), sharing this daemon's id space, store, and job engine.
     pub fn jobs_api(&self) -> JobsApi {
-        JobsApi {
-            shared: Arc::clone(&self.shared),
-        }
+        self.service.jobs_api()
     }
 
     /// Graceful shutdown: stop accepting, let queued and running jobs
@@ -271,7 +225,7 @@ impl Server {
     }
 
     fn stop(&mut self, cancel_jobs: bool) {
-        if self.shared.shutting_down.swap(true, Ordering::SeqCst) {
+        if self.shared.jobs.shutting_down.swap(true, Ordering::SeqCst) {
             return;
         }
         // Wake the event loop so it observes the flag.
@@ -279,21 +233,189 @@ impl Server {
         if let Some(handle) = self.accept.take() {
             let _ = handle.join();
         }
+        self.service.shutdown(cancel_jobs);
+    }
+}
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        self.stop(true);
+    }
+}
+
+/// The state every job closure and route handler shares.
+pub(crate) struct Jobs {
+    pub(crate) engine: JobEngine<String>,
+    pub(crate) store: JobStore,
+    pub(crate) metrics: Metrics,
+    pub(crate) phases: PhaseLog,
+    checkpoint_every: usize,
+    cache_dir: Option<PathBuf>,
+    /// Netlist ingest caps, applied alike when the submit route screens a
+    /// deck and when a worker re-ingests it.
+    pub(crate) max_netlist_bytes: usize,
+    pub(crate) max_netlist_lines: usize,
+    next_id: AtomicU64,
+    pub(crate) shutting_down: AtomicBool,
+    /// Ids submitted or requeued by this process that may still be live,
+    /// for shutdown (terminal ids are pruned as new work arrives).
+    known: Mutex<Vec<JobId>>,
+}
+
+impl Jobs {
+    fn allocate_id(&self) -> JobId {
+        self.next_id.fetch_add(1, Ordering::SeqCst)
+    }
+
+    /// Queues `spec` under `id`: the one job closure every front end runs.
+    fn enqueue(self: &Arc<Self>, id: JobId, spec: JobSpec) -> Result<(), SubmitError> {
+        let jobs = Arc::clone(self);
+        let submitted = Instant::now();
+        self.engine.submit_with_id(id, move |ctx| {
+            jobs.metrics
+                .queue_wait
+                .observe_duration(submitted.elapsed());
+            let started = Instant::now();
+            let env = RunEnv {
+                store: &jobs.store,
+                metrics: &jobs.metrics,
+                checkpoint_every: jobs.checkpoint_every,
+                cache_dir: jobs.cache_dir.as_deref(),
+                max_netlist_bytes: jobs.max_netlist_bytes,
+                max_netlist_lines: jobs.max_netlist_lines,
+                phases: &jobs.phases,
+            };
+            let outcome = run_job(&spec, ctx, &env);
+            jobs.metrics
+                .job_duration
+                .observe_duration(started.elapsed());
+            // Persist the terminal state before the engine observes it, so a
+            // `done` status always has its result on disk.
+            match &outcome {
+                JobOutcome::Done(result) => {
+                    let _ = jobs.store.write_result(ctx.id, result);
+                    Metrics::inc(&jobs.metrics.jobs_done);
+                }
+                JobOutcome::Failed(message) => {
+                    let _ = jobs.store.write_error(ctx.id, message);
+                    Metrics::inc(&jobs.metrics.jobs_failed);
+                }
+                JobOutcome::Cancelled => {
+                    Metrics::inc(&jobs.metrics.jobs_cancelled);
+                }
+            }
+            outcome
+        })?;
+        Metrics::inc(&self.metrics.jobs_submitted);
+        // Recover from poisoning: a plain id vec has no invariant a panicked
+        // thread could have broken, and dying here would turn one crashed
+        // connection into a daemon that rejects every later submission.
+        let mut known = self.known.lock().unwrap_or_else(|e| e.into_inner());
+        // Terminal ids no longer need shutdown handling; pruning here keeps
+        // the list proportional to live work, not to total jobs ever run.
+        known.retain(|kid| {
+            self.engine
+                .status(*kid)
+                .is_some_and(|status| !status.is_terminal())
+        });
+        known.push(id);
+        Ok(())
+    }
+}
+
+/// The job half of the daemon: the store, the startup requeue, id
+/// allocation, the job closure and shutdown. [`Server`] adds a socket to
+/// it; `emgrid sweep` opens it without one. Either front end reaches it
+/// through a [`JobsApi`] handle.
+pub struct JobService {
+    jobs: Arc<Jobs>,
+    shutdown_grace: Duration,
+}
+
+impl JobService {
+    /// Opens the job store at `config.state_dir`, requeues every
+    /// unfinished job under its own id, and starts `config.workers`
+    /// workers. New ids start above the store's highest.
+    ///
+    /// # Errors
+    ///
+    /// Propagates state-directory failures.
+    pub fn open(config: &ServeConfig) -> std::io::Result<JobService> {
+        let store = JobStore::open(&config.state_dir)?;
+        // Classify on-disk jobs *before* sizing the engine: at kill time up
+        // to workers + queue_depth unfinished jobs can exist (running jobs
+        // hold no queue slot), and an operator may restart with a smaller
+        // --queue-depth. The startup queue must fit every unfinished job or
+        // requeueing would fail on every boot until the state dir is pruned.
+        let mut unfinished = Vec::new();
+        let mut max_id = 0;
+        for (id, state) in store.scan() {
+            max_id = max_id.max(id);
+            if let DiskJob::Unfinished { spec } = state {
+                match JobSpec::from_json(&spec) {
+                    Ok(spec) => unfinished.push((id, spec)),
+                    Err(e) => {
+                        let _ = store.write_error(id, &format!("unreadable spec: {e}"));
+                    }
+                }
+            }
+        }
+        let jobs = Arc::new(Jobs {
+            engine: JobEngine::new(config.workers, config.queue_depth.max(unfinished.len())),
+            store,
+            metrics: Metrics::default(),
+            phases: PhaseLog::default(),
+            checkpoint_every: config.checkpoint_every,
+            cache_dir: config.cache_dir.clone(),
+            max_netlist_bytes: config.max_body_bytes,
+            max_netlist_lines: config.max_netlist_lines,
+            next_id: AtomicU64::new(max_id + 1),
+            shutting_down: AtomicBool::new(false),
+            known: Mutex::new(Vec::new()),
+        });
+        for (id, spec) in unfinished {
+            if let Err(e) = jobs.enqueue(id, spec) {
+                // The queue was sized to fit, so this cannot happen — but a
+                // startup must never turn one bad job into a crash loop. The
+                // job stays unfinished on disk for the next restart.
+                eprintln!("emgrid-serve: cannot requeue job {id}: {e}");
+            }
+        }
+        Ok(JobService {
+            jobs,
+            shutdown_grace: config.shutdown_grace,
+        })
+    }
+
+    /// A handle for submitting and polling jobs.
+    pub fn jobs_api(&self) -> JobsApi {
+        JobsApi {
+            jobs: Arc::clone(&self.jobs),
+        }
+    }
+
+    /// Stops taking work. With `cancel_jobs`, outstanding jobs are
+    /// cancelled: running Monte Carlo jobs commit a final checkpoint and
+    /// report engine-cancelled with no client marker, which a restart
+    /// requeues. Then waits for the live jobs under one shared
+    /// `shutdown_grace` deadline and stops the workers.
+    pub fn shutdown(&self, cancel_jobs: bool) {
+        self.jobs.shutting_down.store(true, Ordering::SeqCst);
         // A poisoned lock only means some handler panicked while holding
         // it; the id list carries no invariant worth dying over.
         let ids: Vec<JobId> = self
-            .shared
+            .jobs
             .known
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .clone();
         if cancel_jobs {
             for id in &ids {
-                self.shared.engine.cancel(*id);
+                self.jobs.engine.cancel(*id);
             }
         }
-        wait_all_terminal(&self.shared.engine, &ids, self.shutdown_grace);
-        self.shared.engine.begin_shutdown();
+        wait_all_terminal(&self.jobs.engine, &ids, self.shutdown_grace);
+        self.jobs.engine.begin_shutdown();
     }
 }
 
@@ -307,12 +429,6 @@ fn wait_all_terminal(engine: &JobEngine<String>, ids: &[JobId], grace: Duration)
     for id in ids {
         let left = deadline.saturating_duration_since(Instant::now());
         let _ = engine.wait_terminal(*id, left);
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.stop(true);
     }
 }
 
@@ -339,25 +455,25 @@ impl std::fmt::Display for JobsApiError {
 
 impl std::error::Error for JobsApiError {}
 
-/// Programmatic job submission sharing the daemon's id space, store, and
-/// engine — how the sweep engine fans jobs out without going through
-/// HTTP. Cloning is cheap (one `Arc`).
+/// A handle on a [`JobService`]: programmatic job submission sharing its
+/// id space, store, and engine — how the sweep engine fans jobs out
+/// without going through HTTP. Cloning is cheap (one `Arc`).
 #[derive(Clone)]
 pub struct JobsApi {
-    shared: Arc<Shared>,
+    jobs: Arc<Jobs>,
 }
 
 impl JobsApi {
     /// Allocates the next job id (never reused within this process).
     pub fn allocate_id(&self) -> JobId {
-        self.shared.next_id.fetch_add(1, Ordering::SeqCst)
+        self.jobs.allocate_id()
     }
 
     /// Ensures future [`allocate_id`](Self::allocate_id) calls return ids
     /// strictly above `floor` — called by the sweep engine after reading
     /// a manifest so resumed sweeps never collide with their own jobs.
     pub fn reserve_above(&self, floor: JobId) {
-        self.shared.next_id.fetch_max(floor + 1, Ordering::SeqCst);
+        self.jobs.next_id.fetch_max(floor + 1, Ordering::SeqCst);
     }
 
     /// Persists `spec` under `id` and queues it.
@@ -373,7 +489,7 @@ impl JobsApi {
     /// the engine. On engine rejection the persisted spec is left on disk
     /// so a later retry (or a daemon restart) can still run the job.
     pub fn submit(&self, id: JobId, spec: &JobSpec) -> Result<(), JobsApiError> {
-        self.shared
+        self.jobs
             .store
             .write_spec(id, &spec.to_json())
             .map_err(JobsApiError::Persist)?;
@@ -386,7 +502,7 @@ impl JobsApi {
     ///
     /// [`JobsApiError::QueueFull`] / [`JobsApiError::ShuttingDown`].
     pub fn resubmit(&self, id: JobId, spec: JobSpec) -> Result<(), JobsApiError> {
-        enqueue(&self.shared, id, spec).map_err(|e| match e {
+        self.jobs.enqueue(id, spec).map_err(|e| match e {
             SubmitError::QueueFull => JobsApiError::QueueFull,
             SubmitError::ShuttingDown => JobsApiError::ShuttingDown,
         })
@@ -394,76 +510,18 @@ impl JobsApi {
 
     /// The engine's view of a job (`None` once evicted or never known).
     pub fn engine_status(&self, id: JobId) -> Option<JobStatus> {
-        self.shared.engine.status(id)
+        self.jobs.engine.status(id)
     }
 
-    /// The daemon's job store (authoritative terminal state).
+    /// The service's job store (authoritative terminal state).
     pub fn store(&self) -> JobStore {
-        self.shared.store.clone()
+        self.jobs.store.clone()
     }
 
-    /// Whether the daemon has begun shutting down.
+    /// Whether the service has begun shutting down.
     pub fn shutting_down(&self) -> bool {
-        self.shared.shutting_down.load(Ordering::SeqCst)
+        self.jobs.shutting_down.load(Ordering::SeqCst)
     }
-}
-
-/// Queues a job closure under `id`.
-fn enqueue(shared: &Arc<Shared>, id: JobId, spec: JobSpec) -> Result<(), SubmitError> {
-    let job_shared = Arc::clone(shared);
-    let submitted = Instant::now();
-    shared.engine.submit_with_id(id, move |ctx| {
-        job_shared
-            .metrics
-            .queue_wait
-            .observe_duration(submitted.elapsed());
-        let started = Instant::now();
-        let env = RunEnv {
-            store: &job_shared.store,
-            metrics: &job_shared.metrics,
-            checkpoint_every: job_shared.checkpoint_every,
-            cache_dir: job_shared.cache_dir.as_deref(),
-            max_netlist_bytes: job_shared.max_body,
-            max_netlist_lines: job_shared.max_netlist_lines,
-            phases: Some(&job_shared.phases),
-        };
-        let outcome = run_job(&spec, ctx, &env);
-        job_shared
-            .metrics
-            .job_duration
-            .observe_duration(started.elapsed());
-        // Persist the terminal state before the engine observes it, so a
-        // `done` status always has its result on disk.
-        match &outcome {
-            JobOutcome::Done(result) => {
-                let _ = job_shared.store.write_result(ctx.id, result);
-                Metrics::inc(&job_shared.metrics.jobs_done);
-            }
-            JobOutcome::Failed(message) => {
-                let _ = job_shared.store.write_error(ctx.id, message);
-                Metrics::inc(&job_shared.metrics.jobs_failed);
-            }
-            JobOutcome::Cancelled => {
-                Metrics::inc(&job_shared.metrics.jobs_cancelled);
-            }
-        }
-        outcome
-    })?;
-    Metrics::inc(&shared.metrics.jobs_submitted);
-    // Recover from poisoning: a plain id vec has no invariant a panicked
-    // thread could have broken, and dying here would turn one crashed
-    // connection into a daemon that rejects every later submission.
-    let mut known = shared.known.lock().unwrap_or_else(|e| e.into_inner());
-    // Terminal ids no longer need shutdown handling; pruning here keeps
-    // the list proportional to live work, not to total jobs ever run.
-    known.retain(|kid| {
-        shared
-            .engine
-            .status(*kid)
-            .is_some_and(|status| !status.is_terminal())
-    });
-    known.push(id);
-    Ok(())
 }
 
 /// The latency-histogram label for a parsed request.
@@ -501,9 +559,9 @@ pub(crate) fn route(request: &Request, shared: &Arc<Shared>) -> Response {
         ),
         ("GET", ["metrics"]) => Response::text(
             200,
-            shared.metrics.render(
-                shared.engine.queue_len(),
-                shared.engine.running(),
+            shared.jobs.metrics.render(
+                shared.jobs.engine.queue_len(),
+                shared.jobs.engine.running(),
                 shared.active_connections.load(Ordering::SeqCst),
             ),
         ),
@@ -566,8 +624,8 @@ fn submit(request: &Request, shared: &Arc<Shared>) -> Response {
     {
         let options = IngestOptions {
             limits: IngestLimits {
-                max_bytes: shared.max_body,
-                max_lines: shared.max_netlist_lines,
+                max_bytes: shared.jobs.max_netlist_bytes,
+                max_lines: shared.jobs.max_netlist_lines,
             },
             repair_vias: *repair_vias,
         };
@@ -587,11 +645,11 @@ fn submit(request: &Request, shared: &Arc<Shared>) -> Response {
         }
     }
 
-    let id = shared.next_id.fetch_add(1, Ordering::SeqCst);
-    if shared.store.write_spec(id, &spec.to_json()).is_err() {
+    let id = shared.jobs.allocate_id();
+    if shared.jobs.store.write_spec(id, &spec.to_json()).is_err() {
         return Response::error(503, "cannot persist job spec");
     }
-    match enqueue(shared, id, spec) {
+    match shared.jobs.enqueue(id, spec) {
         Ok(()) => Response::json(
             202,
             &Json::Obj(vec![
@@ -602,14 +660,14 @@ fn submit(request: &Request, shared: &Arc<Shared>) -> Response {
         Err(e) => {
             // Remove the persisted spec so a restart does not resurrect a
             // job the client was told we rejected.
-            let _ = std::fs::remove_dir_all(shared.store.dir(id));
+            let _ = std::fs::remove_dir_all(shared.jobs.store.dir(id));
             Response::error(503, e.to_string())
         }
     }
 }
 
 fn status(id: JobId, shared: &Arc<Shared>) -> Response {
-    if let Some(snapshot) = shared.engine.snapshot(id) {
+    if let Some(snapshot) = shared.jobs.engine.snapshot(id) {
         let mut pairs = vec![
             ("id".into(), Json::n(id as f64)),
             ("status".into(), Json::s(snapshot.status.to_string())),
@@ -618,12 +676,12 @@ fn status(id: JobId, shared: &Arc<Shared>) -> Response {
         if let Some(error) = snapshot.error {
             pairs.push(("error".into(), Json::s(error)));
         }
-        if let Some(sweep) = shared.store.read_sweep(id) {
+        if let Some(sweep) = shared.jobs.store.read_sweep(id) {
             pairs.push(("sweep".into(), Json::s(sweep)));
         }
         // Phase wall times are status-doc-only telemetry: result docs must
         // stay byte-identical however long each stage took.
-        let phases = shared.phases.phases(id);
+        let phases = shared.jobs.phases.phases(id);
         if !phases.is_empty() {
             pairs.push((
                 "phases".into(),
@@ -638,7 +696,7 @@ fn status(id: JobId, shared: &Arc<Shared>) -> Response {
         return Response::json(200, &Json::Obj(pairs));
     }
     // Jobs from a previous daemon process live only on disk.
-    match shared.store.load(id) {
+    match shared.jobs.store.load(id) {
         Some(disk) => {
             let (status, error) = match disk {
                 DiskJob::Done => (JobStatus::Done, None),
@@ -653,7 +711,7 @@ fn status(id: JobId, shared: &Arc<Shared>) -> Response {
             if let Some(error) = error {
                 pairs.push(("error".into(), Json::s(error)));
             }
-            if let Some(sweep) = shared.store.read_sweep(id) {
+            if let Some(sweep) = shared.jobs.store.read_sweep(id) {
                 pairs.push(("sweep".into(), Json::s(sweep)));
             }
             Response::json(200, &Json::Obj(pairs))
@@ -663,27 +721,27 @@ fn status(id: JobId, shared: &Arc<Shared>) -> Response {
 }
 
 fn result(id: JobId, shared: &Arc<Shared>) -> Response {
-    if let Some(bytes) = shared.store.read_result(id) {
+    if let Some(bytes) = shared.jobs.store.read_result(id) {
         return Response::json_bytes(200, bytes);
     }
-    if let Some(message) = shared.store.read_error(id) {
+    if let Some(message) = shared.jobs.store.read_error(id) {
         return Response::error(409, format!("job failed: {message}"));
     }
-    if shared.engine.snapshot(id).is_some() || shared.store.exists(id) {
+    if shared.jobs.engine.snapshot(id).is_some() || shared.jobs.store.exists(id) {
         return Response::error(409, "job not finished");
     }
     Response::error(404, "no such job")
 }
 
 fn cancel(id: JobId, shared: &Arc<Shared>) -> Response {
-    let known = shared.engine.snapshot(id).is_some() || shared.store.exists(id);
+    let known = shared.jobs.engine.snapshot(id).is_some() || shared.jobs.store.exists(id);
     if !known {
         return Response::error(404, "no such job");
     }
     // The marker keeps a restart from requeueing the job; the engine
     // cancel interrupts it if it is queued or running right now.
-    let _ = shared.store.mark_cancelled(id);
-    shared.engine.cancel(id);
+    let _ = shared.jobs.store.mark_cancelled(id);
+    shared.jobs.engine.cancel(id);
     Response::json(
         200,
         &Json::Obj(vec![
@@ -698,7 +756,7 @@ mod tests {
     use super::*;
     use std::io::{Read as _, Write as _};
 
-    /// A handler that panics while holding `shared.known` must not take
+    /// A handler that panics while holding `jobs.known` must not take
     /// the daemon down with it: later lockers recover the poisoned mutex
     /// with `into_inner` and keep serving.
     #[test]
@@ -716,11 +774,11 @@ mod tests {
         // Poison the lock the way a panicking handler would.
         let shared = Arc::clone(&server.shared);
         let _ = std::thread::spawn(move || {
-            let _guard = shared.known.lock().unwrap();
+            let _guard = shared.jobs.known.lock().unwrap();
             panic!("poison the known-ids lock");
         })
         .join();
-        assert!(server.shared.known.lock().is_err(), "lock is poisoned");
+        assert!(server.shared.jobs.known.lock().is_err(), "lock is poisoned");
 
         // Submission still locks `known` (to record the id for shutdown)
         // and must succeed despite the poison.
@@ -736,6 +794,44 @@ mod tests {
         assert!(response.starts_with("HTTP/1.1 202"), "{response}");
 
         // Shutdown reads the same lock and must drain the job, not panic.
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(state_dir);
+    }
+
+    /// The socket is bound before the job service opens, so a daemon that
+    /// cannot take its address leaves the state dir as it found it; the
+    /// next start that binds is the one that scans and requeues.
+    #[test]
+    fn a_failed_bind_leaves_the_state_dir_untouched() {
+        let state_dir = std::env::temp_dir().join(format!("emgrid-bind-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&state_dir);
+        let store = JobStore::open(&state_dir).unwrap();
+        let unreadable = json::parse(r#"{"kind":"nope"}"#).unwrap();
+        store.write_spec(1, &unreadable).unwrap();
+        let taken = TcpListener::bind("127.0.0.1:0").unwrap();
+        let config = ServeConfig {
+            addr: taken.local_addr().unwrap().to_string(),
+            state_dir: state_dir.clone(),
+            workers: 1,
+            ..ServeConfig::default()
+        };
+        assert!(
+            Server::start(config.clone()).is_err(),
+            "the address is taken"
+        );
+        assert_eq!(
+            store.read_error(1),
+            None,
+            "a failed start scanned the store"
+        );
+
+        let server = Server::start(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            ..config
+        })
+        .unwrap();
+        let error = store.read_error(1).unwrap_or_default();
+        assert!(error.starts_with("unreadable spec"), "{error}");
         server.shutdown();
         let _ = std::fs::remove_dir_all(state_dir);
     }

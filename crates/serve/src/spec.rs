@@ -219,7 +219,9 @@ pub struct SolverSpec {
     /// The `kernels` label: `auto`, `scalar` or `blocked`. It selects
     /// nothing (the solver has one kernel path); it is accepted and
     /// canonicalized so documents that carry it keep validating to the
-    /// same canonical bytes, which sweep ids hash.
+    /// same canonical bytes, which sweep ids hash. The no-op is permanent:
+    /// retiring the key would need a schema-2 parser branch whose only
+    /// job is to reject it.
     pub kernels: &'static str,
     /// Linear-solve engine for whole-grid operating-point solves (the
     /// screening pass): `auto`, `direct` or `cg`. `auto` picks by problem
