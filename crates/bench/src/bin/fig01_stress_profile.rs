@@ -8,17 +8,21 @@
 
 use emgrid::fea::material::{table1, MaterialKind};
 use emgrid::prelude::*;
-use emgrid_bench::{fea_resolution, figure_model, print_scan, solve_figure_field};
+use emgrid_bench::{fea_resolution, figure_model, out, outln, print_scan, solve_figure_field};
 
 fn main() {
-    println!("== Table 1: mechanical properties of materials in Cu DD ==");
-    println!(
+    outln!("== Table 1: mechanical properties of materials in Cu DD ==");
+    outln!(
         "{:<10} {:<8} {:>8} {:>9} {:>12}",
-        "structure", "material", "E(GPa)", "nu", "CTE(ppm/C)"
+        "structure",
+        "material",
+        "E(GPa)",
+        "nu",
+        "CTE(ppm/C)"
     );
     for kind in MaterialKind::ALL {
         let m = table1(kind);
-        println!(
+        outln!(
             "{:<10} {:<8} {:>8.1} {:>9.3} {:>12.2}",
             kind.to_string(),
             m.name,
@@ -27,8 +31,8 @@ fn main() {
             m.cte * 1e6
         );
     }
-    println!();
-    println!(
+    outln!();
+    outln!(
         "== Figure 1: stress beneath 1x1 vs 4x4 via array (resolution {} um) ==",
         fea_resolution()
     );
@@ -44,15 +48,15 @@ fn main() {
             print_scan(&format!("{label} via array, row {row}"), &scan);
         }
         let peaks = field.per_via_peak_stress();
-        println!("# per-via peak sigma_T (MPa), row-major, {label}:");
+        outln!("# per-via peak sigma_T (MPa), row-major, {label}:");
         for (i, p) in peaks.iter().enumerate() {
-            print!("{:8.1}", p / 1e6);
+            out!("{:8.1}", p / 1e6);
             if (i + 1) % array.cols == 0 {
-                println!();
+                outln!();
             }
         }
-        println!();
+        outln!();
     }
-    println!("# expectation: interior 4x4 vias shielded relative to perimeter;");
-    println!("# perimeter peak comparable to the 1x1 peak.");
+    outln!("# expectation: interior 4x4 vias shielded relative to perimeter;");
+    outln!("# perimeter peak comparable to the 1x1 peak.");
 }

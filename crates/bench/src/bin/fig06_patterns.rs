@@ -5,10 +5,10 @@
 //! ILD lets the copper contract, relieving stress).
 
 use emgrid::prelude::*;
-use emgrid_bench::{fea_resolution, figure_model, print_scan, solve_figure_field};
+use emgrid_bench::{fea_resolution, figure_model, outln, print_scan, solve_figure_field};
 
 fn main() {
-    println!(
+    outln!(
         "== Figure 6: sigma_T by intersection pattern (4x4 array, resolution {} um) ==",
         fea_resolution()
     );
@@ -24,9 +24,9 @@ fn main() {
             .fold(f64::NEG_INFINITY, f64::max);
         peaks.push((pattern, peak));
     }
-    println!("# peak sigma_T per pattern (MPa):");
+    outln!("# peak sigma_T per pattern (MPa):");
     for (pattern, peak) in &peaks {
-        println!("#   {:>4}-shaped: {:7.1}", pattern.to_string(), peak / 1e6);
+        outln!("#   {:>4}-shaped: {:7.1}", pattern.to_string(), peak / 1e6);
     }
-    println!("# expectation: plus > tee > ell.");
+    outln!("# expectation: plus > tee > ell.");
 }

@@ -6,10 +6,10 @@
 //! fluctuations than those of the 4×4.
 
 use emgrid::prelude::*;
-use emgrid_bench::{fea_resolution, figure_model, print_scan, solve_figure_field};
+use emgrid_bench::{fea_resolution, figure_model, outln, print_scan, solve_figure_field};
 
 fn main() {
-    println!(
+    outln!(
         "== Figure 7: 4x4 vs 8x8 via array stress (resolution {} um) ==",
         fea_resolution()
     );
@@ -36,12 +36,12 @@ fn main() {
             .map(|(_, &p)| p / 1e6)
             .collect();
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-        println!(
+        outln!(
             "# {label}: mean perimeter peak {:7.1} MPa, mean interior peak {:7.1} MPa",
             mean(&perimeter),
             mean(&interior)
         );
-        println!();
+        outln!();
     }
-    println!("# expectation: similar perimeter peaks; 8x8 interior < 4x4 interior.");
+    outln!("# expectation: similar perimeter peaks; 8x8 interior < 4x4 interior.");
 }

@@ -5,11 +5,11 @@
 //! spread spans roughly 2–14 years.
 
 use emgrid::prelude::*;
-use emgrid_bench::{characterize, level1_trials, print_cdf, print_report};
+use emgrid_bench::{characterize, level1_trials, outln, print_cdf, print_report};
 
 fn main() {
     let trials = level1_trials();
-    println!("== Figure 8(a): 4x4 Plus via-array TTF CDFs ({trials} trials) ==");
+    outln!("== Figure 8(a): 4x4 Plus via-array TTF CDFs ({trials} trials) ==");
     let result = characterize(
         &ViaArrayConfig::paper_4x4(IntersectionPattern::Plus),
         trials,
@@ -21,10 +21,10 @@ fn main() {
         let crit = FailureCriterion::ViaCount(n_f);
         print_cdf(&format!("n_F = {n_f}"), &result.ecdf(crit));
     }
-    println!("# medians (years):");
+    outln!("# medians (years):");
     for n_f in [1usize, 2, 4, 8, 14, 15, 16] {
         let med = result.ecdf(FailureCriterion::ViaCount(n_f)).median() / SECONDS_PER_YEAR;
-        println!("#   {n_f:>2} vias: {med:6.2}");
+        outln!("#   {n_f:>2} vias: {med:6.2}");
     }
-    println!("# expectation: monotone in n_F.");
+    outln!("# expectation: monotone in n_F.");
 }

@@ -4,11 +4,11 @@
 //! Paper expectation: L and T outlive Plus (lower thermomechanical stress).
 
 use emgrid::prelude::*;
-use emgrid_bench::{characterize, level1_trials, print_cdf, print_report};
+use emgrid_bench::{characterize, level1_trials, outln, print_cdf, print_report};
 
 fn main() {
     let trials = level1_trials();
-    println!("== Figure 8(b): pattern comparison at n_F = 8 ({trials} trials) ==");
+    outln!("== Figure 8(b): pattern comparison at n_F = 8 ({trials} trials) ==");
     let crit = FailureCriterion::ViaCount(8);
     let mut medians = Vec::new();
     for pattern in IntersectionPattern::ALL {
@@ -20,9 +20,9 @@ fn main() {
         print_cdf(&format!("{pattern}-shaped"), &result.ecdf(crit));
         medians.push((pattern, result.ecdf(crit).median() / SECONDS_PER_YEAR));
     }
-    println!("# medians (years):");
+    outln!("# medians (years):");
     for (pattern, med) in &medians {
-        println!("#   {:>4}-shaped: {med:6.2}", pattern.to_string());
+        outln!("#   {:>4}-shaped: {med:6.2}", pattern.to_string());
     }
-    println!("# expectation: ell > tee > plus in lifetime.");
+    outln!("# expectation: ell > tee > plus in lifetime.");
 }

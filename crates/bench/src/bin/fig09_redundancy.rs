@@ -6,11 +6,11 @@
 //! beats the 4×4 (~4 yr) and even the 4×4 at `R = ∞` (~6 yr).
 
 use emgrid::prelude::*;
-use emgrid_bench::{characterize, level1_trials, print_cdf, print_report};
+use emgrid_bench::{characterize, level1_trials, outln, print_cdf, print_report};
 
 fn main() {
     let trials = level1_trials();
-    println!("== Figure 9: redundancy comparison ({trials} trials) ==");
+    outln!("== Figure 9: redundancy comparison ({trials} trials) ==");
     let configs = [
         (
             ViaArrayConfig::paper_1x1(IntersectionPattern::Plus),
@@ -31,7 +31,7 @@ fn main() {
             ],
         ),
     ];
-    println!("# worst-case (0.3%ile) TTF in years:");
+    outln!("# worst-case (0.3%ile) TTF in years:");
     let mut summaries = Vec::new();
     for (config, criteria) in &configs {
         let label = emgrid_bench::array_label(&config.geometry);
@@ -47,9 +47,9 @@ fn main() {
             ));
         }
     }
-    println!("# summary (worst-case 0.3%ile | median, years):");
+    outln!("# summary (worst-case 0.3%ile | median, years):");
     for (label, wc, med) in &summaries {
-        println!("#   {label:<14} {wc:6.2} | {med:6.2}");
+        outln!("#   {label:<14} {wc:6.2} | {med:6.2}");
     }
-    println!("# paper anchors: 8x8@R=2x ~8 yr, 4x4@R=2x ~4 yr, 4x4@R=inf ~6 yr (0.3%ile).");
+    outln!("# paper anchors: 8x8@R=2x ~8 yr, 4x4@R=2x ~4 yr, 4x4@R=inf ~6 yr (0.3%ile).");
 }

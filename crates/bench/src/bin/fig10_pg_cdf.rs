@@ -8,11 +8,11 @@
 //! the 8×8 panel sits right of the 4×4 panel.
 
 use emgrid::prelude::*;
-use emgrid_bench::{level2_trials, print_report, run_grid};
+use emgrid_bench::{level2_trials, outln, print_report, run_grid};
 
 fn main() {
     let spec = GridSpec::pg1();
-    println!(
+    outln!(
         "== Figure 10: {} system TTF percentile curves ({} trials) ==",
         spec.name,
         level2_trials()
@@ -22,7 +22,7 @@ fn main() {
         ViaArrayConfig::paper_8x8(IntersectionPattern::Plus),
     ] {
         let label = emgrid_bench::array_label(&array.geometry);
-        println!("-- panel: {label} via arrays --");
+        outln!("-- panel: {label} via arrays --");
         for (system, sys_label) in [
             (SystemCriterion::WeakestLink, "system weakest-link"),
             (SystemCriterion::IrDropFraction(0.10), "system 10% IR-drop"),
@@ -33,23 +33,23 @@ fn main() {
             ] {
                 let result = run_grid(&spec, &array, via_crit, system, 810);
                 let curve = TtfCurve::from_result(format!("{sys_label}, {via_label}"), &result);
-                println!("# curve: {}", curve.label);
+                outln!("# curve: {}", curve.label);
                 print_report(&curve.label, result.report());
-                println!("# ttf_years  percentile");
+                outln!("# ttf_years  percentile");
                 for (t, p) in &curve.points {
-                    println!("{t:10.2}  {p:6.3}");
+                    outln!("{t:10.2}  {p:6.3}");
                 }
-                println!(
+                outln!(
                     "# worst-case {:.1} yr, median {:.1} yr, mean failures/trial {:.1}",
                     result.worst_case_years(),
                     result.median_years(),
                     result.mean_failures()
                 );
-                println!();
+                outln!();
             }
         }
     }
-    println!(
+    outln!(
         "# expectation: IR-drop criterion > weakest link; R=inf > array weakest link; 8x8 > 4x4."
     );
 }

@@ -19,14 +19,14 @@
 //! 4×4 counterpart; PG5 ≥ PG2 ≥ PG1.
 
 use emgrid::prelude::*;
-use emgrid_bench::{level2_trials, mc_target_ci, mc_threads, run_grid};
+use emgrid_bench::{level2_trials, mc_target_ci, mc_threads, outln, run_grid};
 
 fn main() {
-    println!(
+    outln!(
         "== Table 2: worst-case TTF (0.3%ile, years), {} trials ==",
         level2_trials()
     );
-    println!(
+    outln!(
         "# runtime: {} thread(s), early stop: {}",
         mc_threads(),
         mc_target_ci().map_or_else(
@@ -34,9 +34,14 @@ fn main() {
             |hw| format!("95% CI half-width target {hw}")
         )
     );
-    println!(
+    outln!(
         "{:<5} {:<4} {:>10} {:>10} {:>10} {:>10}",
-        "bench", "cfg", "WL/WL", "WL/Rinf", "IR/WL", "IR/Rinf"
+        "bench",
+        "cfg",
+        "WL/WL",
+        "WL/Rinf",
+        "IR/WL",
+        "IR/Rinf"
     );
     for array in [
         ViaArrayConfig::paper_4x4(IntersectionPattern::Plus),
@@ -57,11 +62,16 @@ fn main() {
                     cells.push(result.worst_case_years());
                 }
             }
-            println!(
+            outln!(
                 "{:<5} {:<4} {:>10.1} {:>10.1} {:>10.1} {:>10.1}",
-                spec.name, cfg, cells[0], cells[1], cells[2], cells[3]
+                spec.name,
+                cfg,
+                cells[0],
+                cells[1],
+                cells[2],
+                cells[3]
             );
         }
     }
-    println!("# columns: system/via-array criteria; WL = weakest link, Rinf = open circuit, IR = 10% IR-drop.");
+    outln!("# columns: system/via-array criteria; WL = weakest link, Rinf = open circuit, IR = 10% IR-drop.");
 }

@@ -159,6 +159,39 @@ pub fn runtime_config() -> RuntimeConfig {
     runtime
 }
 
+/// Writes figure output to stdout. When the reader has gone, as in
+/// `fig08a_via_cdf | head -3`, the binary exits quietly with status 0, as
+/// a Unix filter does; any other write error stops it with status 1.
+pub fn emit(args: std::fmt::Arguments) {
+    use std::io::Write as _;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `println!` for figure output, through [`emit`].
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::emit(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// `print!` for figure output, through [`emit`].
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::emit(format_args!($($arg)*))
+    };
+}
+
 /// Prints one execution-telemetry comment line for a scheduler run.
 pub fn print_report(label: &str, report: &RunReport) {
     let early = if report.stopped_early {
@@ -169,7 +202,7 @@ pub fn print_report(label: &str, report: &RunReport) {
     } else {
         String::new()
     };
-    println!(
+    outln!(
         "# execution: {label}: {}/{} trials, {} thread(s), {:.0} ms{early}",
         report.trials_run,
         report.trials_requested,
@@ -198,24 +231,24 @@ pub fn figure_model(
 
 /// Formats a line scan as `x_um sigma_mpa` rows, tagged with a label.
 pub fn print_scan(label: &str, scan: &[emgrid::fea::stress::LineSample]) {
-    println!("# scan: {label} ({} samples)", scan.len());
-    println!("# x_um   sigma_h_MPa");
+    outln!("# scan: {label} ({} samples)", scan.len());
+    outln!("# x_um   sigma_h_MPa");
     for s in scan {
-        println!("{:8.3}  {:9.2}", s.position, s.hydrostatic_mpa);
+        outln!("{:8.3}  {:9.2}", s.position, s.hydrostatic_mpa);
     }
-    println!();
+    outln!();
 }
 
 /// Formats an ECDF as `ttf_years cum_probability` rows.
 pub fn print_cdf(label: &str, ecdf: &Ecdf) {
-    println!("# cdf: {label} ({} samples)", ecdf.len());
-    println!("# ttf_years   cumulative_probability");
+    outln!("# cdf: {label} ({} samples)", ecdf.len());
+    outln!("# ttf_years   cumulative_probability");
     for p in [
         0.003, 0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 0.997,
     ] {
-        println!("{:10.2}  {:6.3}", ecdf.quantile(p) / SECONDS_PER_YEAR, p);
+        outln!("{:10.2}  {:6.3}", ecdf.quantile(p) / SECONDS_PER_YEAR, p);
     }
-    println!();
+    outln!();
 }
 
 /// Characterizes a paper configuration against the bundled reference table,

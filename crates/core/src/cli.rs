@@ -182,6 +182,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         return Err(CliError(USAGE.to_owned()));
     };
     let rest = &args[1..];
+    check_flags(command, rest)?;
     // `--trace` arms the runtime's span timers for any command; the span
     // tree goes to stderr so piped stdout reports stay clean.
     let trace = rest.iter().any(|a| a == "--trace");
@@ -228,21 +229,135 @@ const VALUELESS_FLAGS: [&str; 5] = [
     "--debug-panic-route",
 ];
 
-/// The first positional argument, stepping over each `--flag value` pair
-/// and each valueless flag alone.
-fn positional(args: &[String]) -> Option<&str> {
-    let mut i = 0;
-    while let Some(arg) = args.get(i) {
-        if !arg.starts_with("--") {
-            return Some(arg);
-        }
-        i += if VALUELESS_FLAGS.contains(&arg.as_str()) {
-            1
-        } else {
-            2
-        };
+/// The flags each command takes beyond the global `--trace`, as
+/// [`USAGE`] lists them.
+const COMMAND_FLAGS: [(&str, &[&str]); 12] = [
+    ("generate", &["--profile"]),
+    ("lint", &[]),
+    ("irdrop", &["--repair-vias"]),
+    (
+        "characterize",
+        &[
+            "--array",
+            "--pattern",
+            "--criterion",
+            "--trials",
+            "--seed",
+            "--threads",
+            "--target-ci",
+            "--edge-current-factor",
+            "--temperature-sigma",
+            "--linewidth-sigma",
+            "--variance-analysis",
+        ],
+    ),
+    (
+        "analyze",
+        &[
+            "--array",
+            "--pattern",
+            "--criterion",
+            "--trials",
+            "--seed",
+            "--threads",
+            "--target-ci",
+            "--edge-current-factor",
+            "--temperature-sigma",
+            "--linewidth-sigma",
+            "--variance-analysis",
+            "--grid-trials",
+            "--repair-vias",
+            "--ordering",
+        ],
+    ),
+    (
+        "screen",
+        &[
+            "--profile",
+            "--top-k",
+            "--stress-threshold",
+            "--method",
+            "--ordering",
+            "--repair-vias",
+            "--json",
+        ],
+    ),
+    (
+        "fea",
+        &[
+            "--array",
+            "--pattern",
+            "--resolution",
+            "--fea-threads",
+            "--no-cache",
+            "--cache-dir",
+            "--ordering",
+        ],
+    ),
+    ("signoff", &["--target-years"]),
+    (
+        "sweep",
+        &[
+            "--state-dir",
+            "--workers",
+            "--checkpoint-every",
+            "--max-in-flight",
+        ],
+    ),
+    ("validate", &[]),
+    (
+        "serve",
+        &[
+            "--addr",
+            "--workers",
+            "--queue-depth",
+            "--checkpoint-every",
+            "--state-dir",
+            "--cache-dir",
+            "--max-body-bytes",
+            "--max-netlist-lines",
+            "--max-connections",
+            "--dispatchers",
+            "--max-in-flight-per-client",
+            "--debug-panic-route",
+        ],
+    ),
+    ("help", &[]),
+];
+
+/// Rejects a `--flag` the command does not take, so a misspelt flag fails
+/// instead of silently running the default. Unknown commands are left to
+/// the dispatch.
+fn check_flags(command: &str, args: &[String]) -> Result<(), CliError> {
+    let Some((_, flags)) = COMMAND_FLAGS.iter().find(|(name, _)| *name == command) else {
+        return Ok(());
+    };
+    match arguments(args).find(|a| a.starts_with("--") && *a != "--trace" && !flags.contains(a)) {
+        Some(flag) => Err(CliError(format!(
+            "unknown flag `{flag}` for `emgrid {command}`"
+        ))),
+        None => Ok(()),
     }
-    None
+}
+
+/// The flags and positional arguments in `args`, stepping over the value
+/// after each flag that takes one.
+fn arguments(args: &[String]) -> impl Iterator<Item = &str> {
+    let mut i = 0;
+    std::iter::from_fn(move || {
+        let arg = args.get(i)?.as_str();
+        i += if arg.starts_with("--") && !VALUELESS_FLAGS.contains(&arg) {
+            2
+        } else {
+            1
+        };
+        Some(arg)
+    })
+}
+
+/// The first positional argument.
+fn positional(args: &[String]) -> Option<&str> {
+    arguments(args).find(|a| !a.starts_with("--"))
 }
 
 fn parse_usize(args: &[String], name: &str, default: usize) -> Result<usize, CliError> {
@@ -1020,10 +1135,80 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::{BTreeMap, BTreeSet};
+
     use super::*;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_owned).collect()
+    }
+
+    /// The flags USAGE lists under each command; `analyze` also takes
+    /// characterize's ("same options as characterize").
+    fn usage_flags() -> BTreeMap<String, BTreeSet<String>> {
+        let (_, commands) = USAGE
+            .split_once("COMMANDS:\n")
+            .expect("USAGE lists commands");
+        let (commands, _) = commands
+            .split_once("\n\nEvery command")
+            .expect("the command list ends before the notes");
+        let mut table: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+        let mut command = String::new();
+        for line in commands.lines() {
+            // Command lines are indented by four spaces, their option
+            // lines by more.
+            if line.len() > 4 && !line[4..].starts_with(' ') {
+                command = line.split_whitespace().next().unwrap().to_owned();
+            }
+            let mut flags: BTreeSet<String> = line
+                .split(|c: char| c != '-' && !c.is_ascii_alphanumeric())
+                .filter(|w| w.starts_with("--") && w.len() > 2)
+                .map(str::to_owned)
+                .collect();
+            if line.contains("same options as characterize") {
+                flags.extend(table["characterize"].clone());
+            }
+            if !command.is_empty() {
+                table.entry(command.clone()).or_default().extend(flags);
+            }
+        }
+        table
+    }
+
+    #[test]
+    fn every_flag_usage_lists_is_accepted() {
+        let usage = usage_flags();
+        let declared: BTreeMap<String, BTreeSet<String>> = COMMAND_FLAGS
+            .iter()
+            .map(|(c, f)| (c.to_string(), f.iter().map(|f| f.to_string()).collect()))
+            .collect();
+        assert_eq!(declared, usage);
+        assert_eq!(usage.len(), 12, "{usage:?}");
+        for (command, flags) in &usage {
+            for flag in flags.iter().chain(["--trace".to_owned()].iter()) {
+                let args = [flag.clone(), "1".into(), "deck.sp".into()];
+                assert!(check_flags(command, &args).is_ok(), "{command} {flag}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_command_rejects_an_unknown_flag() {
+        // Checked without running the command, so a regression fails here
+        // instead of starting a daemon.
+        for command in usage_flags().keys() {
+            let err = check_flags(command, &argv("--bogus 1")).unwrap_err();
+            assert_eq!(
+                err.0,
+                format!("unknown flag `--bogus` for `emgrid {command}`")
+            );
+        }
+        // `run` checks before it dispatches. A flag another command takes
+        // is still unknown here, and so is one after valid flags and values.
+        let err = run(&argv("irdrop pg1.sp --top-k 3")).unwrap_err();
+        assert_eq!(err.0, "unknown flag `--top-k` for `emgrid irdrop`");
+        let err = run(&argv("screen --profile pg1 --json --out x")).unwrap_err();
+        assert_eq!(err.0, "unknown flag `--out` for `emgrid screen`");
     }
 
     #[test]

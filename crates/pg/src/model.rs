@@ -47,8 +47,6 @@ impl From<MnaError> for PgError {
 pub struct ViaSite {
     /// Index of the resistor element in the netlist.
     pub element_index: usize,
-    /// Instance name.
-    pub name: String,
     /// Lower-layer terminal.
     pub lower: Node,
     /// Upper-layer terminal.
@@ -80,24 +78,19 @@ impl PowerGrid {
     pub fn from_netlist(netlist: Netlist) -> Result<Self, PgError> {
         let mut via_sites = Vec::new();
         for (idx, e) in netlist.resistors() {
-            let Element::Resistor { name, a, b, value } = e else {
+            let Element::Resistor { a, b, value } = e else {
                 continue;
             };
             let (Some(ia), Some(ib)) = (a.id(), b.id()) else {
                 continue;
             };
-            let (Some(infa), Some(infb)) = (netlist.node_info(ia), netlist.node_info(ib)) else {
+            let (Some(la), Some(lb)) = (netlist.node_layer(ia), netlist.node_layer(ib)) else {
                 continue;
             };
-            if infa.layer != infb.layer {
-                let (lower, upper) = if infa.layer < infb.layer {
-                    (*a, *b)
-                } else {
-                    (*b, *a)
-                };
+            if la != lb {
+                let (lower, upper) = if la < lb { (*a, *b) } else { (*b, *a) };
                 via_sites.push(ViaSite {
                     element_index: idx,
-                    name: name.clone(),
                     lower,
                     upper,
                     resistance: *value,
@@ -182,7 +175,10 @@ mod tests {
         let grid = PowerGrid::from_netlist(spec.generate()).unwrap();
         assert_eq!(grid.via_sites().len(), 42);
         for site in grid.via_sites() {
-            assert!(site.name.starts_with("Rv"));
+            assert!(grid
+                .netlist()
+                .element_name(site.element_index)
+                .starts_with("Rv"));
             assert_eq!(site.resistance, spec.via_resistance);
         }
     }
@@ -192,9 +188,9 @@ mod tests {
         let spec = GridSpec::custom("t", 4, 4);
         let grid = PowerGrid::from_netlist(spec.generate()).unwrap();
         for site in grid.via_sites() {
-            let li = grid.netlist().node_info(site.lower.id().unwrap()).unwrap();
-            let ui = grid.netlist().node_info(site.upper.id().unwrap()).unwrap();
-            assert!(li.layer < ui.layer);
+            let li = grid.netlist().node_layer(site.lower.id().unwrap()).unwrap();
+            let ui = grid.netlist().node_layer(site.upper.id().unwrap()).unwrap();
+            assert!(li < ui);
         }
     }
 

@@ -107,9 +107,10 @@ pub fn current_density_signoff(
         grid.via_sites().iter().map(|s| s.element_index).collect();
     let netlist = grid.netlist();
     for (idx, e) in netlist.resistors() {
-        let Element::Resistor { name, a, b, .. } = e else {
+        let Element::Resistor { a, b, .. } = e else {
             continue;
         };
+        let name = netlist.element_name(idx);
         // Pad contact resistors have no meaningful cross-section here.
         if name.starts_with("Rp") {
             continue;
@@ -121,8 +122,7 @@ pub fn current_density_signoff(
             let layer = a
                 .id()
                 .or(b.id())
-                .and_then(|i| netlist.node_info(i))
-                .map(|info| info.layer)
+                .and_then(|i| netlist.node_layer(i))
                 .unwrap_or(1);
             if layer >= 3 {
                 geometry.upper_wire_cross_section
@@ -135,7 +135,7 @@ pub fn current_density_signoff(
         checked += 1;
         if j > limit {
             violations.push(Violation {
-                name: name.clone(),
+                name: name.to_owned(),
                 current_density: j,
                 limit,
             });

@@ -208,12 +208,11 @@ impl InterconnectTrees {
 /// Same-layer resistive branches `(a, b, resistance)`, in element order.
 fn same_layer_branches(netlist: &Netlist) -> impl Iterator<Item = (u32, u32, f64)> + '_ {
     netlist.resistors().filter_map(move |(_, e)| {
-        let Element::Resistor { a, b, value, .. } = e else {
+        let Element::Resistor { a, b, value } = e else {
             return None;
         };
         let (ia, ib) = (a.id()?, b.id()?);
-        let (infa, infb) = (netlist.node_info(ia)?, netlist.node_info(ib)?);
-        (infa.layer == infb.layer).then_some((ia, ib, *value))
+        (netlist.node_layer(ia)? == netlist.node_layer(ib)?).then_some((ia, ib, *value))
     })
 }
 
@@ -480,7 +479,7 @@ pub fn screen_grid(
                 let stress = end_stress(site.lower).max(end_stress(site.upper));
                 ViaScore {
                     site: k,
-                    name: site.name.clone(),
+                    name: grid.netlist().element_name(site.element_index).to_owned(),
                     stress_pa: stress,
                     criticality: stress / critical,
                     current_a: currents[k],
@@ -528,6 +527,7 @@ pub fn screen_grid(
 mod tests {
     use super::*;
     use emgrid_spice::benchgen::GridSpec;
+    use emgrid_spice::NodeInfo;
     use proptest::prelude::*;
 
     fn grid(nx: usize, ny: usize) -> PowerGrid {
@@ -607,10 +607,8 @@ mod tests {
         let report = screen_grid(&g, &Technology::default(), &ScreenOptions::default()).unwrap();
         let top = &report.ranked()[0];
         let site = &g.via_sites()[top.site];
-        let info = g
-            .netlist()
-            .node_info(site.lower.id().unwrap())
-            .expect("grid node");
+        let info =
+            NodeInfo::parse(g.netlist().node_name(site.lower.id().unwrap())).expect("grid node");
         let (cx, cy) = (spec.nx as i64 / 2, spec.ny as i64 / 2);
         let dist = (info.x - cx).abs().max((info.y - cy).abs());
         assert!(

@@ -225,12 +225,10 @@ impl GridSpec {
                     for x in 0..self.nx - 1 {
                         let a = n.intern(&self.node(i, x, y));
                         let b = n.intern(&self.node(i, x + 1, y));
-                        n.push(Element::Resistor {
-                            name: format!("R{label}_{x}_{y}"),
-                            a,
-                            b,
-                            value: r,
-                        });
+                        n.push(
+                            &format!("R{label}_{x}_{y}"),
+                            Element::Resistor { a, b, value: r },
+                        );
                     }
                 }
             } else {
@@ -238,12 +236,10 @@ impl GridSpec {
                     for y in 0..self.ny - 1 {
                         let a = n.intern(&self.node(i, x, y));
                         let b = n.intern(&self.node(i, x, y + 1));
-                        n.push(Element::Resistor {
-                            name: format!("R{label}_{x}_{y}"),
-                            a,
-                            b,
-                            value: r,
-                        });
+                        n.push(
+                            &format!("R{label}_{x}_{y}"),
+                            Element::Resistor { a, b, value: r },
+                        );
                     }
                 }
             }
@@ -262,12 +258,14 @@ impl GridSpec {
                     } else {
                         format!("Rv{label}_{x}_{y}")
                     };
-                    n.push(Element::Resistor {
-                        name,
-                        a,
-                        b,
-                        value: self.via_resistance,
-                    });
+                    n.push(
+                        &name,
+                        Element::Resistor {
+                            a,
+                            b,
+                            value: self.via_resistance,
+                        },
+                    );
                 }
             }
         }
@@ -276,18 +274,22 @@ impl GridSpec {
         let mut place_pad = |n: &mut Netlist, x: usize, y: usize| {
             let pad_node = n.intern(&format!("pad_{pad}"));
             let grid = n.intern(&self.upper_node(x, y));
-            n.push(Element::VoltageSource {
-                name: format!("Vp_{pad}"),
-                pos: pad_node,
-                neg: crate::netlist::Node::Ground,
-                value: self.vdd,
-            });
-            n.push(Element::Resistor {
-                name: format!("Rp_{pad}"),
-                a: pad_node,
-                b: grid,
-                value: self.pad_resistance,
-            });
+            n.push(
+                &format!("Vp_{pad}"),
+                Element::VoltageSource {
+                    pos: pad_node,
+                    neg: crate::netlist::Node::Ground,
+                    value: self.vdd,
+                },
+            );
+            n.push(
+                &format!("Rp_{pad}"),
+                Element::Resistor {
+                    a: pad_node,
+                    b: grid,
+                    value: self.pad_resistance,
+                },
+            );
             pad += 1;
         };
         for x in (0..self.nx).step_by(self.pad_spacing) {
@@ -304,12 +306,14 @@ impl GridSpec {
         for y in 0..self.ny {
             for x in 0..self.nx {
                 let node = n.intern(&self.lower_node(x, y));
-                n.push(Element::CurrentSource {
-                    name: format!("I_{x}_{y}"),
-                    pos: node,
-                    neg: crate::netlist::Node::Ground,
-                    value: self.load_at(x, y),
-                });
+                n.push(
+                    &format!("I_{x}_{y}"),
+                    Element::CurrentSource {
+                        pos: node,
+                        neg: crate::netlist::Node::Ground,
+                        value: self.load_at(x, y),
+                    },
+                );
             }
         }
         n
@@ -396,7 +400,7 @@ mod tests {
         let s = DcAnalysis::new(&n).unwrap().solve().unwrap();
         let mut currents: Vec<f64> = n
             .resistors()
-            .filter(|(_, e)| e.name().starts_with("Rv"))
+            .filter(|&(i, _)| n.element_name(i).starts_with("Rv"))
             .map(|(_, e)| s.resistor_current(e).abs())
             .collect();
         currents.sort_by(|a, b| a.partial_cmp(b).expect("finite"));

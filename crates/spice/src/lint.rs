@@ -81,10 +81,11 @@ pub fn lint(netlist: &Netlist) -> Vec<LintIssue> {
     let mut dsu = Dsu::new(nn + 1); // extra slot for ground/pads
     let ground = nn;
 
-    for e in netlist.elements() {
-        *names.entry(e.name()).or_insert(0) += 1;
+    for (index, e) in netlist.elements().iter().enumerate() {
+        let name = netlist.element_name(index);
+        *names.entry(name).or_insert(0) += 1;
         match e {
-            Element::Resistor { name, a, b, value } => {
+            Element::Resistor { a, b, value } => {
                 for n in [a, b] {
                     if let Some(i) = n.id() {
                         touched_resistively[i as usize] = true;
@@ -96,17 +97,12 @@ pub fn lint(netlist: &Netlist) -> Vec<LintIssue> {
                 dsu.union(ia, ib);
                 if is_via(netlist, *a, *b) && *value < SHORTED_VIA_THRESHOLD {
                     issues.push(LintIssue::ShortedVia {
-                        name: name.clone(),
+                        name: name.to_owned(),
                         value: *value,
                     });
                 }
             }
-            Element::VoltageSource {
-                name,
-                pos,
-                neg,
-                value,
-            } => {
+            Element::VoltageSource { pos, neg, value } => {
                 for n in [pos, neg] {
                     if let Some(i) = n.id() {
                         touched[i as usize] = true;
@@ -117,7 +113,9 @@ pub fn lint(netlist: &Netlist) -> Vec<LintIssue> {
                     }
                 }
                 if *value == 0.0 {
-                    issues.push(LintIssue::ZeroVoltSource { name: name.clone() });
+                    issues.push(LintIssue::ZeroVoltSource {
+                        name: name.to_owned(),
+                    });
                 }
             }
             Element::CurrentSource { pos, neg, .. } => {
@@ -178,7 +176,7 @@ pub fn repair_shorted_vias(netlist: &mut Netlist, nominal: f64) -> usize {
         .iter()
         .enumerate()
         .filter_map(|(idx, e)| match e {
-            Element::Resistor { a, b, value, .. }
+            Element::Resistor { a, b, value }
                 if *value < SHORTED_VIA_THRESHOLD && is_via(netlist, *a, *b) =>
             {
                 Some(idx)
@@ -200,8 +198,8 @@ fn is_via(netlist: &Netlist, a: Node, b: Node) -> bool {
     let (Some(ia), Some(ib)) = (a.id(), b.id()) else {
         return false;
     };
-    match (netlist.node_info(ia), netlist.node_info(ib)) {
-        (Some(x), Some(y)) => x.layer != y.layer,
+    match (netlist.node_layer(ia), netlist.node_layer(ib)) {
+        (Some(x), Some(y)) => x != y,
         _ => false,
     }
 }

@@ -98,19 +98,17 @@ impl DcAnalysis {
         let mut pinned: Vec<Option<f64>> = vec![None; nn];
 
         // Pass 1: voltage sources pin nodes.
-        for e in netlist.elements() {
-            if let Element::VoltageSource {
-                name,
-                pos,
-                neg,
-                value,
-            } = e
-            {
+        for (index, e) in netlist.elements().iter().enumerate() {
+            if let Element::VoltageSource { pos, neg, value } = e {
                 let (node, v) = match (pos, neg) {
                     (Node::Id(i), Node::Ground) => (*i, *value),
                     (Node::Ground, Node::Id(i)) => (*i, -*value),
                     (Node::Ground, Node::Ground) => continue,
-                    _ => return Err(MnaError::UnsupportedSource(name.clone())),
+                    _ => {
+                        return Err(MnaError::UnsupportedSource(
+                            netlist.element_name(index).to_owned(),
+                        ))
+                    }
                 };
                 let slot = &mut pinned[node as usize];
                 match slot {

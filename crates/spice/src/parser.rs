@@ -30,6 +30,9 @@ pub enum ParseErrorKind {
     UnsupportedElement(char),
     /// A resistor with a non-positive value.
     NonPositiveResistance(f64),
+    /// The deck is larger than the netlist's `u32` name offsets can
+    /// address (4 GiB); carries the deck's size in bytes.
+    TooLarge(usize),
 }
 
 impl fmt::Display for ParseError {
@@ -47,41 +50,72 @@ impl fmt::Display for ParseError {
             ParseErrorKind::NonPositiveResistance(v) => {
                 write!(f, "line {}: non-positive resistance {v}", self.line)
             }
+            ParseErrorKind::TooLarge(bytes) => {
+                write!(f, "deck of {bytes} bytes exceeds the 4 GiB limit")
+            }
         }
     }
 }
 
 impl Error for ParseError {}
 
-/// Parses a numeric field with optional engineering suffix.
+/// Engineering suffixes and their scales, longest first.
+const SUFFIXES: [(&str, f64); 9] = [
+    ("meg", 1e6),
+    ("f", 1e-15),
+    ("p", 1e-12),
+    ("n", 1e-9),
+    ("u", 1e-6),
+    ("m", 1e-3),
+    ("k", 1e3),
+    ("g", 1e9),
+    ("t", 1e12),
+];
+
+/// Parses a numeric field with optional engineering suffix (any case).
 ///
-/// Returns `None` on malformed input.
+/// Returns `None` on malformed input, and on values that are not finite:
+/// `nan`, `inf`, `infinity`, and numbers that overflow, with or without
+/// the suffix's scale.
 pub fn parse_value(field: &str) -> Option<f64> {
-    let lower = field.to_ascii_lowercase();
-    // Longest suffix first.
-    const SUFFIXES: [(&str, f64); 9] = [
-        ("meg", 1e6),
-        ("f", 1e-15),
-        ("p", 1e-12),
-        ("n", 1e-9),
-        ("u", 1e-6),
-        ("m", 1e-3),
-        ("k", 1e3),
-        ("g", 1e9),
-        ("t", 1e12),
-    ];
-    for (suffix, scale) in SUFFIXES {
-        if let Some(stripped) = lower.strip_suffix(suffix) {
+    let value = SUFFIXES
+        .iter()
+        .find_map(|&(suffix, scale)| {
+            let cut = field.len().checked_sub(suffix.len())?;
+            if !field.is_char_boundary(cut) || !field[cut..].eq_ignore_ascii_case(suffix) {
+                return None;
+            }
+            let mantissa = &field[..cut];
             // Guard against stripping the exponent `e` forms ("1e3" has no
             // suffix) and against empty mantissas.
-            if !stripped.is_empty() && !stripped.ends_with(['e', 'E']) {
-                if let Ok(v) = stripped.parse::<f64>() {
-                    return Some(v * scale);
-                }
+            if mantissa.is_empty() || mantissa.ends_with(['e', 'E']) {
+                return None;
             }
+            mantissa.parse::<f64>().ok().map(|v| v * scale)
+        })
+        .or_else(|| field.parse().ok())?;
+    value.is_finite().then_some(value)
+}
+
+/// The first four fields of `line`, split as `str::split_whitespace`
+/// splits them. An ASCII line, which a deck's card is, splits byte by
+/// byte at the same six whitespace characters without decoding UTF-8.
+fn first_fields(line: &str) -> [Option<&str>; 4] {
+    let mut fields = [None; 4];
+    if line.is_ascii() {
+        let pieces = line
+            .as_bytes()
+            .split(|&b| matches!(b, b'\t'..=b'\r' | b' '))
+            .filter(|piece| !piece.is_empty());
+        for (field, piece) in fields.iter_mut().zip(pieces) {
+            *field = std::str::from_utf8(piece).ok();
+        }
+    } else {
+        for (field, piece) in fields.iter_mut().zip(line.split_whitespace()) {
+            *field = Some(piece);
         }
     }
-    lower.parse().ok()
+    fields
 }
 
 /// Parses a SPICE deck into a [`Netlist`].
@@ -98,16 +132,30 @@ pub fn parse_value(field: &str) -> Option<f64> {
 /// # Ok::<(), emgrid_spice::ParseError>(())
 /// ```
 pub fn parse(deck: &str) -> Result<Netlist, ParseError> {
-    let mut netlist = Netlist::new();
+    if u32::try_from(deck.len()).is_err() {
+        return Err(ParseError {
+            line: 1,
+            kind: ParseErrorKind::TooLarge(deck.len()),
+        });
+    }
+    // Each card takes a line. Counting newlines a chunk at a time into a
+    // byte lets the compiler vectorize the count (255 keeps it in range).
+    let lines = deck
+        .as_bytes()
+        .chunks(255)
+        .map(|chunk| usize::from(chunk.iter().fold(0u8, |n, &b| n + u8::from(b == b'\n'))))
+        .sum::<usize>()
+        + 1;
+    let mut netlist = Netlist::with_capacity(lines);
     for (lineno, raw) in deck.lines().enumerate() {
         let line = lineno + 1;
-        let trimmed = raw.trim();
-        if trimmed.is_empty() || trimmed.starts_with('*') || trimmed.starts_with('.') {
+        let [Some(name), a, b, value] = first_fields(raw) else {
+            continue;
+        };
+        if name.starts_with(['*', '.']) {
             continue;
         }
-        let mut fields = trimmed.split_whitespace();
-        let name = fields.next().expect("non-empty line has a field");
-        let (Some(a), Some(b), Some(value)) = (fields.next(), fields.next(), fields.next()) else {
+        let (Some(a), Some(b), Some(value)) = (a, b, value) else {
             return Err(ParseError {
                 line,
                 kind: ParseErrorKind::MissingFields,
@@ -120,7 +168,7 @@ pub fn parse(deck: &str) -> Result<Netlist, ParseError> {
         let na = netlist.intern(a);
         let nb = netlist.intern(b);
         let kind = name.chars().next().expect("non-empty name");
-        match kind.to_ascii_uppercase() {
+        let element = match kind.to_ascii_uppercase() {
             'R' => {
                 if value <= 0.0 {
                     return Err(ParseError {
@@ -128,32 +176,30 @@ pub fn parse(deck: &str) -> Result<Netlist, ParseError> {
                         kind: ParseErrorKind::NonPositiveResistance(value),
                     });
                 }
-                netlist.push(Element::Resistor {
-                    name: name.to_owned(),
+                Element::Resistor {
                     a: na,
                     b: nb,
                     value,
-                });
+                }
             }
-            'V' => netlist.push(Element::VoltageSource {
-                name: name.to_owned(),
+            'V' => Element::VoltageSource {
                 pos: na,
                 neg: nb,
                 value,
-            }),
-            'I' => netlist.push(Element::CurrentSource {
-                name: name.to_owned(),
+            },
+            'I' => Element::CurrentSource {
                 pos: na,
                 neg: nb,
                 value,
-            }),
+            },
             other => {
                 return Err(ParseError {
                     line,
                     kind: ParseErrorKind::UnsupportedElement(other),
                 })
             }
-        }
+        };
+        netlist.push(name, element);
     }
     Ok(netlist)
 }
@@ -213,11 +259,119 @@ i_load n1_2_0 0 0.0003
     }
 
     #[test]
+    fn rejects_nan_values() {
+        for deck in ["R1 a b nan", "V1 a 0 NaN", "I1 a 0 nan"] {
+            let err = parse(deck).unwrap_err();
+            assert!(matches!(err.kind, ParseErrorKind::BadValue(_)), "{deck}");
+        }
+    }
+
+    #[test]
+    fn rejects_infinite_values() {
+        for deck in ["R1 a b inf", "V1 a 0 -inf", "I1 a 0 +INF"] {
+            let err = parse(deck).unwrap_err();
+            assert!(matches!(err.kind, ParseErrorKind::BadValue(_)), "{deck}");
+        }
+    }
+
+    #[test]
+    fn rejects_infinity_spelled_out() {
+        for deck in ["R1 a b infinity", "V1 a 0 -Infinity", "I1 a 0 INFINITY"] {
+            let err = parse(deck).unwrap_err();
+            assert!(matches!(err.kind, ParseErrorKind::BadValue(_)), "{deck}");
+        }
+    }
+
+    #[test]
+    fn rejects_values_that_overflow() {
+        // Finite before the suffix's scale, infinite after it; and too
+        // large to parse at all.
+        for field in ["1e300t", "2e303MEG", "1e309", "-1e309"] {
+            assert_eq!(parse_value(field), None, "{field}");
+            let err = parse(&format!("R1 a b {field}")).unwrap_err();
+            assert!(matches!(err.kind, ParseErrorKind::BadValue(_)), "{field}");
+        }
+        assert_eq!(parse_value("1e290t"), Some(1e302));
+    }
+
+    #[test]
     fn ground_aliases() {
         let n = parse("R1 a 0 1\nR2 b gnd 1\n").unwrap();
         for (_, e) in n.resistors() {
             if let Element::Resistor { b, .. } = e {
                 assert_eq!(*b, Node::Ground);
+            }
+        }
+    }
+
+    /// `parse_value` as it was before it stopped lowercasing each field:
+    /// the oracle the case-insensitive suffix match must agree with.
+    fn lowercase_then_strip(field: &str) -> Option<f64> {
+        let lower = field.to_ascii_lowercase();
+        // Longest suffix first.
+        const SUFFIXES: [(&str, f64); 9] = [
+            ("meg", 1e6),
+            ("f", 1e-15),
+            ("p", 1e-12),
+            ("n", 1e-9),
+            ("u", 1e-6),
+            ("m", 1e-3),
+            ("k", 1e3),
+            ("g", 1e9),
+            ("t", 1e12),
+        ];
+        for (suffix, scale) in SUFFIXES {
+            if let Some(stripped) = lower.strip_suffix(suffix) {
+                if !stripped.is_empty() && !stripped.ends_with(['e', 'E']) {
+                    if let Ok(v) = stripped.parse::<f64>() {
+                        return Some(v * scale);
+                    }
+                }
+            }
+        }
+        lower.parse().ok()
+    }
+
+    /// Pieces value fields are made of: digits, signs, points, exponents,
+    /// every suffix in mixed case, the non-finite spellings, and non-ASCII
+    /// characters next to which a suffix cannot be cut.
+    const PIECES: [&str; 32] = [
+        "0", "1", "7", "42", "3.5", ".", "-", "+", "e", "E", "e-", "1e308", "9e300", "meg", "MeG",
+        "f", "F", "p", "n", "N", "u", "m", "M", "k", "K", "g", "t", "T", "inf", "NaN", "µ", "é",
+    ];
+
+    /// Pieces lines are made of: every ASCII whitespace character
+    /// (vertical tab and form feed too), non-ASCII whitespace, and field
+    /// text with and without non-ASCII letters.
+    const LINE_PIECES: [&str; 14] = [
+        " ", "\t", "\x0b", "\x0c", "\r", "\u{a0}", "\u{2003}", "\u{85}", "R1", "n1_0_0", "é", "*",
+        ".", "1k",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn fields_split_as_split_whitespace_does(
+            picks in proptest::collection::vec(0usize..14, 0..12),
+        ) {
+            let line: String = picks.iter().map(|&i| LINE_PIECES[i]).collect();
+            let mut want = [None; 4];
+            for (slot, field) in want.iter_mut().zip(line.split_whitespace()) {
+                *slot = Some(field);
+            }
+            prop_assert_eq!(first_fields(&line), want);
+        }
+
+        #[test]
+        fn parse_value_agrees_with_the_lowercasing_oracle(
+            field in "[ -~]{0,12}",
+            picks in proptest::collection::vec(0usize..32, 0..6),
+        ) {
+            let built: String = picks.iter().map(|&i| PIECES[i]).collect();
+            for f in [field.as_str(), built.as_str()] {
+                let want = lowercase_then_strip(f).filter(|v| v.is_finite());
+                prop_assert_eq!(parse_value(f).map(f64::to_bits), want.map(f64::to_bits));
             }
         }
     }

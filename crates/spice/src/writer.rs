@@ -7,34 +7,18 @@ use crate::netlist::{Element, Netlist, Node};
 /// Renders a netlist as a SPICE deck string, ending with `.end`.
 pub fn write_string(netlist: &Netlist) -> String {
     let mut out = String::new();
-    let node = |n: Node| -> String {
-        match n {
-            Node::Ground => "0".to_owned(),
-            Node::Id(i) => netlist.node_name(i).to_owned(),
-        }
+    let node = |n: Node| match n {
+        Node::Ground => "0",
+        Node::Id(i) => netlist.node_name(i),
     };
-    for e in netlist.elements() {
-        match e {
-            Element::Resistor { name, a, b, value } => {
-                let _ = writeln!(out, "{name} {} {} {value:e}", node(*a), node(*b));
-            }
-            Element::VoltageSource {
-                name,
-                pos,
-                neg,
-                value,
-            } => {
-                let _ = writeln!(out, "{name} {} {} {value:e}", node(*pos), node(*neg));
-            }
-            Element::CurrentSource {
-                name,
-                pos,
-                neg,
-                value,
-            } => {
-                let _ = writeln!(out, "{name} {} {} {value:e}", node(*pos), node(*neg));
-            }
-        }
+    for (index, e) in netlist.elements().iter().enumerate() {
+        let (p, q, value) = match *e {
+            Element::Resistor { a, b, value } => (a, b, value),
+            Element::VoltageSource { pos, neg, value }
+            | Element::CurrentSource { pos, neg, value } => (pos, neg, value),
+        };
+        let name = netlist.element_name(index);
+        let _ = writeln!(out, "{name} {} {} {value:e}", node(p), node(q));
     }
     out.push_str(".end\n");
     out
