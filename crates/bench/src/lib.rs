@@ -1,5 +1,5 @@
-//! Shared harness code for the figure/table regeneration binaries and the
-//! Criterion benches.
+//! Shared code for the figure/table regeneration binaries. Performance is
+//! measured by perfbench (`perfbench/` at the repository root), not here.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the paper
 //! (see DESIGN.md §5 for the index) and prints the series the paper plots,

@@ -437,54 +437,59 @@ fn parse_array(args: &[String]) -> Result<(ViaArrayConfig, &'static str), CliErr
     }
 }
 
+/// Flag > environment variable precedence for one setting: the raw text of
+/// `flag` when given, else of the environment variable `env`, with the name
+/// of the source that supplied it; `None` leaves the caller's default.
+fn flag_or_env(
+    args: &[String],
+    flag: &'static str,
+    env: &'static str,
+) -> Option<(String, &'static str)> {
+    match option_value(args, flag) {
+        Some(v) => Some((v.to_owned(), flag)),
+        None => std::env::var(env).ok().map(|v| (v, env)),
+    }
+}
+
+/// How an error message names a value's source: `for --flag` or
+/// `in ENV_VAR`.
+fn source_phrase(source: &str) -> String {
+    if source.starts_with("--") {
+        format!("for {source}")
+    } else {
+        format!("in {source}")
+    }
+}
+
 /// Mesh resolution precedence: `--resolution` flag, then the
 /// `EMGRID_RESOLUTION` environment variable, then 0.25 µm. Returns the
 /// value and which source supplied it.
 fn parse_resolution(args: &[String]) -> Result<(f64, &'static str), CliError> {
-    if let Some(v) = option_value(args, "--resolution") {
-        let r: f64 = v
-            .parse()
-            .map_err(|_| CliError(format!("invalid value `{v}` for --resolution")))?;
-        if !r.is_finite() || r <= 0.0 {
-            return Err(CliError("--resolution must be positive".to_owned()));
-        }
-        return Ok((r, "--resolution"));
+    let Some((v, source)) = flag_or_env(args, "--resolution", "EMGRID_RESOLUTION") else {
+        return Ok((0.25, "default"));
+    };
+    let r: f64 = v
+        .parse()
+        .map_err(|_| CliError(format!("invalid value `{v}` {}", source_phrase(source))))?;
+    if !r.is_finite() || r <= 0.0 {
+        return Err(CliError(format!("{source} must be positive")));
     }
-    if let Ok(v) = std::env::var("EMGRID_RESOLUTION") {
-        let r: f64 = v
-            .parse()
-            .map_err(|_| CliError(format!("invalid value `{v}` in EMGRID_RESOLUTION")))?;
-        if !r.is_finite() || r <= 0.0 {
-            return Err(CliError("EMGRID_RESOLUTION must be positive".to_owned()));
-        }
-        return Ok((r, "EMGRID_RESOLUTION"));
-    }
-    Ok((0.25, "default"))
+    Ok((r, source))
 }
 
 /// Fill-reducing ordering precedence: `--ordering` flag, then the
 /// `EMGRID_ORDERING` environment variable, then AMD. Returns the value
 /// and which source supplied it.
 fn parse_ordering(args: &[String]) -> Result<(Ordering, &'static str), CliError> {
-    if let Some(v) = option_value(args, "--ordering") {
-        return Ordering::parse(v)
-            .map(|o| (o, "--ordering"))
-            .ok_or_else(|| {
-                CliError(format!(
-                    "unknown ordering `{v}` for --ordering (expected natural, rcm, amd or nd)"
-                ))
-            });
-    }
-    if let Ok(v) = std::env::var("EMGRID_ORDERING") {
-        return Ordering::parse(&v)
-            .map(|o| (o, "EMGRID_ORDERING"))
-            .ok_or_else(|| {
-                CliError(format!(
-                    "unknown ordering `{v}` in EMGRID_ORDERING (expected natural, rcm, amd or nd)"
-                ))
-            });
-    }
-    Ok((Ordering::default(), "default"))
+    let Some((v, source)) = flag_or_env(args, "--ordering", "EMGRID_ORDERING") else {
+        return Ok((Ordering::default(), "default"));
+    };
+    Ordering::parse(&v).map(|o| (o, source)).ok_or_else(|| {
+        CliError(format!(
+            "unknown ordering `{v}` {} (expected natural, rcm, amd or nd)",
+            source_phrase(source)
+        ))
+    })
 }
 
 fn parse_criterion(args: &[String]) -> Result<FailureCriterion, CliError> {
@@ -1684,6 +1689,36 @@ mod tests {
         std::env::remove_var("EMGRID_ORDERING");
         let (o, src) = parse_ordering(&argv("")).unwrap();
         assert_eq!((o, src), (Ordering::Amd, "default"));
+    }
+
+    #[test]
+    fn flag_or_env_names_the_source_its_errors_quote() {
+        // A variable no other test touches, so this test races none.
+        const ENV: &str = "EMGRID_CLI_TEST_LAYER";
+        std::env::set_var(ENV, "env-text");
+        let layered = |args| flag_or_env(&argv(args), "--layer", ENV);
+        assert_eq!(
+            layered("--layer flag-text"),
+            Some(("flag-text".into(), "--layer"))
+        );
+        assert_eq!(layered(""), Some(("env-text".into(), ENV)));
+        std::env::remove_var(ENV);
+        assert_eq!(layered(""), None);
+        assert_eq!(source_phrase("--layer"), "for --layer");
+        assert_eq!(source_phrase(ENV), "in EMGRID_CLI_TEST_LAYER");
+        let resolution = |args| parse_resolution(&argv(args)).unwrap_err().0;
+        assert_eq!(
+            resolution("--resolution coarse"),
+            "invalid value `coarse` for --resolution"
+        );
+        assert_eq!(
+            resolution("--resolution 0"),
+            "--resolution must be positive"
+        );
+        assert_eq!(
+            parse_ordering(&argv("--ordering best")).unwrap_err().0,
+            "unknown ordering `best` for --ordering (expected natural, rcm, amd or nd)"
+        );
     }
 
     #[test]

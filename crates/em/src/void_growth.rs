@@ -4,7 +4,8 @@
 //! time for the void to grow to a catastrophic size. The paper (after \[10\])
 //! argues that Cu slit voids under vias grow so fast that `TTF ≈ t_n`; this
 //! module implements the growth term anyway so that claim can be examined
-//! quantitatively (see the `via_mc` bench's growth ablation).
+//! quantitatively (`slit_growth_is_fast_relative_to_nucleation` below
+//! checks it at the nominal operating point).
 
 use crate::constants::ELEMENTARY_CHARGE;
 use crate::nucleation::diffusivity;

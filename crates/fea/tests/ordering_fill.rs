@@ -1,7 +1,6 @@
 //! Fill-in of the direct solver's orderings on an FEA stiffness matrix: the
-//! small Plus-pattern 2x2 stack the `ordering_ablation` bench factors under
-//! `EMGRID_BENCH_SMALL=1`. The grid-Laplacian counterparts are unit tests in
-//! `emgrid-sparse`.
+//! small Plus-pattern 2x2 stack. The grid-Laplacian counterparts are unit
+//! tests in `emgrid-sparse`.
 
 use emgrid_fea::assembly::assemble;
 use emgrid_fea::{

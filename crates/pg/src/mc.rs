@@ -436,7 +436,7 @@ impl PowerGridMc {
     /// Builds the state every trial of a run starts from: the base solver
     /// (with the failure-free solution already cached, so no trial's clone
     /// repeats that solve), the site characterizations and the nominal
-    /// current densities. Both scheduling paths share it.
+    /// current densities.
     fn prepare(&self) -> Result<RunSetup, PgError> {
         let singular = |e| PgError::Mna(emgrid_spice::mna::MnaError::Singular(e));
         let dc = self.grid.dc();
@@ -606,57 +606,6 @@ impl PowerGridMc {
             |o: &TrialOutcome| o.ttf_seconds.max(f64::MIN_POSITIVE).ln(),
         )?;
         Ok(self.collect(outcomes, report))
-    }
-
-    /// Static-chunking baseline kept for the scheduling ablation in the
-    /// `pg_mc` bench: trials are pre-assigned to threads in contiguous
-    /// chunks instead of claimed from the work-stealing counter. It uses
-    /// the same per-trial RNG streams as [`PowerGridMc::run_with`], so the
-    /// `McResult` is identical — only wall-clock differs (work stealing
-    /// wins when trial costs vary, because no thread idles behind the
-    /// longest chunk).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PgError`] if the base system cannot be factored or any
-    /// trial fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `trials == 0` or `threads == 0`.
-    pub fn run_static_chunked(
-        &self,
-        trials: usize,
-        seed: u64,
-        threads: usize,
-    ) -> Result<McResult, PgError> {
-        assert!(trials > 0, "need at least one trial");
-        assert!(threads > 0, "need at least one thread");
-        let setup = self.prepare()?;
-
-        let run_range = |range: std::ops::Range<usize>| -> Result<Vec<TrialOutcome>, PgError> {
-            range.map(|t| self.run_one_trial(seed, t, &setup)).collect()
-        };
-        let chunk = trials.div_ceil(threads);
-        let results: Vec<Result<Vec<TrialOutcome>, PgError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let start = (w * chunk).min(trials);
-                    let end = ((w + 1) * chunk).min(trials);
-                    let run_range = &run_range;
-                    scope.spawn(move || run_range(start..end))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread panicked"))
-                .collect()
-        });
-        let mut outcomes = Vec::with_capacity(trials);
-        for r in results {
-            outcomes.extend(r?);
-        }
-        Ok(self.collect(outcomes, RunReport::unscheduled(trials)))
     }
 
     /// Folds trial outcomes, in trial order, into an [`McResult`].
@@ -1055,21 +1004,6 @@ I1 n1_0_1 0 0.2
             .unwrap();
         assert_eq!(seq.ttf_seconds(), par.ttf_seconds());
         assert_eq!(seq.site_failure_counts(), par.site_failure_counts());
-    }
-
-    #[test]
-    fn static_chunking_matches_work_stealing() {
-        // The scheduling ablation baseline must produce the same result —
-        // only wall-clock may differ.
-        let rel = reliability(FailureCriterion::OpenCircuit);
-        let ws = PowerGridMc::new(small_grid(), rel)
-            .run_threaded(16, 41, 4)
-            .unwrap();
-        let chunked = PowerGridMc::new(small_grid(), rel)
-            .run_static_chunked(16, 41, 4)
-            .unwrap();
-        assert_eq!(ws.ttf_seconds(), chunked.ttf_seconds());
-        assert_eq!(ws.site_failure_counts(), chunked.site_failure_counts());
     }
 
     #[test]
@@ -1526,11 +1460,6 @@ trial 41cdc80dd0000000 12 0 7
             .unwrap();
         assert_eq!(seq.ttf_seconds(), par.ttf_seconds());
         assert_eq!(seq.site_failure_counts(), par.site_failure_counts());
-        let chunked = PowerGridMc::new(small_grid(), rel)
-            .with_variation(var)
-            .run_static_chunked(16, 71, 4)
-            .unwrap();
-        assert_eq!(seq.ttf_seconds(), chunked.ttf_seconds());
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub(crate) mod event_loop;
 pub mod http;
 pub mod json;
 pub(crate) mod metrics;
-pub mod poll;
+pub(crate) mod poll;
 pub(crate) mod runner;
 pub mod server;
 pub mod spec;

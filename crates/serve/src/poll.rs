@@ -1,5 +1,5 @@
 //! A minimal safe wrapper over `poll(2)` — the readiness primitive under
-//! the serve event loop and the open-loop load harness.
+//! the serve event loop.
 //!
 //! Std-only by design: `libc` is always linked on the platforms we target,
 //! so a single `extern "C"` declaration is all the FFI this needs. The
@@ -15,12 +15,6 @@ use std::time::Duration;
 pub const POLLIN: i16 = 0x001;
 /// Writable without blocking.
 pub const POLLOUT: i16 = 0x004;
-/// Error condition (revents only).
-pub const POLLERR: i16 = 0x008;
-/// Peer hung up (revents only).
-pub const POLLHUP: i16 = 0x010;
-/// Invalid fd (revents only).
-pub const POLLNVAL: i16 = 0x020;
 
 /// One entry in the poll set, layout-compatible with `struct pollfd`.
 #[repr(C)]
@@ -41,26 +35,9 @@ impl PollFd {
         }
     }
 
-    /// The watched descriptor.
-    pub fn fd(&self) -> RawFd {
-        self.fd
-    }
-
     /// Returned readiness mask from the last [`poll_fds`] call.
     pub fn revents(&self) -> i16 {
         self.revents
-    }
-
-    /// Whether the descriptor is readable (or the peer closed / errored —
-    /// conditions a read will surface, so readers must run).
-    pub fn readable(&self) -> bool {
-        self.revents & (POLLIN | POLLHUP | POLLERR | POLLNVAL) != 0
-    }
-
-    /// Whether the descriptor is writable (or errored — a write will
-    /// surface the failure).
-    pub fn writable(&self) -> bool {
-        self.revents & (POLLOUT | POLLHUP | POLLERR | POLLNVAL) != 0
     }
 }
 
@@ -158,7 +135,7 @@ mod tests {
         let n = poll_fds(&mut fds, Some(Duration::from_millis(50))).unwrap();
         assert_eq!(n, 0);
         assert!(start.elapsed() >= Duration::from_millis(45));
-        assert!(!fds[0].readable());
+        assert_eq!(fds[0].revents(), 0);
     }
 
     #[test]
@@ -171,8 +148,12 @@ mod tests {
         let mut fds = [PollFd::new(server.as_raw_fd(), POLLIN)];
         let n = poll_fds(&mut fds, Some(Duration::from_secs(5))).unwrap();
         assert_eq!(n, 1);
-        assert!(fds[0].readable());
-        assert!(!fds[0].writable(), "no POLLOUT interest was registered");
+        assert_ne!(fds[0].revents() & POLLIN, 0);
+        assert_eq!(
+            fds[0].revents() & POLLOUT,
+            0,
+            "no POLLOUT interest was registered"
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! HTTP/1.1 keep-alive and pipelining conformance, admission-control
-//! behavior, and the accept-path regression tests.
+//! behavior, connection scale, and the accept-path regression tests.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -220,6 +220,60 @@ fn scrape_value(metrics: &str, name: &str) -> u64 {
         .find_map(|l| l.strip_prefix(&format!("{name} ")))
         .and_then(|v| v.trim().parse().ok())
         .unwrap_or_else(|| panic!("no `{name}` in scrape"))
+}
+
+/// Connection scale: a daemon with the default configuration holds 128
+/// keep-alive connections from one client at once. That is twice the
+/// default per-client in-flight cap of 64, so requests over the cap wait
+/// in the deferred queue. Each of 8 rounds writes one healthz on every
+/// connection before reading any response. The client reads blocking
+/// sockets in connection order: no `poll`, no thread per connection.
+#[test]
+fn default_daemon_serves_128_keep_alive_connections_from_one_client() {
+    const CONNECTIONS: usize = 128;
+    const ROUNDS: usize = 8;
+    let server = Server::start(config("scale")).unwrap();
+    let addr = server.local_addr();
+
+    let mut clients: Vec<ResponseReader> = (0..CONNECTIONS)
+        .map(|_| {
+            let stream = TcpStream::connect(addr).unwrap();
+            // A wedged daemon fails the test instead of hanging it.
+            stream
+                .set_read_timeout(Some(Duration::from_secs(30)))
+                .unwrap();
+            ResponseReader::new(stream)
+        })
+        .collect();
+    for round in 0..ROUNDS {
+        for client in &mut clients {
+            client.write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+        }
+        for (i, client) in clients.iter_mut().enumerate() {
+            let (status, _, body) = client.read_one();
+            assert_eq!(status, 200, "round {round}, connection {i}: {body}");
+        }
+    }
+
+    let mut scrape = ResponseReader::new(TcpStream::connect(addr).unwrap());
+    scrape.write_all(b"GET /metrics HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
+    let (status, _, metrics) = scrape.read_one();
+    assert_eq!(status, 200);
+    assert!(
+        metrics
+            .lines()
+            .any(|l| l == "emgrid_http_responses_total{status_class=\"5xx\"} 0"),
+        "server errors under connection load:\n{metrics}"
+    );
+    // Every request after a connection's first reuses it.
+    let reuses = scrape_value(&metrics, "emgrid_http_keepalive_reuses_total");
+    let expected = ((ROUNDS - 1) * CONNECTIONS) as u64;
+    assert!(
+        reuses >= expected,
+        "{reuses} keep-alive reuses, expected >= {expected}"
+    );
+    drop(clients);
+    shutdown_and_clean(server);
 }
 
 /// One `Connection: close` request on a fresh socket, surfacing

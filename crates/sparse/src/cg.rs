@@ -29,8 +29,6 @@ use std::time::{Duration, Instant};
 /// Preconditioner selection for [`conjugate_gradient`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Preconditioner {
-    /// Diagonal (Jacobi) scaling — cheap, helps badly scaled systems.
-    Jacobi,
     /// Zero-fill incomplete Cholesky ([`Ic0`]) — costs one structured
     /// factorization up front, typically cuts iteration counts several-fold
     /// on FEM matrices. The FEA engine's choice for elasticity.
@@ -81,7 +79,7 @@ pub struct CgOutcome {
     /// Final relative residual.
     pub residual: f64,
     /// Wall time spent building the preconditioner (the AMG hierarchy
-    /// or the IC(0) factorization; near zero for Jacobi).
+    /// or the IC(0) factorization).
     pub precond_time: Duration,
 }
 
@@ -182,25 +180,12 @@ fn solve(
     }
 
     enum Prec<'a> {
-        Diagonal(Vec<f64>),
         Ic(Box<Ic0>),
         Amg(Box<Amg<'a>>),
     }
     let precond_span = obs::span("precondition");
     let precond_start = Instant::now();
     let mut prec = match options.preconditioner {
-        Preconditioner::Jacobi => Prec::Diagonal(
-            (0..n)
-                .map(|i| {
-                    let d = a.get(i, i);
-                    if d > 0.0 {
-                        1.0 / d
-                    } else {
-                        1.0
-                    }
-                })
-                .collect(),
-        ),
         Preconditioner::IncompleteCholesky => Prec::Ic(Box::new(Ic0::factor(a)?)),
         Preconditioner::SmoothedAggregation => Prec::Amg(Box::new(Amg::setup(a, threads)?)),
     };
@@ -208,7 +193,6 @@ fn solve(
     drop(precond_span);
     // Writes z = M⁻¹ r into a buffer reused across iterations.
     let mut apply_prec = |r: &[f64], z: &mut [f64]| match &mut prec {
-        Prec::Diagonal(d) => parallel_fill(z, VEC_CHUNK, threads, |i, zi| *zi = r[i] * d[i]),
         // Triangular solves are inherently sequential across rows.
         Prec::Ic(f) => f.apply_into(r, z),
         Prec::Amg(m) => m.apply_into(r, z),
@@ -376,55 +360,35 @@ mod tests {
         assert!(matches!(err, SparseError::DimensionMismatch { .. }));
     }
 
-    #[test]
-    fn jacobi_preconditioner_accelerates_ill_scaled_systems() {
-        // Badly scaled diagonal: Jacobi should fix conditioning entirely.
-        let n = 60;
-        let mut t = TripletMatrix::new(n, n);
-        for i in 0..n {
-            t.push(i, i, 10f64.powi((i % 7) as i32));
-        }
-        let a = t.to_csr();
-        let b = vec![1.0; n];
-        let with = conjugate_gradient(
-            &a,
-            &b,
-            None,
-            &CgOptions {
-                preconditioner: Preconditioner::Jacobi,
-                ..CgOptions::default()
-            },
-        )
-        .unwrap();
-        assert!(with.iterations <= 2, "jacobi its = {}", with.iterations);
-    }
+    /// CG iterations Jacobi (diagonal) preconditioning took on the system
+    /// of `incomplete_cholesky_cuts_iterations`, measured before that
+    /// preconditioner was deleted (IC(0) took 25).
+    const JACOBI_ITERATIONS_24X24: usize = 54;
 
     #[test]
     fn incomplete_cholesky_cuts_iterations() {
         let a = laplacian_2d(24, 24);
         let b: Vec<f64> = (0..576).map(|i| ((i * 13) % 7) as f64 - 3.0).collect();
-        let run = |p: Preconditioner| {
-            conjugate_gradient(
-                &a,
-                &b,
-                None,
-                &CgOptions {
-                    preconditioner: p,
-                    ..CgOptions::default()
-                },
-            )
-            .unwrap()
-        };
-        let jacobi = run(Preconditioner::Jacobi);
-        let ic = run(Preconditioner::IncompleteCholesky);
+        let ic = conjugate_gradient(
+            &a,
+            &b,
+            None,
+            &CgOptions {
+                preconditioner: Preconditioner::IncompleteCholesky,
+                ..CgOptions::default()
+            },
+        )
+        .unwrap();
         assert!(
-            ic.iterations * 2 < jacobi.iterations,
-            "ic {} vs jacobi {} iterations",
-            ic.iterations,
-            jacobi.iterations
+            ic.iterations * 2 < JACOBI_ITERATIONS_24X24,
+            "ic {} vs jacobi {JACOBI_ITERATIONS_24X24} iterations",
+            ic.iterations
         );
-        // Both converge to the same solution.
-        for (u, v) in ic.x.iter().zip(&jacobi.x) {
+        // It converges to the direct solution.
+        let exact = LdlFactor::factor_with(&a, &FactorOptions::default())
+            .unwrap()
+            .solve(&b);
+        for (u, v) in ic.x.iter().zip(&exact) {
             assert!((u - v).abs() < 1e-6);
         }
     }
@@ -440,7 +404,6 @@ mod tests {
         for preconditioner in [
             Preconditioner::SmoothedAggregation,
             Preconditioner::IncompleteCholesky,
-            Preconditioner::Jacobi,
         ] {
             let run = |threads| {
                 conjugate_gradient(

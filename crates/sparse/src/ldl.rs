@@ -332,8 +332,8 @@ impl LdlFactor {
         self.n == 0
     }
 
-    /// Number of off-diagonal nonzeros in `L` (the fill-in measure reported
-    /// by the ordering ablation bench).
+    /// Number of off-diagonal nonzeros in `L` (the fill-in measure the
+    /// ordering tests compare).
     pub fn l_nnz(&self) -> usize {
         self.values.len()
     }

@@ -36,9 +36,7 @@
 //! accumulates: there is no correction to fold back, so the solver never
 //! needs a rebase. [`IncrementalSolver::rebase`] refactors on demand.
 //! Results match a fresh factor of the updated matrix to rounding (about
-//! 1e-13 relative after hundreds of updates), not bit for bit. The
-//! `smw_ablation` bench compares the incremental path against full
-//! refactorization.
+//! 1e-13 relative after hundreds of updates), not bit for bit.
 
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;

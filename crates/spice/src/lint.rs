@@ -75,7 +75,8 @@ pub const SHORTED_VIA_THRESHOLD: f64 = 1e-3;
 pub fn lint(netlist: &Netlist) -> Vec<LintIssue> {
     let nn = netlist.node_count();
     let mut issues = Vec::new();
-    let mut names: HashMap<&str, usize> = HashMap::new();
+    // Each name's first element index and use count.
+    let mut names: HashMap<&str, (usize, usize)> = HashMap::new();
     let mut touched_resistively = vec![false; nn];
     let mut touched = vec![false; nn];
     let mut dsu = Dsu::new(nn + 1); // extra slot for ground/pads
@@ -83,7 +84,7 @@ pub fn lint(netlist: &Netlist) -> Vec<LintIssue> {
 
     for (index, e) in netlist.elements().iter().enumerate() {
         let name = netlist.element_name(index);
-        *names.entry(name).or_insert(0) += 1;
+        names.entry(name).or_insert((index, 0)).1 += 1;
         match e {
             Element::Resistor { a, b, value } => {
                 for n in [a, b] {
@@ -128,12 +129,18 @@ pub fn lint(netlist: &Netlist) -> Vec<LintIssue> {
         }
     }
 
-    for (name, count) in names {
-        if count > 1 {
-            issues.push(LintIssue::DuplicateName {
-                name: name.to_owned(),
-            });
-        }
+    // Duplicates in the order each name first appears in the deck: the
+    // table's iteration order changes from one call to the next.
+    let mut duplicates: Vec<(usize, &str)> = names
+        .into_iter()
+        .filter(|&(_, (_, count))| count > 1)
+        .map(|(name, (first, _))| (first, name))
+        .collect();
+    duplicates.sort_unstable();
+    for (_, name) in duplicates {
+        issues.push(LintIssue::DuplicateName {
+            name: name.to_owned(),
+        });
     }
     #[allow(clippy::needless_range_loop)]
     for i in 0..nn {
@@ -276,6 +283,47 @@ mod tests {
         assert!(issues
             .iter()
             .any(|i| matches!(i, LintIssue::ZeroVoltSource { name } if name == "V1")));
+    }
+
+    #[test]
+    fn duplicate_names_are_listed_in_first_appearance_order() {
+        // Six names, each used twice, first seen out of alphabetical order
+        // and repeated in yet another order.
+        let deck = "V1 a 0 1.0\n\
+                    Rd a b 1.0\nRa b c 1.0\nRf c d 1.0\nRb d e 1.0\nRe e f 1.0\nRc f 0 1.0\n\
+                    Rb a c 1.0\nRe b d 1.0\nRa c e 1.0\nRc d f 1.0\nRf e 0 1.0\nRd f a 1.0\n";
+        let first_seen = ["Rd", "Ra", "Rf", "Rb", "Re", "Rc"];
+        let netlist = parse(deck).unwrap();
+        let duplicates = |issues: Vec<LintIssue>| -> Vec<String> {
+            issues
+                .into_iter()
+                .map(|i| match i {
+                    LintIssue::DuplicateName { name } => name,
+                    other => panic!("unexpected issue {other}"),
+                })
+                .collect()
+        };
+        let rejection = |_| {
+            crate::ingest::ingest(deck, &crate::ingest::IngestOptions::default())
+                .unwrap_err()
+                .to_string()
+        };
+        let lists: Vec<Vec<String>> = (0..8).map(|_| duplicates(lint(&netlist))).collect();
+        let rejections: Vec<String> = (0..8).map(rejection).collect();
+        for list in &lists {
+            assert_eq!(list, &first_seen, "{lists:?}");
+        }
+        let listed: String = first_seen
+            .iter()
+            .map(|name| format!(" duplicate element name `{name}`;"))
+            .collect();
+        for text in &rejections {
+            assert_eq!(
+                text,
+                &format!("netlist rejected by lint (6 issues):{listed}"),
+                "{rejections:?}"
+            );
+        }
     }
 
     #[test]
