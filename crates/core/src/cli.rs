@@ -63,7 +63,7 @@ COMMANDS:
                     --grid-trials <n> (default 200)
                     [--repair-vias <ohms>] [--threads <n>]
                     [--target-ci <half-width>]
-                    [--ordering natural|rcm|amd|nd]
+                    [--ordering amd|nd]
                     [--edge-current-factor <f>] [--temperature-sigma <degC>]
                     [--linewidth-sigma <f>]
     screen        linear-time steady-state EM screening: rank every via
@@ -72,14 +72,14 @@ COMMANDS:
                     [--top-k <n>] [--stress-threshold <Pa>]
                     [--method auto|direct|cg] (default auto: direct small,
                                                AMG-CG chip-scale)
-                    [--ordering natural|rcm|amd|nd]
+                    [--ordering amd|nd]
                     [--repair-vias <ohms>] [--json]
 
     fea           finite-element stress characterization of one primitive
                     --array 1x1|4x4|8x8 (default 4x4)
                     --pattern plus|tee|ell (default plus)
                     [--resolution <um>] [--fea-threads <n>] [--no-cache]
-                    [--cache-dir <dir>] [--ordering natural|rcm|amd|nd]
+                    [--cache-dir <dir>] [--ordering amd|nd]
 
     signoff       traditional current-density signoff (Black's law)
                     <deck.sp> --target-years <y> (default 10)
@@ -137,9 +137,10 @@ nodes, so it runs before (and gates) the expensive two-level Monte Carlo.
 deterministic document the serve/sweep `screening` block records.
 
 The analyze, screen and fea commands read the sparse solver's
-fill-reducing ordering from --ordering first, the EMGRID_ORDERING
-environment variable second, and default to amd. The ordering changes factorization wall time
-only, never which statistics come out.
+fill-reducing ordering (amd: minimum degree; nd: nested dissection) from
+--ordering first, the EMGRID_ORDERING environment variable second, and
+default to amd. The ordering changes factorization wall time only, never
+which statistics come out.
 
 The fea command reads its mesh resolution from --resolution first, the
 EMGRID_RESOLUTION environment variable second, and defaults to 0.25 um.
@@ -486,7 +487,7 @@ fn parse_ordering(args: &[String]) -> Result<(Ordering, &'static str), CliError>
     };
     Ordering::parse(&v).map(|o| (o, source)).ok_or_else(|| {
         CliError(format!(
-            "unknown ordering `{v}` {} (expected natural, rcm, amd or nd)",
+            "unknown ordering `{v}` {} (expected amd or nd)",
             source_phrase(source)
         ))
     })
@@ -1679,14 +1680,27 @@ mod tests {
     #[test]
     fn ordering_flag_beats_env_var_and_env_beats_default() {
         // One test mutates EMGRID_ORDERING to avoid races.
-        std::env::set_var("EMGRID_ORDERING", "rcm");
-        let (o, src) = parse_ordering(&argv("--ordering natural")).unwrap();
-        assert_eq!((o, src), (Ordering::Natural, "--ordering"));
+        std::env::set_var("EMGRID_ORDERING", "nd");
+        let (o, src) = parse_ordering(&argv("--ordering amd")).unwrap();
+        assert_eq!((o, src), (Ordering::Amd, "--ordering"));
         let (o, src) = parse_ordering(&argv("")).unwrap();
-        assert_eq!((o, src), (Ordering::Rcm, "EMGRID_ORDERING"));
+        assert_eq!((o, src), (Ordering::Nd, "EMGRID_ORDERING"));
+        // The retired `natural` and `rcm` are errors (the binary exits 2)
+        // that name the flag or variable they came from.
+        let e = parse_ordering(&argv("--ordering natural")).unwrap_err();
+        assert_eq!(
+            e.0,
+            "unknown ordering `natural` for --ordering (expected amd or nd)"
+        );
+        std::env::set_var("EMGRID_ORDERING", "rcm");
+        let e = parse_ordering(&argv("")).unwrap_err();
         std::env::set_var("EMGRID_ORDERING", "fastest");
         assert!(parse_ordering(&argv("")).is_err());
         std::env::remove_var("EMGRID_ORDERING");
+        assert_eq!(
+            e.0,
+            "unknown ordering `rcm` in EMGRID_ORDERING (expected amd or nd)"
+        );
         let (o, src) = parse_ordering(&argv("")).unwrap();
         assert_eq!((o, src), (Ordering::Amd, "default"));
     }
@@ -1717,7 +1731,7 @@ mod tests {
         );
         assert_eq!(
             parse_ordering(&argv("--ordering best")).unwrap_err().0,
-            "unknown ordering `best` for --ordering (expected natural, rcm, amd or nd)"
+            "unknown ordering `best` for --ordering (expected amd or nd)"
         );
     }
 

@@ -112,11 +112,8 @@ impl PowerGrid {
         if !vdd.is_finite() || vdd <= 0.0 {
             return Err(PgError::NoPads);
         }
-        // Auto-select the nominal solve engine by size: below the
-        // crossover this is the usual (bit-identical) direct factor;
-        // chip-scale grids take AMG-preconditioned CG so construction stays
-        // linear instead of paying a million-unknown factor's fill.
-        let nominal = dc.solve_auto()?;
+        // Chip-scale grids solve by CG here, so construction stays linear.
+        let nominal = dc.solve()?;
         Ok(PowerGrid {
             netlist,
             dc,

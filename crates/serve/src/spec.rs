@@ -208,20 +208,25 @@ impl VariationSpec {
 }
 
 /// The `solver` block of an `analyze` spec: which sparse factorization
-/// engine the grid solves run on. Maps onto [`FactorOptions`]; changes
-/// wall time, never the statistics.
+/// the grid solves run. Maps onto [`FactorOptions`]; changes wall time,
+/// never the statistics.
+///
+/// Three of its labels are kept only so documents that carry them keep
+/// validating to the same canonical bytes, which sweep ids hash: they are
+/// accepted and canonicalized, but select nothing beyond the default. The
+/// no-ops are permanent: retiring them would need a schema-2 parser
+/// branch whose only job is to reject them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolverSpec {
-    /// Fill-reducing ordering: `natural`, `rcm`, `amd` or `nd`.
-    pub ordering: Ordering,
-    /// Whether the blocked supernodal numeric engine is used.
+    /// The `ordering` label: `amd` or `nd` pick the fill-reducing
+    /// ordering; `natural` and `rcm` are no-ops that select the default,
+    /// AMD.
+    pub ordering: &'static str,
+    /// The `supernodal` flag: a no-op, since the solver has one numeric
+    /// engine.
     pub supernodal: bool,
-    /// The `kernels` label: `auto`, `scalar` or `blocked`. It selects
-    /// nothing (the solver has one kernel path); it is accepted and
-    /// canonicalized so documents that carry it keep validating to the
-    /// same canonical bytes, which sweep ids hash. The no-op is permanent:
-    /// retiring the key would need a schema-2 parser branch whose only
-    /// job is to reject it.
+    /// The `kernels` label (`auto`, `scalar` or `blocked`): a no-op, since
+    /// the solver has one kernel path.
     pub kernels: &'static str,
     /// Linear-solve engine for whole-grid operating-point solves (the
     /// screening pass): `auto`, `direct` or `cg`. `auto` picks by problem
@@ -232,7 +237,7 @@ pub struct SolverSpec {
 impl Default for SolverSpec {
     fn default() -> Self {
         SolverSpec {
-            ordering: Ordering::Amd,
+            ordering: "amd",
             supernodal: true,
             kernels: "auto",
             method: Method::Auto,
@@ -246,15 +251,14 @@ impl SolverSpec {
     /// trials, so nested solver threads would only oversubscribe.
     pub fn factor_options(&self) -> FactorOptions {
         FactorOptions {
-            ordering: self.ordering,
-            supernodal: self.supernodal,
+            ordering: ordering_of(self.ordering),
             threads: 1,
         }
     }
 
     fn to_json(self) -> Json {
         let mut pairs = vec![
-            ("ordering".into(), Json::s(self.ordering.label())),
+            ("ordering".into(), Json::s(self.ordering)),
             ("supernodal".into(), Json::Bool(self.supernodal)),
         ];
         // `auto` is the default and stays implicit, so canonical documents
@@ -324,12 +328,13 @@ pub enum JobBody {
         threads: usize,
         /// Whether to consult / populate the stress cache.
         use_cache: bool,
-        /// Fill-reducing ordering for the stiffness factorization. The
-        /// `solver` block of an `fea` spec accepts `ordering` and
-        /// `kernels` but not `supernodal`: the stress cache keys on the
-        /// ordering, and `kernels` selects nothing, so these are the solver
-        /// keys an `fea` job may vary without invalidating cached fields.
-        ordering: Ordering,
+        /// The `solver.ordering` label (see [`SolverSpec::ordering`]) for
+        /// the stiffness factorization. The `solver` block of an `fea`
+        /// spec accepts `ordering` and `kernels` but not `supernodal`: the
+        /// stress cache keys on the ordering the label selects, and
+        /// `kernels` selects nothing, so these are the solver keys an `fea`
+        /// job may vary without invalidating cached fields.
+        ordering: &'static str,
         /// The `solver.kernels` label (see [`SolverSpec::kernels`]); kept
         /// only for the canonical form.
         kernels: &'static str,
@@ -629,7 +634,7 @@ impl JobBody {
                 ordering,
                 kernels,
             } => {
-                let mut solver = vec![("ordering".to_owned(), Json::s(ordering.label()))];
+                let mut solver = vec![("ordering".to_owned(), Json::s(*ordering))];
                 // Same rule as `SolverSpec::to_json`: `auto` stays implicit.
                 if *kernels != "auto" {
                     solver.push(("kernels".into(), Json::s(*kernels)));
@@ -680,7 +685,7 @@ impl JobBody {
                 resolution: *resolution,
                 threads: *threads,
                 use_cache: *use_cache,
-                ordering: *ordering,
+                ordering: ordering_of(ordering),
             })),
         }
     }
@@ -1030,16 +1035,27 @@ fn get_screening(doc: &Json) -> Result<Option<ScreeningSpec>, SpecError> {
     Ok(Some(screening))
 }
 
-fn parse_ordering(value: &Json) -> Result<Ordering, SpecError> {
+/// Parses `solver.ordering` into its canonical label (see
+/// [`SolverSpec::ordering`]).
+fn parse_ordering(value: &Json) -> Result<&'static str, SpecError> {
     let s = value
         .as_str()
         .ok_or_else(|| SpecError::field("solver.ordering", "`solver.ordering` must be a string"))?;
-    Ordering::parse(s).ok_or_else(|| {
-        SpecError::field(
-            "solver.ordering",
-            format!("unknown ordering `{s}` (expected natural, rcm, amd or nd)"),
-        )
-    })
+    ["natural", "rcm", "amd", "nd"]
+        .into_iter()
+        .find(|&label| label == s)
+        .ok_or_else(|| {
+            SpecError::field(
+                "solver.ordering",
+                format!("unknown ordering `{s}` (expected natural, rcm, amd or nd)"),
+            )
+        })
+}
+
+/// The ordering an accepted `solver.ordering` label selects: `natural`
+/// and `rcm` select the default.
+fn ordering_of(label: &str) -> Ordering {
+    Ordering::parse(label).unwrap_or_default()
 }
 
 fn parse_method(value: &Json) -> Result<Method, SpecError> {
@@ -1205,20 +1221,75 @@ mod tests {
         assert_eq!(spec(&s.to_json().to_string()).unwrap(), s);
     }
 
+    /// Every `solver` block earlier releases accepted, with the canonical
+    /// bytes `emgrid validate` printed for it then. `natural`, `rcm`,
+    /// `supernodal` and `kernels` select nothing now, but each block still
+    /// validates to those bytes (which sweep ids hash) and resolves to
+    /// AMD unless it names `nd`.
     #[test]
-    fn solver_block_round_trips_and_names_bad_nested_fields() {
-        let s = spec(
-            r#"{"kind":"analyze","benchmark":"pg1","solver":{"ordering":"rcm","supernodal":false}}"#,
-        )
-        .unwrap();
-        let ResolvedJob::Analyze(a) = s.resolve().unwrap() else {
-            panic!("wrong kind")
+    fn every_historical_solver_block_keeps_its_canonical_bytes() {
+        const ANALYZE: &str = r#"{"kind":"analyze","array":"4x4","pattern":"plus","criterion":"rinf","trials":2000,"seed":1,"threads":1,"grid_trials":200,"benchmark":"pg1","solver":"#;
+        const FEA: &str = r#"{"kind":"fea","array":"4x4","pattern":"plus","resolution":0.25,"threads":1,"use_cache":true,"solver":"#;
+        let resolved = |o: &str| match o {
+            "nd" => Ordering::Nd,
+            _ => Ordering::Amd,
         };
-        assert_eq!(a.factor.ordering, Ordering::Rcm);
-        assert!(!a.factor.supernodal);
-        assert_eq!(a.factor.threads, 1);
-        assert_eq!(spec(&s.to_json().to_string()).unwrap(), s);
+        let mut checked = 0;
+        for o in ["natural", "rcm", "amd", "nd"] {
+            let factor = FactorOptions {
+                ordering: resolved(o),
+                threads: 1,
+            };
+            for supernodal in [None, Some(true), Some(false)] {
+                for kernels in [None, Some("scalar")] {
+                    let head = match supernodal {
+                        Some(b) => format!(r#"{{"ordering":"{o}","supernodal":{b}"#),
+                        None => format!(r#"{{"ordering":"{o}""#),
+                    };
+                    let tail = kernels.map_or(String::new(), |k| format!(r#","kernels":"{k}""#));
+                    let text = format!(
+                        r#"{{"kind":"analyze","benchmark":"pg1","solver":{head}{tail}}}}}"#
+                    );
+                    let canonical = format!(
+                        r#"{ANALYZE}{{"ordering":"{o}","supernodal":{}{tail}}}}}"#,
+                        supernodal.unwrap_or(true)
+                    );
+                    let s = spec(&text).unwrap();
+                    assert_eq!(s.to_json().to_string(), canonical, "{text}");
+                    assert_eq!(spec(&canonical).unwrap(), s, "{text}");
+                    let ResolvedJob::Analyze(a) = s.resolve().unwrap() else {
+                        panic!("wrong kind")
+                    };
+                    assert_eq!(a.factor, factor, "{text}");
+                    checked += 1;
+                }
+            }
+            for kernels in [None, Some("auto"), Some("scalar"), Some("blocked")] {
+                let block = match kernels {
+                    Some(k) => format!(r#"{{"ordering":"{o}","kernels":"{k}"}}"#),
+                    None => format!(r#"{{"ordering":"{o}"}}"#),
+                };
+                let text = format!(r#"{{"kind":"fea","solver":{block}}}"#);
+                // `auto` stays implicit in the canonical form.
+                let canonical = match kernels {
+                    Some("auto") | None => format!(r#"{FEA}{{"ordering":"{o}"}}}}"#),
+                    Some(k) => format!(r#"{FEA}{{"ordering":"{o}","kernels":"{k}"}}}}"#),
+                };
+                let s = spec(&text).unwrap();
+                assert_eq!(s.to_json().to_string(), canonical, "{text}");
+                assert_eq!(spec(&canonical).unwrap(), s, "{text}");
+                let ResolvedJob::Fea(f) = s.resolve().unwrap() else {
+                    panic!("wrong kind")
+                };
+                assert_eq!(f.ordering, factor.ordering, "{text}");
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 40);
+    }
 
+    #[test]
+    fn solver_block_names_bad_nested_fields() {
         let e = spec(r#"{"kind":"analyze","benchmark":"pg1","solver":{"ordering":"best"}}"#)
             .unwrap_err();
         assert_eq!(e.field.as_deref(), Some("solver.ordering"));
@@ -1341,19 +1412,9 @@ mod tests {
     }
 
     #[test]
-    fn fea_solver_block_accepts_ordering_and_kernels() {
-        let s = spec(r#"{"kind":"fea","solver":{"ordering":"natural"}}"#).unwrap();
-        let ResolvedJob::Fea(f) = s.resolve().unwrap() else {
-            panic!("wrong kind")
-        };
-        assert_eq!(f.ordering, Ordering::Natural);
-        assert_eq!(
-            s.to_json().to_string(),
-            r#"{"kind":"fea","array":"4x4","pattern":"plus","resolution":0.25,"threads":1,"use_cache":true,"solver":{"ordering":"natural"}}"#
-        );
-        assert_eq!(spec(&s.to_json().to_string()).unwrap(), s);
-        // The supernode toggle is not part of the stress-cache key, so an
-        // fea spec may not set it.
+    fn fea_solver_block_rejects_the_supernode_toggle() {
+        // The supernode toggle was never part of the stress-cache key, so
+        // an fea spec may not set it.
         let e = spec(r#"{"kind":"fea","solver":{"supernodal":false}}"#).unwrap_err();
         assert_eq!(e.field.as_deref(), Some("solver.supernodal"));
     }

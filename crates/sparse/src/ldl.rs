@@ -1,20 +1,15 @@
 //! Sparse LDLᵀ (Cholesky-type) factorization for SPD matrices.
 //!
-//! Two numeric engines share one entry point, [`LdlFactor::factor_with`]:
+//! One entry point, [`LdlFactor::factor_with`], runs one numeric engine: a
+//! symbolic pass computes the elimination tree, the column counts and a
+//! partition of the columns into supernodes (runs of columns with nested
+//! patterns), and a blocked left-looking numeric pass (the crate-private
+//! `supernodal` module) factors each supernode as a dense panel with
+//! cache-contiguous update kernels.
 //!
-//! * a scalar up-looking factorization in the style of Davis' `LDL` package —
-//!   a symbolic pass computes the elimination tree and column counts, then a
-//!   numeric pass computes one row of `L` at a time using the tree to find
-//!   each row's sparsity pattern; and
-//! * a blocked supernodal factorization (the crate-private `supernodal`
-//!   module) that groups columns with nested patterns into dense panels and
-//!   applies cache-contiguous update kernels — the default, and the faster
-//!   choice on the mesh-structured conductance and stiffness matrices this
-//!   workspace produces.
-//!
-//! [`FactorOptions`] selects the fill-reducing ordering (natural, reverse
-//! Cuthill–McKee, or minimum degree via [`crate::ordering::amd`]), the numeric
-//! engine, and the worker-thread count for the triangular solves. Whatever the
+//! [`FactorOptions`] selects the fill-reducing ordering (minimum degree via
+//! [`crate::ordering::amd`], or [`crate::ordering::nested_dissection`]) and
+//! the worker-thread count for the triangular solves. Whatever the
 //! combination, results are deterministic: the ordering and supernode
 //! partition are pure functions of the sparsity pattern, and the parallel
 //! solve folds per-subtree contributions in a fixed order, so bits never
@@ -24,19 +19,15 @@ use emgrid_runtime::{obs, parallel_map_chunks};
 
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
-use crate::ordering::{amd, nested_dissection, reverse_cuthill_mckee, Permutation};
+use crate::ordering::{amd, nested_dissection, Permutation};
 use crate::panel::BlockedKernels;
 use crate::supernodal::{self, SolvePlan, Symbolic, MAX_SUPERNODE_WIDTH, TOP};
 
 /// Fill-reducing ordering applied before factorization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Ordering {
-    /// Factor the matrix as given.
-    Natural,
-    /// Reverse Cuthill–McKee: bandwidth-reducing, good on path-like meshes.
-    Rcm,
-    /// Minimum degree (the AMD family): the lowest fill on 2-D/3-D meshes
-    /// and the default.
+    /// Minimum degree (the AMD family): the lowest fill on the 2-D/3-D
+    /// meshes this workspace factors up to `pg100k` scale, and the default.
     #[default]
     Amd,
     /// Nested dissection: level-set bisection with vertex separators
@@ -47,11 +38,9 @@ pub enum Ordering {
 }
 
 impl Ordering {
-    /// Parses a CLI/spec label (`natural`, `rcm`, `amd`, `nd`).
+    /// Parses a CLI/spec label (`amd`, `nd`).
     pub fn parse(s: &str) -> Option<Ordering> {
         match s {
-            "natural" => Some(Ordering::Natural),
-            "rcm" => Some(Ordering::Rcm),
             "amd" => Some(Ordering::Amd),
             "nd" => Some(Ordering::Nd),
             _ => None,
@@ -61,8 +50,6 @@ impl Ordering {
     /// The canonical lower-case label (inverse of [`Ordering::parse`]).
     pub fn label(&self) -> &'static str {
         match self {
-            Ordering::Natural => "natural",
-            Ordering::Rcm => "rcm",
             Ordering::Amd => "amd",
             Ordering::Nd => "nd",
         }
@@ -71,19 +58,14 @@ impl Ordering {
 
 /// Configuration for [`LdlFactor::factor_with`].
 ///
-/// The default — AMD ordering, supernodal numeric, one thread — is the right
-/// choice for one-shot solves of mesh-structured systems. Callers batching
-/// many solves against one factor set `threads`; callers factoring tiny
-/// systems in a hot loop (where ordering quality is irrelevant and setup cost
-/// is not) pick `Rcm` or `Natural` with `supernodal: false`.
+/// The default — AMD ordering, one thread — is the right choice for
+/// one-shot solves of mesh-structured systems. Callers batching many solves
+/// against one factor set `threads`; chip-scale grids may pick
+/// [`Ordering::Nd`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FactorOptions {
     /// Fill-reducing ordering.
     pub ordering: Ordering,
-    /// Use the blocked supernodal numeric engine instead of the scalar
-    /// up-looking one. Both produce the same factor layout; the supernodal
-    /// engine is faster on matrices with meaningful fill.
-    pub supernodal: bool,
     /// Worker threads for the triangular solves ([`LdlFactor::solve`] uses
     /// independent elimination-tree subtrees). Never changes results, only
     /// wall time.
@@ -94,7 +76,6 @@ impl Default for FactorOptions {
     fn default() -> Self {
         FactorOptions {
             ordering: Ordering::Amd,
-            supernodal: true,
             threads: 1,
         }
     }
@@ -111,17 +92,6 @@ impl FactorOptions {
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
-    }
-
-    /// The scalar RCM configuration the workspace used before the supernodal
-    /// engine existed: bit-identical to the historical scalar-RCM path, so
-    /// hot loops whose sample streams must not move pin themselves to it.
-    pub fn scalar_rcm() -> Self {
-        FactorOptions {
-            ordering: Ordering::Rcm,
-            supernodal: false,
-            threads: 1,
-        }
     }
 }
 
@@ -163,7 +133,7 @@ pub struct LdlFactor {
     diag: Vec<f64>,
     /// Fill-reducing permutation applied to the matrix (new -> old).
     perm: Permutation,
-    /// Supernode column boundaries, when the supernodal engine ran.
+    /// Supernode column boundaries.
     sn_ptr: Vec<usize>,
     /// Structural subtree plan for the parallel solve (large systems only).
     plan: Option<SolvePlan>,
@@ -173,7 +143,7 @@ pub struct LdlFactor {
 
 impl LdlFactor {
     /// Factors `a` under the given [`FactorOptions`]. This is the single
-    /// entry point for every ordering and numeric engine combination.
+    /// entry point for every ordering.
     ///
     /// # Errors
     ///
@@ -190,8 +160,6 @@ impl LdlFactor {
         let perm = {
             let _span = obs::span("order");
             match opts.ordering {
-                Ordering::Natural => Permutation::identity(a.rows()),
-                Ordering::Rcm => reverse_cuthill_mckee(a),
                 Ordering::Amd => amd(a),
                 Ordering::Nd => nested_dissection(a),
             }
@@ -223,16 +191,12 @@ impl LdlFactor {
 
         let sym = {
             let _span = obs::span("symbolic");
-            supernodal::analyze(&pa, opts.supernodal, MAX_SUPERNODE_WIDTH)
+            supernodal::analyze(&pa, MAX_SUPERNODE_WIDTH)
         };
         let n = sym.n();
         let (row_idx, values, diag) = {
             let _span = obs::span("numeric");
-            if opts.supernodal {
-                supernodal::factor_numeric(&pa, &sym, &BlockedKernels)?
-            } else {
-                Self::factor_numeric_scalar(&pa, &sym)?
-            }
+            supernodal::factor_numeric(&pa, &sym, &BlockedKernels)?
         };
         let plan = supernodal::build_solve_plan(&sym.parent);
         let Symbolic {
@@ -249,77 +213,6 @@ impl LdlFactor {
             plan,
             threads: opts.threads.max(1),
         })
-    }
-
-    /// Scalar up-looking numeric phase: compute row k of L against columns
-    /// `< k`, using the elimination tree to enumerate each row's pattern.
-    fn factor_numeric_scalar(
-        pa: &CsrMatrix,
-        sym: &Symbolic,
-    ) -> Result<supernodal::NumericFactor, SparseError> {
-        let n = sym.n();
-        let none = usize::MAX;
-        let col_ptr = &sym.col_ptr;
-        let parent = &sym.parent;
-        let nnz = col_ptr[n];
-        let mut row_idx = vec![0u32; nnz];
-        let mut values = vec![0.0f64; nnz];
-        let mut diag = vec![0.0f64; n];
-
-        let mut y = vec![0.0f64; n];
-        let mut pattern = vec![0usize; n];
-        let mut stack = vec![0usize; n];
-        let mut next = col_ptr[..n].to_vec(); // next free slot in each column
-        let mut flag = vec![none; n];
-        for k in 0..n {
-            let mut top = n;
-            flag[k] = k;
-            let mut dk = 0.0;
-            for (i, v) in pa.row(k) {
-                match i.cmp(&k) {
-                    std::cmp::Ordering::Less => {
-                        y[i] += v;
-                        let mut len = 0usize;
-                        let mut j = i;
-                        while flag[j] != k {
-                            pattern[len] = j;
-                            len += 1;
-                            flag[j] = k;
-                            j = parent[j];
-                        }
-                        while len > 0 {
-                            len -= 1;
-                            top -= 1;
-                            stack[top] = pattern[len];
-                        }
-                    }
-                    std::cmp::Ordering::Equal => dk = v,
-                    std::cmp::Ordering::Greater => break,
-                }
-            }
-            // Sparse triangular solve over the pattern (in etree order).
-            for &i in &stack[top..n] {
-                let yi = y[i];
-                y[i] = 0.0;
-                for p in col_ptr[i]..next[i] {
-                    y[row_idx[p] as usize] -= values[p] * yi;
-                }
-                let di = diag[i];
-                let lki = yi / di;
-                dk -= lki * yi;
-                row_idx[next[i]] = k as u32;
-                values[next[i]] = lki;
-                next[i] += 1;
-            }
-            if dk <= 0.0 || !dk.is_finite() {
-                return Err(SparseError::NotPositiveDefinite {
-                    column: k,
-                    pivot: dk,
-                });
-            }
-            diag[k] = dk;
-        }
-        Ok((row_idx, values, diag))
     }
 
     /// Dimension of the factored matrix.
@@ -343,10 +236,9 @@ impl LdlFactor {
         &self.perm
     }
 
-    /// Supernode column boundaries of the permuted factor, when the
-    /// supernodal engine ran: supernode `s` spans columns
-    /// `sn[s]..sn[s + 1]`. Empty for scalar factors. The partition is a pure
-    /// function of the matrix pattern and ordering — never of thread count.
+    /// Supernode column boundaries of the permuted factor: supernode `s`
+    /// spans columns `sn[s]..sn[s + 1]`. The partition is a pure function
+    /// of the matrix pattern and ordering — never of thread count.
     pub fn supernode_ptr(&self) -> &[usize] {
         &self.sn_ptr
     }
@@ -367,15 +259,9 @@ impl LdlFactor {
         self.perm.apply_inverse(&x)
     }
 
-    /// Solves in the permuted coordinate system, in place (no allocations
-    /// beyond the caller's buffer). `x` holds `P b` on entry and `P x` on
-    /// exit. Prefer [`LdlFactor::solve`] unless you are batching solves.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len()` differs from the matrix dimension.
-    pub fn solve_permuted_in_place(&self, x: &mut [f64]) {
-        assert_eq!(x.len(), self.n, "rhs length mismatch");
+    /// Serial triangular sweeps in the permuted coordinate system, in
+    /// place: `x` holds `P b` on entry and `P x` on exit.
+    fn solve_permuted_in_place(&self, x: &mut [f64]) {
         // Forward: L z = b.
         for j in 0..self.n {
             let xj = x[j];
@@ -553,68 +439,140 @@ mod tests {
         t.to_csr()
     }
 
-    fn opts(ordering: Ordering, supernodal: bool) -> FactorOptions {
-        FactorOptions {
-            ordering,
-            supernodal,
-            ..FactorOptions::default()
+    /// Both orderings, as options.
+    fn every_ordering() -> [FactorOptions; 2] {
+        [Ordering::Amd, Ordering::Nd].map(|o| FactorOptions::default().with_ordering(o))
+    }
+
+    /// `a` factored as given, with no fill-reducing permutation.
+    fn natural_factor(a: &CsrMatrix) -> Result<LdlFactor, SparseError> {
+        let identity = Permutation::identity(a.rows());
+        LdlFactor::factor_permuted(a, identity, &FactorOptions::default())
+    }
+
+    /// `a` factored under AMD, under ND and as given, in that order.
+    fn every_factor(a: &CsrMatrix) -> Vec<LdlFactor> {
+        let mut factors: Vec<LdlFactor> = every_ordering()
+            .iter()
+            .map(|o| LdlFactor::factor_with(a, o).unwrap())
+            .collect();
+        factors.push(natural_factor(a).unwrap());
+        factors
+    }
+
+    /// Scalar up-looking numeric phase, the oracle the supernodal engine is
+    /// checked against: computes row k of L against columns `< k`, using
+    /// the elimination tree to enumerate each row's pattern. It writes the
+    /// same CSC layout as the supernodal engine.
+    fn scalar_factor(
+        pa: &CsrMatrix,
+        sym: &Symbolic,
+    ) -> Result<supernodal::NumericFactor, SparseError> {
+        let n = sym.n();
+        let none = usize::MAX;
+        let col_ptr = &sym.col_ptr;
+        let parent = &sym.parent;
+        let nnz = col_ptr[n];
+        let mut row_idx = vec![0u32; nnz];
+        let mut values = vec![0.0f64; nnz];
+        let mut diag = vec![0.0f64; n];
+
+        let mut y = vec![0.0f64; n];
+        let mut pattern = vec![0usize; n];
+        let mut stack = vec![0usize; n];
+        let mut next = col_ptr[..n].to_vec(); // next free slot in each column
+        let mut flag = vec![none; n];
+        for k in 0..n {
+            let mut top = n;
+            flag[k] = k;
+            let mut dk = 0.0;
+            for (i, v) in pa.row(k) {
+                match i.cmp(&k) {
+                    std::cmp::Ordering::Less => {
+                        y[i] += v;
+                        let mut len = 0usize;
+                        let mut j = i;
+                        while flag[j] != k {
+                            pattern[len] = j;
+                            len += 1;
+                            flag[j] = k;
+                            j = parent[j];
+                        }
+                        while len > 0 {
+                            len -= 1;
+                            top -= 1;
+                            stack[top] = pattern[len];
+                        }
+                    }
+                    std::cmp::Ordering::Equal => dk = v,
+                    std::cmp::Ordering::Greater => break,
+                }
+            }
+            // Sparse triangular solve over the pattern (in etree order).
+            for &i in &stack[top..n] {
+                let yi = y[i];
+                y[i] = 0.0;
+                for p in col_ptr[i]..next[i] {
+                    y[row_idx[p] as usize] -= values[p] * yi;
+                }
+                let di = diag[i];
+                let lki = yi / di;
+                dk -= lki * yi;
+                row_idx[next[i]] = k as u32;
+                values[next[i]] = lki;
+                next[i] += 1;
+            }
+            if dk <= 0.0 || !dk.is_finite() {
+                return Err(SparseError::NotPositiveDefinite {
+                    column: k,
+                    pivot: dk,
+                });
+            }
+            diag[k] = dk;
         }
+        Ok((row_idx, values, diag))
     }
 
     #[test]
     fn solves_tridiagonal_exactly() {
         let a = laplacian_1d(50);
-        let f = LdlFactor::factor_with(&a, &opts(Ordering::Natural, false)).unwrap();
         let b: Vec<f64> = (0..50).map(|i| (i as f64).sin()).collect();
-        let x = f.solve(&b);
-        assert!(a.residual_norm(&x, &b) < 1e-10);
+        for f in every_factor(&a) {
+            assert!(a.residual_norm(&f.solve(&b), &b) < 1e-10);
+        }
     }
 
     #[test]
-    fn all_orderings_and_engines_solve_the_same_system() {
+    fn every_ordering_solves_the_same_system() {
         let a = laplacian_2d(7, 9);
         let b: Vec<f64> = (0..63).map(|i| (i % 5) as f64 - 2.0).collect();
-        let reference = LdlFactor::factor_with(&a, &opts(Ordering::Natural, false))
-            .unwrap()
-            .solve(&b);
-        for ordering in [
-            Ordering::Natural,
-            Ordering::Rcm,
-            Ordering::Amd,
-            Ordering::Nd,
-        ] {
-            for supernodal in [false, true] {
-                let x = LdlFactor::factor_with(&a, &opts(ordering, supernodal))
-                    .unwrap()
-                    .solve(&b);
-                for (u, v) in reference.iter().zip(&x) {
-                    assert!(
-                        (u - v).abs() < 1e-9,
-                        "{ordering:?} supernodal={supernodal}: {u} vs {v}"
-                    );
-                }
+        let reference = a.to_dense().solve(&b).unwrap();
+        for (k, f) in every_factor(&a).iter().enumerate() {
+            for (u, v) in reference.iter().zip(&f.solve(&b)) {
+                assert!((u - v).abs() < 1e-9, "factor {k}: {u} vs {v}");
             }
         }
     }
 
     #[test]
-    fn supernodal_factor_matches_scalar_layout_and_values() {
-        // Both engines must emit the same CSC structure; values agree to
-        // rounding (the update orders differ).
+    fn supernodal_factor_matches_the_scalar_oracle() {
+        // The supernodal engine and the scalar up-looking oracle emit the
+        // same CSC structure; values agree to rounding (the update orders
+        // differ).
         let a = laplacian_2d(12, 11);
-        for ordering in [Ordering::Rcm, Ordering::Amd, Ordering::Nd] {
-            let s = LdlFactor::factor_with(&a, &opts(ordering, false)).unwrap();
-            let p = LdlFactor::factor_with(&a, &opts(ordering, true)).unwrap();
-            assert_eq!(s.col_ptr, p.col_ptr);
-            assert_eq!(s.row_idx, p.row_idx);
-            for (u, v) in s.values.iter().zip(&p.values) {
+        for p in every_factor(&a) {
+            let pa = a.permute_symmetric(p.permutation());
+            let sym = supernodal::analyze(&pa, MAX_SUPERNODE_WIDTH);
+            assert_eq!(sym.col_ptr, p.col_ptr);
+            let (row_idx, values, diag) = scalar_factor(&pa, &sym).unwrap();
+            assert_eq!(row_idx, p.row_idx);
+            for (u, v) in values.iter().zip(&p.values) {
                 assert!((u - v).abs() < 1e-12, "{u} vs {v}");
             }
-            for (u, v) in s.diag.iter().zip(&p.diag) {
+            for (u, v) in diag.iter().zip(&p.diag) {
                 assert!((u - v).abs() < 1e-12, "{u} vs {v}");
             }
             assert!(!p.supernode_ptr().is_empty());
-            assert!(s.supernode_ptr().is_empty());
         }
     }
 
@@ -646,7 +604,7 @@ mod tests {
         max_width: usize,
     ) -> supernodal::NumericFactor {
         let pa = a.permute_symmetric(f.permutation());
-        let sym = supernodal::analyze(&pa, true, max_width);
+        let sym = supernodal::analyze(&pa, max_width);
         supernodal::factor_numeric(&pa, &sym, &ScalarKernels).unwrap()
     }
 
@@ -669,7 +627,7 @@ mod tests {
         // bitwise — but the CSC layout is identical and, for a fixed cap,
         // the blocked kernels still match the reference bitwise.
         let pa = a.permute_symmetric(base.permutation());
-        let narrow = supernodal::analyze(&pa, true, 1);
+        let narrow = supernodal::analyze(&pa, 1);
         assert!(narrow.sn_ptr.windows(2).all(|w| w[1] - w[0] == 1));
         assert!(base.supernode_ptr().windows(2).any(|w| w[1] - w[0] > 1));
         assert_eq!(narrow.col_ptr, base.col_ptr);
@@ -689,11 +647,13 @@ mod tests {
         t.push(0, 0, 1.0);
         t.push_sym(0, 1, 2.0);
         t.push(1, 1, 1.0); // eigenvalues 3, -1
-        for supernodal in [false, true] {
-            let err = LdlFactor::factor_with(&t.to_csr(), &opts(Ordering::Natural, supernodal))
-                .unwrap_err();
+        let a = t.to_csr();
+        for opts in every_ordering() {
+            let err = LdlFactor::factor_with(&a, &opts).unwrap_err();
             assert!(matches!(err, SparseError::NotPositiveDefinite { .. }));
         }
+        let err = natural_factor(&a).unwrap_err();
+        assert!(matches!(err, SparseError::NotPositiveDefinite { .. }));
     }
 
     #[test]
@@ -705,9 +665,9 @@ mod tests {
 
     #[test]
     fn identity_factor_solves_trivially() {
-        for supernodal in [false, true] {
+        for opts in every_ordering() {
             let a = CsrMatrix::identity(5);
-            let f = LdlFactor::factor_with(&a, &opts(Ordering::Amd, supernodal)).unwrap();
+            let f = LdlFactor::factor_with(&a, &opts).unwrap();
             let b = vec![1.0, 2.0, 3.0, 4.0, 5.0];
             assert_eq!(f.solve(&b), b);
             assert_eq!(f.l_nnz(), 0);
@@ -753,11 +713,8 @@ mod tests {
         let a = t.to_csr();
         let b = vec![1.0, -2.0, 0.5];
         let xd = a.to_dense().solve(&b).unwrap();
-        for supernodal in [false, true] {
-            let xs = LdlFactor::factor_with(&a, &opts(Ordering::Natural, supernodal))
-                .unwrap()
-                .solve(&b);
-            for (u, v) in xs.iter().zip(&xd) {
+        for f in every_factor(&a) {
+            for (u, v) in f.solve(&b).iter().zip(&xd) {
                 assert!((u - v).abs() < 1e-10);
             }
         }
@@ -765,15 +722,12 @@ mod tests {
 
     #[test]
     fn ordering_parse_round_trips() {
-        for o in [
-            Ordering::Natural,
-            Ordering::Rcm,
-            Ordering::Amd,
-            Ordering::Nd,
-        ] {
+        for o in [Ordering::Amd, Ordering::Nd] {
             assert_eq!(Ordering::parse(o.label()), Some(o));
         }
-        assert_eq!(Ordering::parse("metis"), None);
+        for retired in ["natural", "rcm", "metis"] {
+            assert_eq!(Ordering::parse(retired), None);
+        }
         assert_eq!(Ordering::default(), Ordering::Amd);
     }
 
@@ -812,8 +766,8 @@ mod tests {
             edges in proptest::collection::vec((0u32..20, 0u32..20, 0.01f64..1.0), 1..80),
             b in proptest::collection::vec(-10.0f64..10.0, 20),
         ) {
-            // The satellite guarantee: natural, RCM, and AMD factors of the
-            // same SPD system agree to <= 1e-10 relative error.
+            // AMD, nested-dissection and natural-order factors of the same
+            // SPD system agree to <= 1e-10 relative error.
             let n = 20;
             let mut t = TripletMatrix::new(n, n);
             let mut diag = vec![diag_boost; n];
@@ -830,19 +784,7 @@ mod tests {
             }
             let a = t.to_csr();
             let norm = |x: &[f64]| x.iter().map(|v| v * v).sum::<f64>().sqrt();
-            let solutions: Vec<Vec<f64>> = [
-                Ordering::Natural,
-                Ordering::Rcm,
-                Ordering::Amd,
-                Ordering::Nd,
-            ]
-                .iter()
-                .map(|&o| {
-                    LdlFactor::factor_with(&a, &FactorOptions::default().with_ordering(o))
-                        .unwrap()
-                        .solve(&b)
-                })
-                .collect();
+            let solutions: Vec<Vec<f64>> = every_factor(&a).iter().map(|f| f.solve(&b)).collect();
             let scale = norm(&solutions[0]).max(1e-30);
             for other in &solutions[1..] {
                 let diff: Vec<f64> = solutions[0]

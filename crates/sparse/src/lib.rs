@@ -19,9 +19,9 @@
 //!
 //! Everything is built from scratch on plain `Vec`-based storage: a triplet
 //! builder ([`coo::TripletMatrix`]), compressed sparse row storage
-//! ([`csr::CsrMatrix`]), fill-reducing orderings (reverse Cuthill–McKee and
-//! minimum degree, [`ordering`]), a blocked supernodal numeric engine behind
-//! [`ldl::LdlFactor::factor_with`] and small dense kernels
+//! ([`csr::CsrMatrix`]), fill-reducing orderings (approximate minimum degree
+//! and nested dissection, [`ordering`]), one blocked supernodal numeric
+//! engine behind [`ldl::LdlFactor::factor_with`] and small dense kernels
 //! ([`dense::DenseMatrix`]) that tests use as a reference.
 //!
 //! # Example
@@ -79,5 +79,5 @@ pub use error::SparseError;
 pub use ic0::Ic0;
 pub use ldl::{FactorOptions, LdlFactor, Ordering};
 pub use method::{solve_spd, Method};
-pub use ordering::{amd, nested_dissection, reverse_cuthill_mckee, Permutation};
+pub use ordering::{amd, nested_dissection, Permutation};
 pub use smw::IncrementalSolver;

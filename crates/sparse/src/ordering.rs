@@ -1,8 +1,10 @@
 //! Fill-reducing orderings and permutations.
 //!
 //! Power-grid conductance matrices and finite-element stiffness matrices are
-//! mesh-structured; reverse Cuthill–McKee keeps their Cholesky factors banded
-//! and is a good, simple default ordering for such graphs.
+//! mesh-structured. Two orderings keep their Cholesky fill low: approximate
+//! minimum degree ([`amd`], the default) and nested dissection
+//! ([`nested_dissection`], whose fill grows as `O(n log n)` on planar
+//! meshes).
 
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
@@ -127,51 +129,6 @@ fn symmetric_adjacency(a: &CsrMatrix) -> Vec<Vec<u32>> {
     adj
 }
 
-/// Computes a reverse Cuthill–McKee ordering of a symmetric sparsity pattern.
-///
-/// The input is interpreted as an undirected graph (pattern of `a | aᵀ`);
-/// values are ignored. Returns a [`Permutation`] suitable for
-/// [`CsrMatrix::permute_symmetric`] that tends to concentrate entries near the
-/// diagonal and so limits Cholesky fill on mesh-like graphs.
-///
-/// Disconnected graphs are handled by restarting from the unvisited vertex of
-/// minimum degree.
-///
-/// # Panics
-///
-/// Panics if `a` is not square.
-pub fn reverse_cuthill_mckee(a: &CsrMatrix) -> Permutation {
-    assert_eq!(a.rows(), a.cols(), "RCM needs a square matrix");
-    let n = a.rows();
-    let adj = symmetric_adjacency(a);
-    let degree: Vec<usize> = adj.iter().map(|l| l.len()).collect();
-
-    let mut order = Vec::with_capacity(n);
-    let mut visited = vec![false; n];
-    let mut queue = std::collections::VecDeque::new();
-    // Seed each component from its unvisited vertex of minimum degree
-    // (peripheral-ish), until every vertex is ordered.
-    while let Some(seed) = (0..n).filter(|&v| !visited[v]).min_by_key(|&v| degree[v]) {
-        visited[seed] = true;
-        queue.push_back(seed);
-        while let Some(v) = queue.pop_front() {
-            order.push(v);
-            let mut nbrs: Vec<u32> = adj[v]
-                .iter()
-                .copied()
-                .filter(|&u| !visited[u as usize])
-                .collect();
-            nbrs.sort_unstable_by_key(|&u| degree[u as usize]);
-            for u in nbrs {
-                visited[u as usize] = true;
-                queue.push_back(u as usize);
-            }
-        }
-    }
-    order.reverse();
-    Permutation { map: order }
-}
-
 /// Computes an approximate-minimum-degree (AMD) fill-reducing ordering of a
 /// symmetric sparsity pattern.
 ///
@@ -204,7 +161,6 @@ pub fn reverse_cuthill_mckee(a: &CsrMatrix) -> Permutation {
 pub fn amd(a: &CsrMatrix) -> Permutation {
     assert_eq!(a.rows(), a.cols(), "AMD needs a square matrix");
     let n = a.rows();
-    // Symmetrized adjacency without self-loops, as in RCM.
     let mut adj = symmetric_adjacency(a);
 
     const NONE: u32 = u32::MAX;
@@ -493,15 +449,12 @@ pub fn nested_dissection(a: &CsrMatrix) -> Permutation {
         );
         if reached.len() < verts.len() {
             // Disconnected piece: peel the reached component off and keep
-            // the rest as its own piece. Both are strictly smaller.
-            let mut in_reached = vec![false; n];
-            for &v in &reached {
-                in_reached[v as usize] = true;
-            }
+            // the rest as its own piece. Both are strictly smaller. The BFS
+            // stamped exactly the reached vertices with `vcur`.
             let rest: Vec<u32> = verts
                 .iter()
                 .copied()
-                .filter(|&v| !in_reached[v as usize])
+                .filter(|&v| visit_stamp[v as usize] != vcur)
                 .collect();
             let split = reached.len();
             stack.push((reached, offset));
@@ -646,38 +599,12 @@ fn order_base_case(adj: &[Vec<u32>], verts: &[u32], out: &mut [usize]) {
     }
 }
 
-/// Bandwidth of a square sparse matrix: `max |i - j|` over stored entries.
-///
-/// # Panics
-///
-/// Panics if the matrix is not square.
-pub fn bandwidth(a: &CsrMatrix) -> usize {
-    assert_eq!(a.rows(), a.cols());
-    let mut bw = 0usize;
-    for r in 0..a.rows() {
-        for (c, _) in a.row(r) {
-            bw = bw.max(r.abs_diff(c));
-        }
-    }
-    bw
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coo::TripletMatrix;
+    use crate::ldl::{FactorOptions, LdlFactor, Ordering};
     use proptest::prelude::*;
-
-    fn path_graph(n: usize) -> CsrMatrix {
-        let mut t = TripletMatrix::new(n, n);
-        for i in 0..n {
-            t.push(i, i, 2.0);
-            if i + 1 < n {
-                t.push_sym(i, i + 1, -1.0);
-            }
-        }
-        t.to_csr()
-    }
 
     fn grid_graph(nx: usize, ny: usize) -> CsrMatrix {
         let id = |x: usize, y: usize| y * nx + x;
@@ -720,50 +647,6 @@ mod tests {
     }
 
     #[test]
-    fn rcm_keeps_path_bandwidth_one() {
-        let m = path_graph(20);
-        let p = reverse_cuthill_mckee(&m);
-        let pm = m.permute_symmetric(&p);
-        assert_eq!(bandwidth(&pm), 1);
-    }
-
-    #[test]
-    fn rcm_shrinks_grid_bandwidth_vs_shuffled() {
-        let m = grid_graph(8, 8);
-        // Shuffle with a fixed "random" permutation to create bad ordering.
-        let mut map: Vec<usize> = (0..64).collect();
-        map.reverse();
-        map.swap(0, 31);
-        map.swap(7, 55);
-        let shuffled = m.permute_symmetric(&Permutation::new(map).unwrap());
-        let p = reverse_cuthill_mckee(&shuffled);
-        let pm = shuffled.permute_symmetric(&p);
-        assert!(bandwidth(&pm) <= bandwidth(&shuffled));
-        assert!(bandwidth(&pm) <= 16, "bandwidth {}", bandwidth(&pm));
-    }
-
-    #[test]
-    fn rcm_handles_disconnected_graph() {
-        // Two disjoint paths.
-        let mut t = TripletMatrix::new(6, 6);
-        for i in 0..2 {
-            t.push_sym(i, i + 1, -1.0);
-        }
-        for i in 3..5 {
-            t.push_sym(i, i + 1, -1.0);
-        }
-        for i in 0..6 {
-            t.push(i, i, 2.0);
-        }
-        let p = reverse_cuthill_mckee(&t.to_csr());
-        // Must be a valid permutation covering all 6 vertices.
-        assert_eq!(p.len(), 6);
-        let mut seen = p.as_slice().to_vec();
-        seen.sort_unstable();
-        assert_eq!(seen, vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
     fn amd_is_a_permutation_and_deterministic() {
         let m = grid_graph(9, 7);
         let p1 = amd(&m);
@@ -774,27 +657,26 @@ mod tests {
         assert_eq!(seen, (0..63).collect::<Vec<_>>());
     }
 
+    /// Off-diagonal nonzeros of `m`'s factor under `ordering`, or under
+    /// no permutation at all for `None`.
+    fn fill(m: &CsrMatrix, ordering: Option<Ordering>) -> usize {
+        let opts = FactorOptions::default();
+        match ordering {
+            Some(o) => LdlFactor::factor_with(m, &opts.with_ordering(o)),
+            None => LdlFactor::factor_permuted(m, Permutation::identity(m.rows()), &opts),
+        }
+        .unwrap()
+        .l_nnz()
+    }
+
     #[test]
-    fn amd_beats_rcm_fill_on_grid() {
-        use crate::ldl::{FactorOptions, LdlFactor, Ordering};
+    fn amd_beats_natural_fill_on_grid() {
         let m = grid_graph(24, 24);
-        let fill = |ordering| {
-            LdlFactor::factor_with(
-                &m,
-                &FactorOptions {
-                    ordering,
-                    supernodal: false,
-                    ..FactorOptions::default()
-                },
-            )
-            .unwrap()
-            .l_nnz()
-        };
-        let rcm_fill = fill(Ordering::Rcm);
-        let amd_fill = fill(Ordering::Amd);
+        let natural_fill = fill(&m, None);
+        let amd_fill = fill(&m, Some(Ordering::Amd));
         assert!(
-            amd_fill <= rcm_fill,
-            "amd fill {amd_fill} vs rcm fill {rcm_fill}"
+            amd_fill < natural_fill,
+            "amd fill {amd_fill} vs natural fill {natural_fill}"
         );
     }
 
@@ -840,32 +722,19 @@ mod tests {
 
     #[test]
     fn nested_dissection_fill_is_competitive_on_grids() {
-        use crate::ldl::{FactorOptions, LdlFactor, Ordering};
         let m = grid_graph(32, 32);
-        let fill = |ordering| {
-            LdlFactor::factor_with(
-                &m,
-                &FactorOptions {
-                    ordering,
-                    supernodal: false,
-                    ..FactorOptions::default()
-                },
-            )
-            .unwrap()
-            .l_nnz()
-        };
-        let natural_fill = fill(Ordering::Natural);
-        let nd_fill = fill(Ordering::Nd);
+        let natural_fill = fill(&m, None);
+        let nd_fill = fill(&m, Some(Ordering::Nd));
         assert!(
             nd_fill < natural_fill,
             "nd fill {nd_fill} vs natural fill {natural_fill}"
         );
-        // On a 32×32 grid ND should land in the same regime as RCM/AMD,
-        // not degenerate toward natural-order fill.
-        let rcm_fill = fill(Ordering::Rcm);
+        // On a 32×32 grid ND should land in the same regime as AMD, not
+        // degenerate toward natural-order fill.
+        let amd_fill = fill(&m, Some(Ordering::Amd));
         assert!(
-            nd_fill <= rcm_fill * 3 / 2,
-            "nd fill {nd_fill} vs rcm fill {rcm_fill}"
+            nd_fill <= amd_fill * 3 / 2,
+            "nd fill {nd_fill} vs amd fill {amd_fill}"
         );
     }
 
@@ -904,6 +773,22 @@ mod tests {
         seen.sort_unstable();
         assert_eq!(seen, (0..2 * block).collect::<Vec<_>>());
 
+        // 300 disjoint 4-vertex paths: peeled one component at a time
+        // until the rest fits the base case.
+        let n = 300 * 4;
+        let mut t = TripletMatrix::new(n, n);
+        for i in 0..n {
+            t.push(i, i, 2.0);
+            if i % 4 != 3 {
+                t.push_sym(i, i + 1, -1.0);
+            }
+        }
+        let p = nested_dissection(&t.to_csr());
+        let mut seen = p.as_slice().to_vec();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..n).collect::<Vec<_>>());
+        assert_eq!(p, nested_dissection(&t.to_csr()));
+
         // Empty matrix.
         let p = nested_dissection(&TripletMatrix::new(0, 0).to_csr());
         assert!(p.is_empty());
@@ -940,23 +825,6 @@ mod tests {
                 t.push(a as usize, b as usize, -1.0);
             }
             let p = amd(&t.to_csr());
-            let mut seen = p.as_slice().to_vec();
-            seen.sort_unstable();
-            prop_assert_eq!(seen, (0..12).collect::<Vec<_>>());
-        }
-
-        #[test]
-        fn rcm_is_always_a_permutation(
-            edges in proptest::collection::vec((0u32..12, 0u32..12), 0..40)
-        ) {
-            let mut t = TripletMatrix::new(12, 12);
-            for i in 0..12 {
-                t.push(i, i, 1.0);
-            }
-            for (a, b) in edges {
-                t.push(a as usize, b as usize, -1.0);
-            }
-            let p = reverse_cuthill_mckee(&t.to_csr());
             let mut seen = p.as_slice().to_vec();
             seen.sort_unstable();
             prop_assert_eq!(seen, (0..12).collect::<Vec<_>>());

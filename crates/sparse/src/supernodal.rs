@@ -1,19 +1,18 @@
 //! Supernodal symbolic analysis and blocked numeric LDLᵀ kernels.
 //!
-//! The scalar up-looking factorization in [`crate::ldl`] computes one row of
-//! `L` at a time, which touches memory a few scalars at a time. This module
-//! adds the second-generation path: a symbolic pass over the elimination tree
-//! groups columns with nested sparsity patterns into *supernodes*, and the
-//! numeric pass then factors each supernode as a small dense panel with
-//! blocked, cache-contiguous update kernels (a left-looking supernodal
-//! factorization in the style of CHOLMOD).
+//! A symbolic pass over the elimination tree groups columns with nested
+//! sparsity patterns into *supernodes*, and the numeric pass factors each
+//! supernode as a small dense panel with blocked, cache-contiguous update
+//! kernels (a left-looking supernodal factorization in the style of
+//! CHOLMOD). This is the one numeric engine behind
+//! [`crate::ldl::LdlFactor::factor_with`].
 //!
 //! Two properties matter for the rest of the workspace:
 //!
-//! * **Identical output layout.** The numeric pass writes its result into the
-//!   same compressed-column arrays the scalar path produces (same `col_ptr`,
-//!   same sorted `row_idx`), so every triangular-solve routine works on either
-//!   factor unchanged.
+//! * **Plain CSC output.** The numeric pass writes its result into
+//!   compressed-column arrays (one `col_ptr` from the column counts, rows
+//!   sorted ascending within each column), so the triangular solves and
+//!   the in-place rank-1 updates need not know about supernodes.
 //! * **Determinism.** The supernode partition is a pure function of the
 //!   permuted sparsity pattern (a fixed merge rule over the elimination tree),
 //!   and the numeric pass is sequential with a fixed descendant-update order —
@@ -24,15 +23,14 @@ use crate::csr::CsrMatrix;
 use crate::error::SparseError;
 use crate::panel::PanelKernels;
 
-/// Elimination-tree and supernode structure of a permuted matrix, shared by
-/// the scalar and supernodal numeric phases.
+/// Elimination-tree and supernode structure of a permuted matrix.
 pub(crate) struct Symbolic {
     /// Elimination tree; `usize::MAX` marks a root.
     pub parent: Vec<usize>,
     /// CSC column pointers of the strictly-lower part of `L` (`n + 1` long).
     pub col_ptr: Vec<usize>,
     /// Supernode column boundaries: supernode `s` spans columns
-    /// `sn_ptr[s]..sn_ptr[s + 1]`. Empty when supernodes were not requested.
+    /// `sn_ptr[s]..sn_ptr[s + 1]`.
     pub sn_ptr: Vec<usize>,
     /// Offsets into [`Symbolic::sn_rows`] per supernode (`nsn + 1` long).
     pub sn_rows_ptr: Vec<usize>,
@@ -57,18 +55,18 @@ impl Symbolic {
 /// factor's CSC layout.
 pub(crate) const MAX_SUPERNODE_WIDTH: usize = 48;
 
-/// Computes the elimination tree, column counts, and (optionally) the
-/// supernode partition with per-supernode row patterns for `pa`, the already
-/// permuted matrix. `pa` must be square; values are ignored except for their
+/// Computes the elimination tree, column counts, and the supernode
+/// partition with per-supernode row patterns for `pa`, the already permuted
+/// matrix. `pa` must be square; values are ignored except for their
 /// pattern. `max_width` caps supernode width (the factor passes
 /// [`MAX_SUPERNODE_WIDTH`]).
-pub(crate) fn analyze(pa: &CsrMatrix, want_supernodes: bool, max_width: usize) -> Symbolic {
+pub(crate) fn analyze(pa: &CsrMatrix, max_width: usize) -> Symbolic {
     let max_width = max_width.max(1);
     let n = pa.rows();
     let none = usize::MAX;
 
-    // Elimination tree and per-column counts, exactly as the scalar path:
-    // for row k, walk the tree upward from every i < k with A(k, i) != 0.
+    // Elimination tree and per-column counts: for row k, walk the tree
+    // upward from every i < k with A(k, i) != 0.
     let mut parent = vec![none; n];
     let mut flag = vec![none; n];
     let mut lnz = vec![0usize; n];
@@ -92,16 +90,6 @@ pub(crate) fn analyze(pa: &CsrMatrix, want_supernodes: bool, max_width: usize) -
     let mut col_ptr = vec![0usize; n + 1];
     for k in 0..n {
         col_ptr[k + 1] = col_ptr[k] + lnz[k];
-    }
-
-    if !want_supernodes {
-        return Symbolic {
-            parent,
-            col_ptr,
-            sn_ptr: Vec::new(),
-            sn_rows_ptr: vec![0],
-            sn_rows: Vec::new(),
-        };
     }
 
     // Fundamental supernodes: merge column j into the running supernode when
@@ -177,13 +165,13 @@ pub(crate) fn analyze(pa: &CsrMatrix, want_supernodes: bool, max_width: usize) -
     }
 }
 
-/// Numeric factor payload `(row_idx, values, diag)` in the scalar CSC layout
-/// (rows sorted ascending within each column).
+/// Numeric factor payload `(row_idx, values, diag)` in CSC layout (rows
+/// sorted ascending within each column).
 pub(crate) type NumericFactor = (Vec<u32>, Vec<f64>, Vec<f64>);
 
 /// Blocked left-looking supernodal numeric factorization of `pa` under the
-/// symbolic structure `sym`. Returns `(row_idx, values, diag)` laid out in the
-/// scalar path's CSC format (rows sorted ascending within each column).
+/// symbolic structure `sym`. Returns `(row_idx, values, diag)` laid out
+/// under `sym.col_ptr` (rows sorted ascending within each column).
 ///
 /// All dense panel arithmetic runs through `kernels`: the blocked kernels in
 /// production, the reference loops in the tests that check them (both give

@@ -10,7 +10,7 @@
 use std::error::Error;
 use std::fmt;
 
-use emgrid_sparse::{CsrMatrix, FactorOptions, LdlFactor, SparseError, TripletMatrix};
+use emgrid_sparse::{CsrMatrix, FactorOptions, SparseError, TripletMatrix};
 
 use crate::lint::Dsu;
 use crate::netlist::{Element, Netlist, Node};
@@ -239,30 +239,18 @@ impl DcAnalysis {
         }
     }
 
-    /// Factors and solves the system.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MnaError::Singular`] when the factorization meets a
-    /// non-positive pivot.
-    pub fn solve(&self) -> Result<DcSolution, MnaError> {
-        self.solve_with(&FactorOptions::default())
-    }
-
-    /// [`DcAnalysis::solve`] with the engine picked by problem size:
-    /// direct factorization below the auto crossover, AMG-preconditioned
-    /// CG above it — a chip-scale grid's operating point stays `O(nnz)` in
-    /// time and memory instead of paying a million-unknown factor's fill.
-    ///
-    /// Below the crossover this is bit-identical to [`DcAnalysis::solve`]
-    /// (same factorization, same options); above it the CG solution is
-    /// deterministic for any thread count.
+    /// Solves the system with the engine picked by problem size: the direct
+    /// factorization up to [`emgrid_sparse::method::AUTO_DIRECT_LIMIT`]
+    /// unknowns, AMG-preconditioned CG above it — a chip-scale grid's
+    /// operating point stays `O(nnz)` in time and memory instead of paying
+    /// a million-unknown factor's fill. Both engines are deterministic for
+    /// any thread count.
     ///
     /// # Errors
     ///
     /// Returns [`MnaError::Singular`] when either engine fails (a
     /// non-positive pivot, or CG not converging).
-    pub fn solve_auto(&self) -> Result<DcSolution, MnaError> {
+    pub fn solve(&self) -> Result<DcSolution, MnaError> {
         let x = emgrid_sparse::solve_spd(
             &self.matrix,
             &self.rhs,
@@ -270,18 +258,6 @@ impl DcAnalysis {
             &FactorOptions::default(),
             &emgrid_sparse::CgOptions::default(),
         )?;
-        Ok(self.solution_from_unknowns(&x))
-    }
-
-    /// [`DcAnalysis::solve`] with explicit factorization options.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MnaError::Singular`] when the factorization meets a
-    /// non-positive pivot.
-    pub fn solve_with(&self, opts: &FactorOptions) -> Result<DcSolution, MnaError> {
-        let factor = LdlFactor::factor_with(&self.matrix, opts)?;
-        let x = factor.solve(&self.rhs);
         Ok(self.solution_from_unknowns(&x))
     }
 

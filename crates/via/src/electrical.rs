@@ -11,8 +11,13 @@
 //!   surviving vias. Solving the network captures **current crowding**: vias
 //!   near the feeding edges carry more than interior vias (the effect
 //!   studied by the multi-via model of the paper's reference \[4\]).
+//!
+//! [`CurrentModel::via_currents`] solves the network from scratch for one
+//! alive mask. The Monte Carlo instead factors the all-alive network once
+//! per run and applies each via failure as a rank-1 update of that factor
+//! (`ViaCurrents`), as the grid Monte Carlo does one level up.
 
-use emgrid_sparse::{FactorOptions, LdlFactor, TripletMatrix};
+use emgrid_sparse::{CsrMatrix, FactorOptions, IncrementalSolver, LdlFactor, TripletMatrix};
 
 /// Parameters of the plate-network redistribution model (conductances in
 /// siemens).
@@ -93,6 +98,23 @@ fn network_currents(
     total_current: f64,
     p: &NetworkParams,
 ) -> Vec<f64> {
+    let (matrix, rhs) = plate_network(rows, cols, alive, total_current, p);
+    let v = LdlFactor::factor_with(&matrix, &FactorOptions::default())
+        .expect("plate network is SPD while any via is alive")
+        .solve(&rhs);
+    currents_from_voltages(&v, alive, total_current, p)
+}
+
+/// The conductance matrix and right-hand side of the two-plate network:
+/// node `r * cols + c` is the upper plate above via `(r, c)`, node
+/// `rows * cols + r * cols + c` the lower plate below it.
+fn plate_network(
+    rows: usize,
+    cols: usize,
+    alive: &[bool],
+    total_current: f64,
+    p: &NetworkParams,
+) -> (CsrMatrix, Vec<f64>) {
     let n = rows * cols;
     let upper = |r: usize, c: usize| r * cols + c;
     let lower = |r: usize, c: usize| n + r * cols + c;
@@ -144,23 +166,25 @@ fn network_currents(
             rhs[upper(r, c)] += total_current / feed_count;
         }
     }
-    let matrix = g.to_csr();
-    // Pinned to the scalar RCM path: this runs once per Monte Carlo failure
-    // event on a <=130-node network, where AMD/supernode setup costs more
-    // than it saves and the published trial streams must stay bit-identical.
-    let v = LdlFactor::factor_with(&matrix, &FactorOptions::scalar_rcm())
-        .expect("plate network is SPD while any via is alive")
-        .solve(&rhs);
+    (g.to_csr(), rhs)
+}
+
+/// Per-via currents from the plate voltages `v`: zero for dead vias,
+/// normalized so the alive ones sum to `total_current`.
+fn currents_from_voltages(
+    v: &[f64],
+    alive: &[bool],
+    total_current: f64,
+    p: &NetworkParams,
+) -> Vec<f64> {
+    let n = alive.len();
     let mut currents = vec![0.0; n];
     let mut sum = 0.0;
-    for r in 0..rows {
-        for c in 0..cols {
-            let idx = r * cols + c;
-            if alive[idx] {
-                let i = p.via_conductance * (v[upper(r, c)] - v[lower(r, c)]);
-                currents[idx] = i;
-                sum += i;
-            }
+    for (idx, current) in currents.iter_mut().enumerate() {
+        if alive[idx] {
+            let i = p.via_conductance * (v[idx] - v[n + idx]);
+            *current = i;
+            sum += i;
         }
     }
     // Normalize out the tiny current lost to numerical residue so the
@@ -170,6 +194,107 @@ fn network_currents(
         *i *= scale;
     }
     currents
+}
+
+/// One array's via currents kept current across a sequence of failures:
+/// the incremental form of [`CurrentModel::via_currents`] that the Monte
+/// Carlo runs. Build it once per run and clone it per trial.
+#[derive(Debug, Clone)]
+pub(crate) struct ViaCurrents {
+    rows: usize,
+    cols: usize,
+    total_current: f64,
+    /// The plate network for [`CurrentModel::Network`]; `None` for
+    /// [`CurrentModel::Uniform`], which needs no state. Boxed so a uniform
+    /// trial's state stays a few words to clone and move.
+    network: Option<Box<PlateNetwork>>,
+}
+
+/// The all-alive plate network factored once, with its right-hand side;
+/// the factor then follows every via failure by a rank-1 update.
+#[derive(Debug, Clone)]
+struct PlateNetwork {
+    params: NetworkParams,
+    solver: IncrementalSolver,
+    rhs: Vec<f64>,
+}
+
+impl ViaCurrents {
+    /// Every via of a `rows × cols` array alive, carrying `total_current`
+    /// under `model`. The network model factors the plate network and
+    /// solves it here, so a clone starts from the all-alive solution.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `total_current <= 0`.
+    pub(crate) fn new(model: &CurrentModel, rows: usize, cols: usize, total_current: f64) -> Self {
+        assert!(total_current > 0.0, "total current must be positive");
+        let network = match model {
+            CurrentModel::Uniform => None,
+            CurrentModel::Network(params) => {
+                let alive = vec![true; rows * cols];
+                let (matrix, rhs) = plate_network(rows, cols, &alive, total_current, params);
+                let mut solver = IncrementalSolver::new(&matrix)
+                    .expect("plate network is SPD while any via is alive");
+                solver.solve(&rhs).expect("rhs matches the network");
+                Some(Box::new(PlateNetwork {
+                    params: *params,
+                    solver,
+                    rhs,
+                }))
+            }
+        };
+        ViaCurrents {
+            rows,
+            cols,
+            total_current,
+            network,
+        }
+    }
+
+    /// Removes via `via` (row-major index) from the array: for the network
+    /// model, the rank-1 update that takes its conductance out of the
+    /// factor, `update_edge(upper, lower, −g_via)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the update disconnects the plates, which only the last
+    /// alive via's failure does.
+    pub(crate) fn fail(&mut self, via: usize) {
+        if let Some(net) = &mut self.network {
+            let n = self.rows * self.cols;
+            net.solver
+                .update_edge(via, n + via, -net.params.via_conductance)
+                .expect("plate network stays SPD while any via is alive");
+        }
+    }
+
+    /// Per-via currents for `alive`, which must be the all-alive mask minus
+    /// the vias passed to [`ViaCurrents::fail`]. Matches
+    /// [`CurrentModel::via_currents`] for the same mask: bit for bit under
+    /// the uniform model, to rounding under the network model.
+    ///
+    /// # Panics
+    ///
+    /// As [`CurrentModel::via_currents`].
+    pub(crate) fn currents(&mut self, alive: &[bool]) -> Vec<f64> {
+        let Some(net) = &mut self.network else {
+            return CurrentModel::Uniform.via_currents(
+                self.rows,
+                self.cols,
+                alive,
+                self.total_current,
+            );
+        };
+        assert_eq!(
+            alive.len(),
+            self.rows * self.cols,
+            "alive mask length mismatch"
+        );
+        assert!(alive.contains(&true), "at least one via must be alive");
+        let v = net.solver.solve(&net.rhs).expect("rhs matches the network");
+        currents_from_voltages(&v, alive, self.total_current, &net.params)
+    }
 }
 
 #[cfg(test)]
@@ -242,6 +367,59 @@ mod tests {
         let i = model.via_currents(4, 4, &alive, 1.0);
         assert!((i[5] - 1.0).abs() < 1e-9);
         assert!(i.iter().enumerate().all(|(k, &v)| k == 5 || v == 0.0));
+    }
+
+    /// A failure order: a deterministic shuffle of `0..n`, one per `salt`.
+    fn failure_order(n: usize, salt: u64) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..n).collect();
+        let mut state = salt.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        for i in (1..n).rev() {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            order.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        order
+    }
+
+    #[test]
+    fn incremental_currents_match_a_fresh_factor_at_every_failure() {
+        let total = 0.37;
+        let models = [
+            CurrentModel::Uniform,
+            CurrentModel::Network(NetworkParams::default()),
+        ];
+        for model in &models {
+            for (rows, cols) in [(1, 1), (4, 4), (8, 8)] {
+                let n = rows * cols;
+                let all_alive = ViaCurrents::new(model, rows, cols, total);
+                for salt in 0..12 {
+                    let mut state = all_alive.clone();
+                    let mut alive = vec![true; n];
+                    // A trial fails every via but the last one it reaches.
+                    for (step, &victim) in failure_order(n, salt).iter().enumerate() {
+                        let label = format!("{model:?} {rows}x{cols} order {salt} step {step}");
+                        let kept = state.currents(&alive);
+                        let fresh = model.via_currents(rows, cols, &alive, total);
+                        let scale = fresh.iter().fold(0.0f64, |m, i| m.max(i.abs()));
+                        for (k, (u, v)) in kept.iter().zip(&fresh).enumerate() {
+                            assert!(
+                                (u - v).abs() <= 1e-12 * scale,
+                                "{label} via {k}: {u} vs {v}"
+                            );
+                            assert_eq!(*u == 0.0, !alive[k], "{label} via {k}");
+                        }
+                        let sum: f64 = kept.iter().sum();
+                        assert!((sum - total).abs() <= 1e-12 * total, "{label}: sum {sum}");
+                        if step + 1 == n {
+                            break;
+                        }
+                        alive[victim] = false;
+                        state.fail(victim);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

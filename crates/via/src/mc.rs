@@ -19,7 +19,7 @@ use emgrid_stats::Rng;
 
 use crate::array::{FailureCriterion, ViaArrayConfig};
 use crate::characterization::CharacterizationResult;
-use crate::electrical::CurrentModel;
+use crate::electrical::{CurrentModel, ViaCurrents};
 use crate::stress_table::{LayerPair, StressTable};
 use crate::variation::{self, VarianceDecomposition, Variation};
 
@@ -203,20 +203,37 @@ impl ViaArrayMc {
         life
     }
 
+    /// The state every trial's current redistribution starts from: all
+    /// vias alive (for the network model, the plate network factored
+    /// once). Trials clone it.
+    fn all_alive_currents(&self) -> ViaCurrents {
+        let total_current = self.current_density * self.config.effective_area_m2();
+        ViaCurrents::new(
+            &self.current_model,
+            self.config.geometry.rows,
+            self.config.geometry.cols,
+            total_current,
+        )
+    }
+
     /// Runs one Monte Carlo trial.
     pub fn simulate_once<R: Rng + ?Sized>(&self, rng: &mut R) -> ViaArraySample {
+        self.trial(rng, self.all_alive_currents())
+    }
+
+    /// [`ViaArrayMc::simulate_once`] from a prepared all-alive state.
+    fn trial<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        mut redistribution: ViaCurrents,
+    ) -> ViaArraySample {
         let n = self.config.count();
-        let rows = self.config.geometry.rows;
-        let cols = self.config.geometry.cols;
         let sc_dist = self.tech.critical_stress_distribution();
         let sigma_c: Vec<f64> = (0..n).map(|_| sc_dist.sample(rng)).collect();
 
-        let total_current = self.current_density * self.config.effective_area_m2();
         let via_area = self.config.via_area_m2();
         let mut alive = vec![true; n];
-        let currents = self
-            .current_model
-            .via_currents(rows, cols, &alive, total_current);
+        let currents = redistribution.currents(&alive);
         let mut j: Vec<f64> = currents.iter().map(|i| i / via_area).collect();
         let mut remaining: Vec<f64> = (0..n)
             .map(|v| self.via_life(sigma_c[v], self.sigma_t[v], j[v]))
@@ -240,9 +257,8 @@ impl ViaArrayMc {
                 break;
             }
             // Elapse time on survivors, then rescale for the new currents.
-            let currents = self
-                .current_model
-                .via_currents(rows, cols, &alive, total_current);
+            redistribution.fail(victim);
+            let currents = redistribution.currents(&alive);
             for v in 0..n {
                 if alive[v] {
                     let j_new = currents[v] / via_area;
@@ -268,6 +284,20 @@ impl ViaArrayMc {
         void_rng: &mut R,
         field_rng: &mut R,
         geom_rng: &mut R,
+    ) -> ViaArraySample {
+        let redistribution = self.all_alive_currents();
+        self.varied_trial(var, void_rng, field_rng, geom_rng, redistribution)
+    }
+
+    /// [`ViaArrayMc::simulate_once_varied`] from a prepared all-alive
+    /// state.
+    fn varied_trial<R: Rng + ?Sized>(
+        &self,
+        var: &Variation,
+        void_rng: &mut R,
+        field_rng: &mut R,
+        geom_rng: &mut R,
+        mut redistribution: ViaCurrents,
     ) -> ViaArraySample {
         let n = self.config.count();
         let rows = self.config.geometry.rows;
@@ -300,8 +330,12 @@ impl ViaArrayMc {
         let total_current = self.current_density * self.config.effective_area_m2();
         let via_area = self.config.via_area_m2();
         let mut alive = vec![true; n];
-        let currents =
-            self.weighted_currents(rows, cols, &alive, total_current, weights.as_deref());
+        let currents = weighted_currents(
+            &mut redistribution,
+            &alive,
+            total_current,
+            weights.as_deref(),
+        );
         let mut j: Vec<f64> = (0..n)
             .map(|v| currents[v] * inv_width[v] / via_area)
             .collect();
@@ -325,8 +359,13 @@ impl ViaArrayMc {
             if step + 1 == n {
                 break;
             }
-            let currents =
-                self.weighted_currents(rows, cols, &alive, total_current, weights.as_deref());
+            redistribution.fail(victim);
+            let currents = weighted_currents(
+                &mut redistribution,
+                &alive,
+                total_current,
+                weights.as_deref(),
+            );
             for v in 0..n {
                 if alive[v] {
                     let j_new = currents[v] * inv_width[v] / via_area;
@@ -337,34 +376,6 @@ impl ViaArrayMc {
             }
         }
         ViaArraySample { failure_times }
-    }
-
-    /// Currents from the configured model, optionally reweighted by the
-    /// static geometry-derived edge weights and renormalized so the total
-    /// stays conserved.
-    fn weighted_currents(
-        &self,
-        rows: usize,
-        cols: usize,
-        alive: &[bool],
-        total_current: f64,
-        weights: Option<&[f64]>,
-    ) -> Vec<f64> {
-        let mut currents = self
-            .current_model
-            .via_currents(rows, cols, alive, total_current);
-        if let Some(w) = weights {
-            let mut sum = 0.0;
-            for (c, &wv) in currents.iter_mut().zip(w) {
-                *c *= wv;
-                sum += *c;
-            }
-            let scale = total_current / sum;
-            for c in &mut currents {
-                *c *= scale;
-            }
-        }
-        currents
     }
 
     /// Runs the variation-enabled characterization twice with the same seed
@@ -468,6 +479,7 @@ impl ViaArrayMc {
             .resume
             .filter(|cp| cp.outputs.iter().all(|s| s.failure_times.len() == vias));
         let open_circuit = vias - 1;
+        let all_alive = self.all_alive_currents();
         enum Never {}
         let result: Result<_, Never> = emgrid_runtime::run_trials_session(
             trials,
@@ -483,11 +495,18 @@ impl ViaArrayMc {
                             emgrid_stats::substream_rng(seed, s, variation::CHANNEL_FIELD);
                         let mut geom_rng =
                             emgrid_stats::substream_rng(seed, s, variation::CHANNEL_GEOMETRY);
-                        self.simulate_once_varied(var, &mut void_rng, &mut field_rng, &mut geom_rng)
+                        let redistribution = all_alive.clone();
+                        self.varied_trial(
+                            var,
+                            &mut void_rng,
+                            &mut field_rng,
+                            &mut geom_rng,
+                            redistribution,
+                        )
                     }
                     None => {
                         let mut rng = emgrid_stats::stream_rng(seed, t as u64);
-                        self.simulate_once(&mut rng)
+                        self.trial(&mut rng, all_alive.clone())
                     }
                 })
             },
@@ -507,6 +526,30 @@ impl ViaArrayMc {
             report,
         ))
     }
+}
+
+/// Currents from `redistribution`, optionally reweighted by the static
+/// geometry-derived edge weights and renormalized so the total stays
+/// conserved.
+fn weighted_currents(
+    redistribution: &mut ViaCurrents,
+    alive: &[bool],
+    total_current: f64,
+    weights: Option<&[f64]>,
+) -> Vec<f64> {
+    let mut currents = redistribution.currents(alive);
+    if let Some(w) = weights {
+        let mut sum = 0.0;
+        for (c, &wv) in currents.iter_mut().zip(w) {
+            *c *= wv;
+            sum += *c;
+        }
+        let scale = total_current / sum;
+        for c in &mut currents {
+            *c *= scale;
+        }
+    }
+    currents
 }
 
 /// Convenience: the default layer pair used throughout the experiments.
@@ -889,7 +932,8 @@ sample 415312d000000000 415c9c3800000000 7fefffffffffffff
         });
         let total = mc.current_density() * mc.config().effective_area_m2();
         let weights = mc.variation().unwrap().edge_weights(4, 4);
-        let currents = mc.weighted_currents(4, 4, &[true; 16], total, Some(&weights));
+        let mut all_alive = mc.all_alive_currents();
+        let currents = weighted_currents(&mut all_alive, &[true; 16], total, Some(&weights));
         let sum: f64 = currents.iter().sum();
         assert!((sum - total).abs() / total < 1e-12);
         // Corner beats edge beats interior.
