@@ -192,7 +192,9 @@ macro_rules! out {
     };
 }
 
-/// Prints one execution-telemetry comment line for a scheduler run.
+/// Prints one execution-telemetry comment line for a scheduler run, to
+/// **stderr**: it carries the wall time, so on stdout no two runs of a
+/// figure would print the same bytes.
 pub fn print_report(label: &str, report: &RunReport) {
     let early = if report.stopped_early {
         format!(
@@ -202,7 +204,7 @@ pub fn print_report(label: &str, report: &RunReport) {
     } else {
         String::new()
     };
-    outln!(
+    eprintln!(
         "# execution: {label}: {}/{} trials, {} thread(s), {:.0} ms{early}",
         report.trials_run,
         report.trials_requested,

@@ -70,9 +70,9 @@ COMMANDS:
                   array of a deck by steady-state stress, no Monte Carlo
                     <deck.sp> | --profile pg1|pg2|pg5|pg100k|pg1m
                     [--top-k <n>] [--stress-threshold <Pa>]
-                    [--method auto|direct|cg] (default auto: direct small,
-                                               AMG-CG chip-scale)
-                    [--ordering amd|nd]
+                    [--method auto|direct|cg] (default auto: direct up to
+                                               20k unknowns, AMG-CG above)
+                    [--ordering amd|nd] (direct engine only)
                     [--repair-vias <ohms>] [--json]
 
     fea           finite-element stress characterization of one primitive
@@ -140,7 +140,8 @@ The analyze, screen and fea commands read the sparse solver's
 fill-reducing ordering (amd: minimum degree; nd: nested dissection) from
 --ordering first, the EMGRID_ORDERING environment variable second, and
 default to amd. The ordering changes factorization wall time only, never
-which statistics come out.
+which statistics come out. It applies only where a factor is built: screen
+solves by AMG-CG past 20k unknowns unless --method direct is given.
 
 The fea command reads its mesh resolution from --resolution first, the
 EMGRID_RESOLUTION environment variable second, and defaults to 0.25 um.
@@ -740,8 +741,9 @@ fn cmd_analyze(args: &[String]) -> Result<String, CliError> {
 }
 
 /// Operating-point solve engine: `--method` flag, defaulting to `auto`
-/// (direct below the size cutover, CG preconditioned by smoothed-
-/// aggregation AMG above).
+/// (direct up to `AUTO_DIRECT_LIMIT` unknowns, CG preconditioned by
+/// smoothed-aggregation AMG above). `--ordering` reaches only the direct
+/// engine.
 fn parse_method(args: &[String]) -> Result<Method, CliError> {
     match option_value(args, "--method") {
         None => Ok(Method::default()),

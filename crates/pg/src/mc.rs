@@ -171,8 +171,9 @@ impl SiteFields {
 /// Per-run state shared read-only by every trial (see
 /// [`PowerGridMc::prepare`]).
 struct RunSetup {
-    /// Base solver of the failure-free grid, its base solution cached.
-    solver: IncrementalSolver,
+    /// Base solver of the failure-free grid, its base solution cached;
+    /// `None` under the weakest-link criterion, whose trials never solve.
+    solver: Option<IncrementalSolver>,
     /// Failure-free right-hand side.
     rhs: Vec<f64>,
     /// Characterization per via site.
@@ -433,17 +434,23 @@ impl PowerGridMc {
             .collect()
     }
 
-    /// Builds the state every trial of a run starts from: the base solver
-    /// (with the failure-free solution already cached, so no trial's clone
-    /// repeats that solve), the site characterizations and the nominal
-    /// current densities.
+    /// Builds the state every trial of a run starts from: under the
+    /// IR-drop criterion the base solver (with the failure-free solution
+    /// already cached, so no trial's clone repeats that solve), and always
+    /// the site characterizations and the nominal current densities.
     fn prepare(&self) -> Result<RunSetup, PgError> {
         let singular = |e| PgError::Mna(emgrid_spice::mna::MnaError::Singular(e));
         let dc = self.grid.dc();
-        let mut solver =
-            IncrementalSolver::with_options(dc.matrix(), &self.factor).map_err(singular)?;
         let rhs = dc.rhs().to_vec();
-        solver.solve(&rhs).map_err(singular)?;
+        let solver = match self.system_criterion {
+            SystemCriterion::WeakestLink => None,
+            SystemCriterion::IrDropFraction(_) => {
+                let mut solver =
+                    IncrementalSolver::with_options(dc.matrix(), &self.factor).map_err(singular)?;
+                solver.solve(&rhs).map_err(singular)?;
+                Some(solver)
+            }
+        };
         let nominal_currents = self.grid.via_currents(self.grid.nominal_solution());
         let site_rels = self.assign_sites(&nominal_currents);
         let terminal = |node: Node| match dc.unknown_index(node) {
@@ -711,7 +718,10 @@ impl PowerGridMc {
 
         let mut alive: Vec<bool> = (0..m).map(is_active).collect();
         let mut rhs = setup.rhs.clone();
-        let mut solver = setup.solver.clone();
+        let mut solver = setup
+            .solver
+            .clone()
+            .expect("the IR-drop criterion prepares a solver");
         let mut failed_sites: Vec<usize> = Vec::new();
         let mut t = 0.0;
         let mut next = alive
@@ -846,6 +856,19 @@ mod tests {
     }
 
     #[test]
+    fn only_the_ir_drop_criterion_prepares_a_solver() {
+        // Weakest-link trials end at the first failure without a solve, so
+        // their run factors nothing; the IR-drop run keeps its base solver.
+        let rel = reliability(FailureCriterion::OpenCircuit);
+        let weakest =
+            PowerGridMc::new(small_grid(), rel).with_system_criterion(SystemCriterion::WeakestLink);
+        assert!(weakest.prepare().unwrap().solver.is_none());
+        let ir = PowerGridMc::new(small_grid(), rel)
+            .with_system_criterion(SystemCriterion::IrDropFraction(0.10));
+        assert!(ir.prepare().unwrap().solver.is_some());
+    }
+
+    #[test]
     fn stricter_array_criterion_shortens_system_life() {
         // Via-array weakest-link vs open-circuit at the system IR criterion.
         let weak_rel = reliability(FailureCriterion::WeakestLink);
@@ -870,7 +893,7 @@ mod tests {
             "{}",
             outcome.failed_sites.len()
         );
-        let mut solver = setup.solver.clone();
+        let mut solver = setup.solver.clone().unwrap();
         let mut rhs = setup.rhs.clone();
         for (step, &k) in outcome.failed_sites.iter().enumerate() {
             if !mc.fail_site(k, &mut solver, &mut rhs) {
@@ -918,7 +941,7 @@ mod tests {
         let grid = PowerGrid::from_netlist(GridSpec::pg1().generate()).unwrap();
         let mc = PowerGridMc::new(grid.clone(), rel);
         let setup = mc.prepare().unwrap();
-        let mut solver = setup.solver.clone();
+        let mut solver = setup.solver.clone().unwrap();
         let mut rhs = setup.rhs.clone();
         assert_pass_matches(&mc, &setup, &solver.solve(&rhs).unwrap(), "nominal");
         // Fail the 40 arrays that carry the most current.
@@ -953,7 +976,7 @@ I1 n1_0_1 0 0.2
         assert_eq!(grid.via_sites().len(), 3);
         let mc = PowerGridMc::new(grid, reliability(FailureCriterion::OpenCircuit));
         let setup = mc.prepare().unwrap();
-        let mut solver = setup.solver.clone();
+        let mut solver = setup.solver.clone().unwrap();
         let mut rhs = setup.rhs.clone();
         assert_pass_matches(&mc, &setup, &solver.solve(&rhs).unwrap(), "nominal");
         assert!(mc.fail_site(0, &mut solver, &mut rhs));

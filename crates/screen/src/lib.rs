@@ -31,8 +31,9 @@
 //! resistance per length, length-weighting equals resistance-weighting,
 //! so `V̄` needs only the branch resistances and the node voltages.
 //!
-//! The whole screen is therefore: one DC solve ([`emgrid_sparse::solve_spd`]
-//! — direct or AMG-preconditioned CG, picked by problem size; usually the
+//! The whole screen is therefore: one DC solve
+//! ([`DcAnalysis::solve_with`](emgrid_spice::DcAnalysis::solve_with) —
+//! direct or AMG-preconditioned CG, picked by problem size; usually the
 //! one [`PowerGrid`] already ran), one union-find over
 //! same-layer branches to recover the trees ([`InterconnectTrees`]), and
 //! two passes to form `V̄` and the per-node stresses. Every step is
@@ -47,7 +48,7 @@ use emgrid_em::constants::ELEMENTARY_CHARGE;
 use emgrid_em::Technology;
 use emgrid_pg::PowerGrid;
 use emgrid_runtime::obs;
-use emgrid_sparse::{solve_spd, CgOptions, FactorOptions, Method, SparseError};
+use emgrid_sparse::{CgOptions, FactorOptions, Method, SparseError};
 use emgrid_spice::mna::DcSolution;
 use emgrid_spice::netlist::{Element, Netlist, Node};
 
@@ -84,8 +85,9 @@ impl From<SparseError> for ScreenError {
 #[derive(Debug, Clone, Default)]
 pub struct ScreenOptions {
     /// Linear-solve engine for the operating point (default `auto`:
-    /// direct below [`emgrid_sparse::method::AUTO_DIRECT_LIMIT`] unknowns,
-    /// CG preconditioned by smoothed-aggregation AMG above). When it
+    /// direct up to [`emgrid_sparse::method::AUTO_DIRECT_LIMIT`] unknowns,
+    /// CG preconditioned by smoothed-aggregation AMG above, so `factor`
+    /// matters only below that size or under `Method::Direct`). When it
     /// resolves to the engine `auto` picks, with that engine's options at
     /// their defaults apart from `threads`, the grid's nominal solution is
     /// reused instead of solving again.
@@ -440,17 +442,8 @@ pub fn screen_grid(
     let solution: &DcSolution = if reuses_nominal(options, dc.unknown_count()) {
         grid.nominal_solution()
     } else {
-        let x = {
-            let _s = obs::span("screen-solve");
-            solve_spd(
-                dc.matrix(),
-                dc.rhs(),
-                options.method,
-                &options.factor,
-                &options.cg,
-            )?
-        };
-        solved = dc.solution_from_unknowns(&x);
+        let _s = obs::span("screen-solve");
+        solved = dc.solve_with(options.method, &options.factor, &options.cg)?;
         &solved
     };
 
@@ -783,18 +776,14 @@ mod tests {
         let g = grid(14, 12);
         let dc = g.dc();
         let bits = |s: &DcSolution| s.voltages().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let again = solve_spd(
-            dc.matrix(),
-            dc.rhs(),
-            Method::Direct,
-            &FactorOptions::default().with_threads(4),
-            &CgOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(
-            bits(&dc.solution_from_unknowns(&again)),
-            bits(g.nominal_solution())
-        );
+        let again = dc
+            .solve_with(
+                Method::Direct,
+                &FactorOptions::default().with_threads(4),
+                &CgOptions::default(),
+            )
+            .unwrap();
+        assert_eq!(bits(&again), bits(g.nominal_solution()));
 
         let tech = Technology::default();
         let bytes = |options: ScreenOptions| screen_grid(&g, &tech, &options).unwrap().to_json();
@@ -808,6 +797,33 @@ mod tests {
         let mut threaded = ScreenOptions::default();
         threaded.cg.threads = 4;
         assert_eq!(bytes(threaded), reference);
+    }
+
+    /// Per-site stresses of two screens of one grid agree within
+    /// `rel_tol` of the peak stress, and so does the top of the ranking.
+    /// Engines differ in round-off (near-ties may legally swap ranks), so
+    /// the ranks themselves are not compared.
+    fn assert_stresses_agree(a: &ScreenReport, b: &ScreenReport, rel_tol: f64) {
+        let m = a.ranked().len();
+        assert_eq!(b.ranked().len(), m);
+        let by_site = |r: &ScreenReport| {
+            let mut v = vec![0.0f64; m];
+            for s in r.ranked() {
+                v[s.site] = s.stress_pa;
+            }
+            v
+        };
+        let (a_by_site, b_by_site) = (by_site(a), by_site(b));
+        let peak = a_by_site.iter().fold(0.0f64, |p, &s| p.max(s.abs()));
+        for k in 0..m {
+            assert!(
+                (a_by_site[k] - b_by_site[k]).abs() < rel_tol * peak,
+                "site {k}: {} vs {}",
+                a_by_site[k],
+                b_by_site[k]
+            );
+        }
+        assert_eq!(a.ranked()[0].site, b.ranked()[0].site);
     }
 
     #[test]
@@ -829,27 +845,31 @@ mod tests {
         };
         cg_options.cg.tolerance = 1e-12;
         let cg = screen_grid(&g, &tech, &cg_options).unwrap();
-        // Engines differ in round-off (near-ties may legally swap ranks),
-        // so compare per-site stresses and the top of the ranking.
-        let m = direct.ranked().len();
-        let mut direct_by_site = vec![0.0f64; m];
-        let mut cg_by_site = vec![0.0f64; m];
-        for s in direct.ranked() {
-            direct_by_site[s.site] = s.stress_pa;
-        }
-        for s in cg.ranked() {
-            cg_by_site[s.site] = s.stress_pa;
-        }
-        let peak = direct_by_site.iter().fold(0.0f64, |a, &b| a.max(b.abs()));
-        for k in 0..m {
-            assert!(
-                (direct_by_site[k] - cg_by_site[k]).abs() < 1e-6 * peak,
-                "site {k}: direct {} vs cg {}",
-                direct_by_site[k],
-                cg_by_site[k]
-            );
-        }
-        assert_eq!(direct.ranked()[0].site, cg.ranked()[0].site);
+        assert_stresses_agree(&direct, &cg, 1e-6);
+    }
+
+    #[test]
+    fn a_grid_past_the_cutover_screens_by_cg_and_agrees_with_direct() {
+        use emgrid_sparse::method::AUTO_DIRECT_LIMIT;
+        // A two-layer 101×101 grid: 20,402 unknowns, just past the cutover.
+        let g = grid(101, 101);
+        let n = g.dc().unknown_count();
+        assert!(n > AUTO_DIRECT_LIMIT, "{n} unknowns");
+        assert_eq!(Method::Auto.resolve(n), Method::Cg);
+        let tech = Technology::default();
+        // The default screen reuses the grid's nominal solution, which
+        // `auto` computed by AMG-CG at its default tolerance.
+        let auto = screen_grid(&g, &tech, &ScreenOptions::default()).unwrap();
+        let direct = screen_grid(
+            &g,
+            &tech,
+            &ScreenOptions {
+                method: Method::Direct,
+                ..ScreenOptions::default()
+            },
+        )
+        .unwrap();
+        assert_stresses_agree(&direct, &auto, 1e-6);
     }
 
     #[test]

@@ -6,16 +6,19 @@
 //! from the pinned pads, whose near-null space is the constant vector.
 //! IC(0) leaves the smooth error of a chip-scale grid almost untouched, so
 //! its iteration count grows with the grid; one V-cycle here removes that
-//! error on a coarse level instead (20 iterations on a 270k-unknown
+//! error on a coarse level instead (22 iterations on a 270k-unknown
 //! three-layer stack where IC(0) takes 151).
 //!
 //! The hierarchy is built level by level until at most [`MAX_COARSE`]
 //! unknowns remain:
 //!
-//! 1. **Aggregation** — greedy three passes in index order over the
-//!    matrix graph itself, with no strength threshold. (A metal layer's
-//!    stripes are 1-D, so any threshold would keep only the in-stripe
-//!    couplings and aggregate each stripe on its own.)
+//! 1. **Aggregation** — greedy three passes over the matrix graph itself,
+//!    with no strength threshold, visiting the stiffest rows (largest
+//!    off-diagonal `|aᵢⱼ|`) first. (A metal layer's stripes are 1-D, so
+//!    any threshold would keep only the in-stripe couplings and aggregate
+//!    each stripe on its own; the visiting order instead decides which
+//!    couplings an aggregate keeps whole, and stiffest-first keeps the
+//!    top-metal stripes'.)
 //! 2. **Tentative prolongator** — the constant vector restricted to each
 //!    aggregate.
 //! 3. **Prolongator smoothing** — one damped-Jacobi step,
@@ -336,15 +339,22 @@ fn inverse_diagonal(a: &CsrMatrix) -> Result<Vec<f64>, SparseError> {
         .collect()
 }
 
-/// Greedy three-pass aggregation in index order over `a`'s graph (every
-/// stored nonzero off-diagonal entry is an edge). Returns each node's
-/// aggregate and the aggregate count.
+/// Greedy three-pass aggregation over `a`'s graph (every stored nonzero
+/// off-diagonal entry is an edge). Returns each node's aggregate and the
+/// aggregate count.
+///
+/// Passes 1 and 3 visit the nodes stiffest first: in descending order of
+/// each row's largest off-diagonal `|aᵢⱼ|`, ties by index. On a metal
+/// stack that roots the first aggregates along the thick top-metal
+/// stripes, so each keeps a stretch of one stiff stripe whole, where index
+/// order (lower metal first) would cut the stripes between aggregates.
 ///
 /// 1. A node whose neighbours are all free roots a new aggregate of
 ///    itself and its neighbours; a node without neighbours becomes a
 ///    singleton.
 /// 2. A still-free node joins the aggregate of its first neighbour that
-///    pass 1 placed.
+///    pass 1 placed. (This pass reads pass 1's placements only, so its
+///    visiting order does not matter.)
 /// 3. Each node left roots a new aggregate of itself and its free
 ///    neighbours.
 fn aggregate(a: &CsrMatrix) -> (Vec<u32>, usize) {
@@ -356,9 +366,20 @@ fn aggregate(a: &CsrMatrix) -> (Vec<u32>, usize) {
             .filter(move |&k| ci[k] as usize != i && v[k] != 0.0)
             .map(move |k| ci[k] as usize)
     };
+    let stiffest: Vec<f64> = (0..n)
+        .map(|i| {
+            (rp[i]..rp[i + 1])
+                .filter(|&k| ci[k] as usize != i)
+                .map(|k| v[k].abs())
+                .fold(0.0, f64::max)
+        })
+        .collect();
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    // A stable sort keeps ties in index order.
+    order.sort_by(|&i, &j| stiffest[j as usize].total_cmp(&stiffest[i as usize]));
     let mut agg = vec![FREE; n];
     let mut count = 0u32;
-    for i in 0..n {
+    for i in order.iter().map(|&i| i as usize) {
         if agg[i] == FREE && neighbours(i).all(|j| agg[j] == FREE) {
             agg[i] = count;
             for j in neighbours(i) {
@@ -378,7 +399,7 @@ fn aggregate(a: &CsrMatrix) -> (Vec<u32>, usize) {
         }
     }
     let mut agg = joined;
-    for i in 0..n {
+    for i in order.iter().map(|&i| i as usize) {
         if agg[i] == FREE {
             agg[i] = count;
             for j in neighbours(i) {
@@ -650,7 +671,8 @@ mod tests {
 
     #[test]
     fn aggregation_covers_every_node_in_index_order() {
-        // A path 0-1-2-…: pass 1 takes {0,1}, then {2,3,4}, …; every node
+        // A uniform path 0-1-2-…: every row is equally stiff, so ties keep
+        // index order and pass 1 takes {0,1}, then {2,3,4}, …; every node
         // lands in exactly one aggregate and aggregate ids first appear in
         // ascending node order.
         let n = 11;
@@ -664,6 +686,25 @@ mod tests {
         let (agg, count) = aggregate(&t.to_csr());
         assert_eq!(agg, vec![0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]);
         assert_eq!(count, 4);
+    }
+
+    #[test]
+    fn aggregation_roots_aggregates_at_the_stiffest_couplings() {
+        // A path 0-…-6 whose links 4-5 and 5-6 are ten times stiffer: node
+        // 4 is visited first and takes {3, 4, 5}, node 6 then joins it in
+        // pass 2, so the stiff chain stays in one aggregate. Index order
+        // would take {0, 1}, {2, 3, 4} and {5, 6}, cutting it at 4-5.
+        let n = 7;
+        let mut t = TripletMatrix::new(n, n);
+        for i in 0..n {
+            t.push(i, i, 21.0);
+            if i + 1 < n {
+                t.push_sym(i, i + 1, if i >= 4 { -10.0 } else { -1.0 });
+            }
+        }
+        let (agg, count) = aggregate(&t.to_csr());
+        assert_eq!(agg, vec![1, 1, 1, 0, 0, 0, 0]);
+        assert_eq!(count, 2);
     }
 
     #[test]

@@ -31,45 +31,77 @@ pub struct CsrMatrix {
 }
 
 impl CsrMatrix {
-    /// Builds a CSR matrix from (row, col, value) triplets, summing duplicates.
+    /// Builds a CSR matrix from (row, col, value) triplets, summing
+    /// duplicates in the order they appear.
     ///
     /// # Panics
     ///
     /// Panics if any index is out of bounds.
     pub fn from_triplets(rows: usize, cols: usize, triplets: &[(u32, u32, f64)]) -> Self {
         // Count entries per row (including duplicates for now).
-        let mut counts = vec![0usize; rows + 1];
+        let mut row_ptr = vec![0usize; rows + 1];
         for &(r, c, _) in triplets {
             assert!((r as usize) < rows && (c as usize) < cols);
-            counts[r as usize + 1] += 1;
+            row_ptr[r as usize + 1] += 1;
         }
         for i in 0..rows {
-            counts[i + 1] += counts[i];
+            row_ptr[i + 1] += row_ptr[i];
         }
-        // Scatter into row buckets.
+        // Scatter into row buckets, keeping each row's arrival order.
         let mut col_idx = vec![0u32; triplets.len()];
         let mut values = vec![0.0f64; triplets.len()];
-        let mut next = counts.clone();
+        let mut next = row_ptr[..rows].to_vec();
         for &(r, c, v) in triplets {
             let slot = next[r as usize];
             col_idx[slot] = c;
             values[slot] = v;
             next[r as usize] += 1;
         }
-        // Sort each row by column and sum duplicates in place.
-        let mut row_ptr = vec![0usize; rows + 1];
+        Self::from_unsorted_rows(rows, cols, row_ptr, col_idx, values)
+    }
+
+    /// Builds a CSR matrix from entries already grouped by row: row `r`
+    /// holds `col_idx[row_ptr[r]..row_ptr[r + 1]]` and the matching
+    /// `values`, in any column order and possibly repeated. Each row is
+    /// sorted by column (stably) and each entry sums its repeats in their
+    /// order within the row, compacting the arrays in place. An assembler
+    /// that counts its rows first stamps straight into these arrays, with
+    /// no triplet list in between.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `row_ptr` has `rows + 1` non-decreasing entries from 0
+    /// to `col_idx.len() == values.len()` and every column index is below
+    /// `cols`.
+    pub fn from_unsorted_rows(
+        rows: usize,
+        cols: usize,
+        mut row_ptr: Vec<usize>,
+        mut col_idx: Vec<u32>,
+        mut values: Vec<f64>,
+    ) -> Self {
+        assert_eq!(row_ptr.len(), rows + 1, "row_ptr length");
+        assert_eq!(row_ptr[0], 0, "row_ptr must start at 0");
+        assert_eq!(row_ptr[rows], col_idx.len(), "row_ptr must end at nnz");
+        assert_eq!(col_idx.len(), values.len(), "col_idx/values length");
+        let mut row: Vec<(u32, f64)> = Vec::new();
         let mut write = 0usize;
         for r in 0..rows {
-            let (start, end) = (counts[r], counts[r + 1]);
-            let mut row: Vec<(u32, f64)> = col_idx[start..end]
-                .iter()
-                .copied()
-                .zip(values[start..end].iter().copied())
-                .collect();
-            row.sort_unstable_by_key(|&(c, _)| c);
-            let row_start = write;
-            for (c, v) in row {
-                if write > row_start && col_idx[write - 1] == c {
+            let (start, end) = (row_ptr[r], row_ptr[r + 1]);
+            row.clear();
+            row.extend(
+                col_idx[start..end]
+                    .iter()
+                    .copied()
+                    .zip(values[start..end].iter().copied()),
+            );
+            row.sort_by_key(|&(c, _)| c);
+            // Rows only shrink, so row `r` is written at or before where
+            // it was read from.
+            row_ptr[r] = write;
+            for &(c, v) in &row {
+                assert!((c as usize) < cols, "column {c} out of bounds");
+                if write > row_ptr[r] && col_idx[write - 1] == c {
                     values[write - 1] += v;
                 } else {
                     col_idx[write] = c;
@@ -77,8 +109,8 @@ impl CsrMatrix {
                     write += 1;
                 }
             }
-            row_ptr[r + 1] = write;
         }
+        row_ptr[rows] = write;
         col_idx.truncate(write);
         values.truncate(write);
         CsrMatrix {
@@ -454,6 +486,28 @@ mod tests {
         assert_eq!(p.get(0, 2), 1.0);
         // Permuting back recovers the original.
         assert_eq!(p.permute_symmetric(&perm.inverse()), m);
+    }
+
+    #[test]
+    fn repeats_sum_in_arrival_order_on_long_rows() {
+        // 40 entries on one row, 8 columns repeated 5 times each and
+        // interleaved: past 20 entries a sort that reorders equal columns
+        // would change which order each sum sees, and its bits with it.
+        let entries: Vec<(u32, f64)> = (0..40u32)
+            .map(|k| (k * 3 % 8, 1.0 / (f64::from(k) + 1.7)))
+            .collect();
+        let triplets: Vec<(u32, u32, f64)> = entries.iter().map(|&(c, v)| (0, c, v)).collect();
+        let m = CsrMatrix::from_triplets(1, 8, &triplets);
+        assert_eq!(m.nnz(), 8);
+        for c in 0..8 {
+            let in_arrival_order = entries
+                .iter()
+                .filter(|e| e.0 == c)
+                .map(|e| e.1)
+                .reduce(|a, b| a + b)
+                .unwrap();
+            assert_eq!(m.get(0, c as usize).to_bits(), in_arrival_order.to_bits());
+        }
     }
 
     #[test]
