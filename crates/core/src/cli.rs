@@ -16,7 +16,7 @@ use emgrid_runtime::obs;
 use emgrid_runtime::{EarlyStop, RunReport, RuntimeConfig};
 use emgrid_screen::{screen_grid, ScreenOptions};
 use emgrid_serve::{ServeConfig, Server};
-use emgrid_sparse::{FactorOptions, Method, Ordering};
+use emgrid_sparse::{Method, Ordering};
 use emgrid_spice::writer::write_string;
 use emgrid_spice::{lint, parse, repair_shorted_vias, GridSpec};
 use emgrid_via::{
@@ -63,17 +63,19 @@ COMMANDS:
                     --grid-trials <n> (default 200)
                     [--repair-vias <ohms>] [--threads <n>]
                     [--target-ci <half-width>]
-                    [--ordering amd|nd]
+                    [--ordering amd|nd] (the grid's nominal solve and
+                                         Monte Carlo factor)
                     [--edge-current-factor <f>] [--temperature-sigma <degC>]
                     [--linewidth-sigma <f>]
     screen        linear-time steady-state EM screening: rank every via
                   array of a deck by steady-state stress, no Monte Carlo
-                    <deck.sp> | --profile pg1|pg2|pg5|pg100k|pg1m
+                    <deck.sp> [--repair-vias <ohms>]
+                      | --profile pg1|pg2|pg5|pg100k|pg1m
                     [--top-k <n>] [--stress-threshold <Pa>]
                     [--method auto|direct|cg] (default auto: direct up to
                                                20k unknowns, AMG-CG above)
                     [--ordering amd|nd] (direct engine only)
-                    [--repair-vias <ohms>] [--json]
+                    [--json]
 
     fea           finite-element stress characterization of one primitive
                     --array 1x1|4x4|8x8 (default 4x4)
@@ -139,9 +141,11 @@ deterministic document the serve/sweep `screening` block records.
 The analyze, screen and fea commands read the sparse solver's
 fill-reducing ordering (amd: minimum degree; nd: nested dissection) from
 --ordering first, the EMGRID_ORDERING environment variable second, and
-default to amd. The ordering changes factorization wall time only, never
-which statistics come out. It applies only where a factor is built: screen
-solves by AMG-CG past 20k unknowns unless --method direct is given.
+default to amd. The ordering changes factorization wall time and
+rounding, never which statistics come out. It applies only where a
+factor is built: the grid's nominal solve, which is direct up to 20k
+unknowns and AMG-CG above unless screen's --method says otherwise, and
+the factor analyze's level-2 Monte Carlo updates.
 
 The fea command reads its mesh resolution from --resolution first, the
 EMGRID_RESOLUTION environment variable second, and defaults to 0.25 um.
@@ -231,14 +235,16 @@ const VALUELESS_FLAGS: [&str; 5] = [
     "--debug-panic-route",
 ];
 
-/// The flags each command takes beyond the global `--trace`, as
-/// [`USAGE`] lists them.
-const COMMAND_FLAGS: [(&str, &[&str]); 12] = [
-    ("generate", &["--profile"]),
-    ("lint", &[]),
-    ("irdrop", &["--repair-vias"]),
+/// Whether each command reads one positional argument (its deck or spec
+/// path), and the flags it takes beyond the global `--trace`, as [`USAGE`]
+/// lists them.
+const COMMAND_FLAGS: [(&str, bool, &[&str]); 12] = [
+    ("generate", false, &["--profile"]),
+    ("lint", true, &[]),
+    ("irdrop", true, &["--repair-vias"]),
     (
         "characterize",
+        false,
         &[
             "--array",
             "--pattern",
@@ -255,6 +261,7 @@ const COMMAND_FLAGS: [(&str, &[&str]); 12] = [
     ),
     (
         "analyze",
+        true,
         &[
             "--array",
             "--pattern",
@@ -274,6 +281,7 @@ const COMMAND_FLAGS: [(&str, &[&str]); 12] = [
     ),
     (
         "screen",
+        true,
         &[
             "--profile",
             "--top-k",
@@ -286,6 +294,7 @@ const COMMAND_FLAGS: [(&str, &[&str]); 12] = [
     ),
     (
         "fea",
+        false,
         &[
             "--array",
             "--pattern",
@@ -296,9 +305,10 @@ const COMMAND_FLAGS: [(&str, &[&str]); 12] = [
             "--ordering",
         ],
     ),
-    ("signoff", &["--target-years"]),
+    ("signoff", true, &["--target-years"]),
     (
         "sweep",
+        true,
         &[
             "--state-dir",
             "--workers",
@@ -306,9 +316,10 @@ const COMMAND_FLAGS: [(&str, &[&str]); 12] = [
             "--max-in-flight",
         ],
     ),
-    ("validate", &[]),
+    ("validate", true, &[]),
     (
         "serve",
+        false,
         &[
             "--addr",
             "--workers",
@@ -324,22 +335,41 @@ const COMMAND_FLAGS: [(&str, &[&str]); 12] = [
             "--debug-panic-route",
         ],
     ),
-    ("help", &[]),
+    ("help", false, &[]),
 ];
 
-/// Rejects a `--flag` the command does not take, so a misspelt flag fails
-/// instead of silently running the default. Unknown commands are left to
-/// the dispatch.
+/// Rejects an argument the command does not read, so a misspelt flag or a
+/// stray path fails instead of silently running the default: a `--flag`
+/// the command does not take, or a positional beyond the one path it
+/// reads. `screen --profile` generates its deck, so it reads neither a
+/// path nor `--repair-vias`. Unknown commands are left to the dispatch.
 fn check_flags(command: &str, args: &[String]) -> Result<(), CliError> {
-    let Some((_, flags)) = COMMAND_FLAGS.iter().find(|(name, _)| *name == command) else {
+    let Some((_, reads_path, flags)) = COMMAND_FLAGS.iter().find(|(name, ..)| *name == command)
+    else {
         return Ok(());
     };
-    match arguments(args).find(|a| a.starts_with("--") && *a != "--trace" && !flags.contains(a)) {
-        Some(flag) => Err(CliError(format!(
-            "unknown flag `{flag}` for `emgrid {command}`"
-        ))),
-        None => Ok(()),
+    let profile = command == "screen" && option_value(args, "--profile").is_some();
+    let label = if profile { "screen --profile" } else { command };
+    let mut paths = usize::from(*reads_path && !profile);
+    for arg in arguments(args) {
+        if !arg.starts_with("--") {
+            if paths == 0 {
+                return Err(CliError(format!(
+                    "unexpected argument `{arg}` for `emgrid {label}`"
+                )));
+            }
+            paths -= 1;
+        } else if profile && arg == "--repair-vias" {
+            return Err(CliError(format!(
+                "unknown flag `{arg}` for `emgrid {label}`"
+            )));
+        } else if arg != "--trace" && !flags.contains(&arg) {
+            return Err(CliError(format!(
+                "unknown flag `{arg}` for `emgrid {command}`"
+            )));
+        }
     }
+    Ok(())
 }
 
 /// The flags and positional arguments in `args`, stepping over the value
@@ -695,11 +725,11 @@ fn cmd_analyze(args: &[String]) -> Result<String, CliError> {
         .characterize_with(trials, seed, &runtime)
         .reliability(criterion)
         .map_err(|e| CliError(e.to_string()))?;
-    let grid = PowerGrid::from_netlist(netlist).map_err(|e| CliError(e.to_string()))?;
+    let grid = PowerGrid::from_netlist_with(netlist, Method::Auto, ordering)
+        .map_err(|e| CliError(e.to_string()))?;
     let sites = grid.via_sites().len();
     let mut mc = PowerGridMc::new(grid, reliability)
-        .with_system_criterion(SystemCriterion::IrDropFraction(0.10))
-        .with_factor_options(FactorOptions::default().with_ordering(ordering));
+        .with_system_criterion(SystemCriterion::IrDropFraction(0.10));
     if let Some(v) = variation {
         mc = mc.with_variation(GridVariation {
             ttf_ln_sigma: v.grid_ttf_ln_sigma(&Technology::default()),
@@ -796,16 +826,13 @@ fn cmd_screen(args: &[String]) -> Result<String, CliError> {
             Some(s)
         }
     };
-    let grid = PowerGrid::from_netlist(netlist).map_err(|e| CliError(e.to_string()))?;
+    let grid = PowerGrid::from_netlist_with(netlist, method, ordering)
+        .map_err(|e| CliError(e.to_string()))?;
     let options = ScreenOptions {
-        method,
-        factor: FactorOptions::default().with_ordering(ordering),
         top_k,
         stress_threshold,
-        ..ScreenOptions::default()
     };
-    let report = screen_grid(&grid, &Technology::default(), &options)
-        .map_err(|e| CliError(e.to_string()))?;
+    let Ok(report) = screen_grid(&grid, &Technology::default(), &options);
     if args.iter().any(|a| a == "--json") {
         let mut out = report.to_json();
         out.push('\n');
@@ -1188,16 +1215,60 @@ mod tests {
         let usage = usage_flags();
         let declared: BTreeMap<String, BTreeSet<String>> = COMMAND_FLAGS
             .iter()
-            .map(|(c, f)| (c.to_string(), f.iter().map(|f| f.to_string()).collect()))
+            .map(|(c, _, f)| (c.to_string(), f.iter().map(|f| f.to_string()).collect()))
             .collect();
         assert_eq!(declared, usage);
         assert_eq!(usage.len(), 12, "{usage:?}");
-        for (command, flags) in &usage {
-            for flag in flags.iter().chain(["--trace".to_owned()].iter()) {
-                let args = [flag.clone(), "1".into(), "deck.sp".into()];
-                assert!(check_flags(command, &args).is_ok(), "{command} {flag}");
+        for (command, reads_path, flags) in COMMAND_FLAGS {
+            for &flag in flags.iter().chain(&["--trace"]) {
+                let mut args = vec![flag.to_owned()];
+                if !VALUELESS_FLAGS.contains(&flag) {
+                    args.push("1".into());
+                }
+                if reads_path && !(command == "screen" && flag == "--profile") {
+                    args.push("deck.sp".into());
+                }
+                assert!(check_flags(command, &args).is_ok(), "{command} {args:?}");
             }
         }
+    }
+
+    #[test]
+    fn a_positional_beyond_the_path_a_command_reads_is_rejected() {
+        let err = run(&argv("irdrop pg1.sp /nonexistent.sp")).unwrap_err();
+        assert_eq!(
+            err.0,
+            "unexpected argument `/nonexistent.sp` for `emgrid irdrop`"
+        );
+        // Commands that read no path reject the first positional.
+        for (command, reads_path, _) in COMMAND_FLAGS {
+            let args = if reads_path { "a.sp b.sp" } else { "b.sp" };
+            let err = check_flags(command, &argv(args)).unwrap_err();
+            assert_eq!(
+                err.0,
+                format!("unexpected argument `b.sp` for `emgrid {command}`")
+            );
+        }
+    }
+
+    #[test]
+    fn screen_under_a_profile_rejects_a_deck_path() {
+        let err = run(&argv("screen --profile pg1 /nonexistent.sp")).unwrap_err();
+        assert_eq!(
+            err.0,
+            "unexpected argument `/nonexistent.sp` for `emgrid screen --profile`"
+        );
+    }
+
+    #[test]
+    fn screen_under_a_profile_rejects_repair_vias() {
+        // The repair applies to a loaded deck; a generated one has none.
+        let err = run(&argv("screen --profile pg1 --repair-vias 0.5")).unwrap_err();
+        assert_eq!(
+            err.0,
+            "unknown flag `--repair-vias` for `emgrid screen --profile`"
+        );
+        assert!(check_flags("screen", &argv("deck.sp --repair-vias 0.5")).is_ok());
     }
 
     #[test]

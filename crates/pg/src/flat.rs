@@ -98,17 +98,13 @@ impl FlatMc {
     /// Panics if `trials == 0`.
     pub fn run(&self, trials: usize, seed: u64) -> Result<FlatResult, PgError> {
         assert!(trials > 0, "need at least one trial");
-        let singular = |e| PgError::Mna(emgrid_spice::mna::MnaError::Singular(e));
-        let dc = self.grid.dc();
-        let mut base_solver = IncrementalSolver::new(dc.matrix()).map_err(singular)?;
-        let base_rhs = dc.rhs().to_vec();
-        // Solve the failure-free grid once; every trial's clone starts with
-        // that base solution.
-        base_solver.solve(&base_rhs).map_err(singular)?;
+        // Every trial's clone starts from the grid's base solution.
+        let base_solver = self.grid.incremental_solver()?;
+        let base_rhs = self.grid.dc().rhs();
         let mut rng = emgrid_stats::seeded_rng(seed);
         let mut ttf_seconds = Vec::with_capacity(trials);
         for _ in 0..trials {
-            ttf_seconds.push(self.one_trial(&mut rng, &base_solver, &base_rhs)?);
+            ttf_seconds.push(self.one_trial(&mut rng, &base_solver, base_rhs)?);
         }
         Ok(FlatResult { ttf_seconds })
     }
@@ -227,6 +223,7 @@ impl FlatMc {
 mod tests {
     use super::*;
     use emgrid_fea::geometry::IntersectionPattern;
+    use emgrid_sparse::{FactorOptions, Method, Ordering};
     use emgrid_spice::benchgen::GridSpec;
     use emgrid_via::{FailureCriterion, ViaArrayMc};
 
@@ -245,6 +242,31 @@ mod tests {
         let b = mc.run(5, 3).unwrap();
         assert_eq!(a.ttf_seconds(), b.ttf_seconds());
         assert!(a.ttf_seconds().iter().all(|&t| t > 0.0));
+    }
+
+    #[test]
+    fn an_nd_grid_run_starts_from_the_nd_factor() {
+        // A trial of the run on an ND grid is bit for bit the trial started
+        // from an ND factor holding its nominal solution, and not the one
+        // an AMD factor starts.
+        let netlist = GridSpec::custom("flat", 6, 6).generate();
+        let grid = PowerGrid::from_netlist_with(netlist, Method::Direct, Ordering::Nd).unwrap();
+        let mc = FlatMc::new(
+            grid,
+            ViaArrayConfig::paper_4x4(IntersectionPattern::Plus),
+            Technology::default(),
+        );
+        let dc = mc.grid.dc();
+        let started_from = |ordering| {
+            let factor = FactorOptions::default().with_ordering(ordering);
+            let mut solver = IncrementalSolver::with_options(dc.matrix(), &factor).unwrap();
+            solver.solve(dc.rhs()).unwrap();
+            let mut rng = emgrid_stats::seeded_rng(3);
+            mc.one_trial(&mut rng, &solver, dc.rhs()).unwrap().to_bits()
+        };
+        let ttf = mc.run(1, 3).unwrap().ttf_seconds()[0].to_bits();
+        assert_eq!(ttf, started_from(Ordering::Nd));
+        assert_ne!(ttf, started_from(Ordering::Amd));
     }
 
     #[test]

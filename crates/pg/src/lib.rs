@@ -9,7 +9,8 @@
 //! system failure criterion (weakest link, or IR drop above a fraction of
 //! Vdd) is breached.
 //!
-//! * [`model::PowerGrid`] — netlist → grid model with via-site detection,
+//! * [`model::PowerGrid`] — netlist → grid model with via-site detection
+//!   and its one nominal operating point,
 //! * [`irdrop`] — IR-drop evaluation of DC solutions,
 //! * [`mc::PowerGridMc`] — Algorithm 1 with via arrays as components,
 //! * [`report`] — the Table 2 / Fig. 10 output helpers.

@@ -20,7 +20,7 @@ use emgrid_runtime::{
     run_trials_session, Checkpoint, CheckpointError, RunReport, RuntimeConfig, TrialRecord,
     TrialSession,
 };
-use emgrid_sparse::{FactorOptions, IncrementalSolver};
+use emgrid_sparse::IncrementalSolver;
 use emgrid_spice::netlist::{Element, Node};
 use emgrid_stats::Ecdf;
 use emgrid_stats::Rng;
@@ -314,9 +314,6 @@ pub struct PowerGridMc {
     grid: PowerGrid,
     assignment: SiteAssignment,
     system_criterion: SystemCriterion,
-    /// Sparse factorization configuration of the grid conductance factor
-    /// that every trial updates.
-    factor: FactorOptions,
     /// Lower bound on per-array current density, as a fraction of the
     /// characterization reference (guards the 1/j² rescale against
     /// near-zero via currents).
@@ -339,7 +336,6 @@ impl PowerGridMc {
             grid,
             assignment: SiteAssignment::Uniform(reliability),
             system_criterion: SystemCriterion::IrDropFraction(0.10),
-            factor: FactorOptions::default(),
             current_floor_fraction: 1e-3,
             active: None,
             variation: None,
@@ -373,14 +369,6 @@ impl PowerGridMc {
     /// Sets the system failure criterion (default: 10% IR drop).
     pub fn with_system_criterion(mut self, criterion: SystemCriterion) -> Self {
         self.system_criterion = criterion;
-        self
-    }
-
-    /// Sets the sparse factorization options used for every grid
-    /// conductance solve (default: AMD ordering, supernodal numeric). The
-    /// choice changes wall time, never the failure statistics' semantics.
-    pub fn with_factor_options(mut self, factor: FactorOptions) -> Self {
-        self.factor = factor;
         self
     }
 
@@ -435,21 +423,15 @@ impl PowerGridMc {
     }
 
     /// Builds the state every trial of a run starts from: under the
-    /// IR-drop criterion the base solver (with the failure-free solution
-    /// already cached, so no trial's clone repeats that solve), and always
-    /// the site characterizations and the nominal current densities.
+    /// IR-drop criterion the grid's base solver
+    /// ([`PowerGrid::incremental_solver`]), and always the site
+    /// characterizations and the nominal current densities.
     fn prepare(&self) -> Result<RunSetup, PgError> {
-        let singular = |e| PgError::Mna(emgrid_spice::mna::MnaError::Singular(e));
         let dc = self.grid.dc();
         let rhs = dc.rhs().to_vec();
         let solver = match self.system_criterion {
             SystemCriterion::WeakestLink => None,
-            SystemCriterion::IrDropFraction(_) => {
-                let mut solver =
-                    IncrementalSolver::with_options(dc.matrix(), &self.factor).map_err(singular)?;
-                solver.solve(&rhs).map_err(singular)?;
-                Some(solver)
-            }
+            SystemCriterion::IrDropFraction(_) => Some(self.grid.incremental_solver()?),
         };
         let nominal_currents = self.grid.via_currents(self.grid.nominal_solution());
         let site_rels = self.assign_sites(&nominal_currents);
@@ -816,7 +798,7 @@ mod tests {
     use emgrid_em::Technology;
     use emgrid_fea::geometry::IntersectionPattern;
     use emgrid_runtime::CancelToken;
-    use emgrid_sparse::LdlFactor;
+    use emgrid_sparse::{FactorOptions, LdlFactor, Method, Ordering};
     use emgrid_spice::benchgen::GridSpec;
     use emgrid_stats::OnlineStats;
     use emgrid_via::{FailureCriterion, ViaArrayConfig, ViaArrayMc};
@@ -866,6 +848,35 @@ mod tests {
         let ir = PowerGridMc::new(small_grid(), rel)
             .with_system_criterion(SystemCriterion::IrDropFraction(0.10));
         assert!(ir.prepare().unwrap().solver.is_some());
+    }
+
+    #[test]
+    fn an_nd_grid_run_starts_from_the_nd_factor() {
+        // An IR-drop run's base solver is the grid's own ND factor, holding
+        // that factor's nominal solution bit for bit, which on PG1 is not
+        // AMD's.
+        let netlist = GridSpec::pg1().generate();
+        let grid = PowerGrid::from_netlist_with(netlist, Method::Direct, Ordering::Nd).unwrap();
+        let dc = grid.dc();
+        let solve = |ordering| {
+            let factor = FactorOptions::default().with_ordering(ordering);
+            let x = LdlFactor::factor_with(dc.matrix(), &factor)
+                .unwrap()
+                .solve(dc.rhs());
+            x.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        let nd = solve(Ordering::Nd);
+        assert_ne!(nd, solve(Ordering::Amd));
+        let mc = PowerGridMc::new(grid.clone(), reliability(FailureCriterion::OpenCircuit));
+        let mut solver = mc.prepare().unwrap().solver.unwrap();
+        let base = solver.solve(dc.rhs()).unwrap();
+        assert_eq!(base.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), nd);
+        let nominal = dc.solution_from_unknowns(&base);
+        assert_eq!(
+            &nominal,
+            grid.nominal_solution(),
+            "the sites are assigned from it"
+        );
     }
 
     #[test]

@@ -31,14 +31,13 @@
 //! resistance per length, length-weighting equals resistance-weighting,
 //! so `V̄` needs only the branch resistances and the node voltages.
 //!
-//! The whole screen is therefore: one DC solve
-//! ([`DcAnalysis::solve_with`](emgrid_spice::DcAnalysis::solve_with) —
-//! direct or AMG-preconditioned CG, picked by problem size; usually the
-//! one [`PowerGrid`] already ran), one union-find over
-//! same-layer branches to recover the trees ([`InterconnectTrees`]), and
-//! two passes to form `V̄` and the per-node stresses. Every step is
-//! deterministic and bit-identical across thread counts, so a screening
-//! report is byte-stable run to run.
+//! The whole screen is therefore: one DC solve, the nominal operating
+//! point [`PowerGrid`] solved when it was built (with the engine the grid
+//! was built with: direct or AMG-preconditioned CG, `auto` picking by
+//! problem size), one union-find over same-layer branches to recover the
+//! trees ([`InterconnectTrees`]), and two passes to form `V̄` and the
+//! per-node stresses. The screen itself solves nothing. Every step is
+//! deterministic, so a screening report is byte-stable run to run.
 
 use std::error::Error;
 use std::fmt;
@@ -48,54 +47,28 @@ use emgrid_em::constants::ELEMENTARY_CHARGE;
 use emgrid_em::Technology;
 use emgrid_pg::PowerGrid;
 use emgrid_runtime::obs;
-use emgrid_sparse::{CgOptions, FactorOptions, Method, SparseError};
 use emgrid_spice::mna::DcSolution;
 use emgrid_spice::netlist::{Element, Netlist, Node};
 
-/// Errors from a screening pass.
+/// Errors from a screening pass. There are none: the pass reads the
+/// operating point its [`PowerGrid`] already solved, and a grid whose
+/// solve fails is never built.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ScreenError {
-    /// The DC operating-point solve failed.
-    Solve(SparseError),
-}
+pub enum ScreenError {}
 
 impl fmt::Display for ScreenError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ScreenError::Solve(e) => write!(f, "screening dc solve failed: {e}"),
-        }
+    fn fmt(&self, _: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {}
     }
 }
 
-impl Error for ScreenError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            ScreenError::Solve(e) => Some(e),
-        }
-    }
-}
+impl Error for ScreenError {}
 
-impl From<SparseError> for ScreenError {
-    fn from(e: SparseError) -> Self {
-        ScreenError::Solve(e)
-    }
-}
-
-/// Configuration for one screening pass.
+/// Which via arrays one screening pass selects. The operating point is
+/// the grid's: the engine that solves it is chosen when the grid is built
+/// ([`PowerGrid::from_netlist_with`]).
 #[derive(Debug, Clone, Default)]
 pub struct ScreenOptions {
-    /// Linear-solve engine for the operating point (default `auto`:
-    /// direct up to [`emgrid_sparse::method::AUTO_DIRECT_LIMIT`] unknowns,
-    /// CG preconditioned by smoothed-aggregation AMG above, so `factor`
-    /// matters only below that size or under `Method::Direct`). When it
-    /// resolves to the engine `auto` picks, with that engine's options at
-    /// their defaults apart from `threads`, the grid's nominal solution is
-    /// reused instead of solving again.
-    pub method: Method,
-    /// Direct-path factorization options.
-    pub factor: FactorOptions,
-    /// Iterative-path CG options.
-    pub cg: CgOptions,
     /// Keep only the `k` highest-stress via arrays (`None` = keep all).
     pub top_k: Option<usize>,
     /// Keep only arrays whose steady-state stress reaches this many Pa
@@ -395,41 +368,16 @@ fn fmt_num(n: f64) -> String {
     }
 }
 
-/// Whether a screen of an `n`-unknown grid can take the solution
-/// `PowerGrid::from_netlist` computed instead of solving again: `options`
-/// must resolve to the engine `Method::Auto` picks, with that engine's
-/// options equal to the defaults apart from `threads`. That is exactly the
-/// solve the grid ran, and a thread count never changes a bit of either
-/// engine's result.
-fn reuses_nominal(options: &ScreenOptions, n: usize) -> bool {
-    let engine = options.method.resolve(n);
-    engine == Method::Auto.resolve(n)
-        && match engine {
-            Method::Direct => {
-                FactorOptions {
-                    threads: 1,
-                    ..options.factor
-                } == FactorOptions::default()
-            }
-            _ => {
-                CgOptions {
-                    threads: 1,
-                    ..options.cg.clone()
-                } == CgOptions::default()
-            }
-        }
-}
-
-/// Screens `grid` at its DC operating point: solves once, decomposes into
+/// Screens `grid` at its nominal DC operating point: decomposes it into
 /// interconnect trees, forms the steady-state stress at every via array's
 /// tree endpoints and ranks the arrays by criticality.
 ///
-/// Runs in `O(solve + elements)` — no transient analysis and no sampling —
-/// and is bit-deterministic for any thread count in `options`.
+/// Runs in `O(elements)` on the grid's nominal solution — no solve, no
+/// transient analysis and no sampling — and is bit-deterministic.
 ///
 /// # Errors
 ///
-/// Returns [`ScreenError::Solve`] if the operating-point solve fails.
+/// None: [`ScreenError`] has no values.
 pub fn screen_grid(
     grid: &PowerGrid,
     tech: &Technology,
@@ -437,15 +385,7 @@ pub fn screen_grid(
 ) -> Result<ScreenReport, ScreenError> {
     let _span = obs::span("screen");
     obs::counter("emgrid_screen_runs_total", "screening passes run").inc();
-    let dc = grid.dc();
-    let solved;
-    let solution: &DcSolution = if reuses_nominal(options, dc.unknown_count()) {
-        grid.nominal_solution()
-    } else {
-        let _s = obs::span("screen-solve");
-        solved = dc.solve_with(options.method, &options.factor, &options.cg)?;
-        &solved
-    };
+    let solution = grid.nominal_solution();
 
     let (trees, vbar) = {
         let _s = obs::span("screen-trees");
@@ -519,6 +459,7 @@ pub fn screen_grid(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emgrid_sparse::{Method, Ordering};
     use emgrid_spice::benchgen::GridSpec;
     use emgrid_spice::NodeInfo;
     use proptest::prelude::*;
@@ -657,7 +598,6 @@ mod tests {
             &ScreenOptions {
                 top_k: Some(3),
                 stress_threshold: Some(median_stress),
-                ..ScreenOptions::default()
             },
         )
         .unwrap();
@@ -675,128 +615,6 @@ mod tests {
         )
         .unwrap();
         assert!(none.selected_sites().is_empty());
-    }
-
-    #[test]
-    fn report_bytes_are_identical_across_threads() {
-        // The screening determinism contract: thread counts move wall
-        // time, never bytes — on either engine. The grid is past the AMG
-        // coarse-level size, so CG runs real V-cycles.
-        let g = grid(28, 24);
-        assert!(g.dc().unknown_count() > emgrid_sparse::amg::MAX_COARSE);
-        let tech = Technology::default();
-        for method in [Method::Auto, Method::Cg] {
-            let mut reports = Vec::new();
-            for threads in [1usize, 4] {
-                let mut options = ScreenOptions {
-                    method,
-                    top_k: Some(25),
-                    ..ScreenOptions::default()
-                };
-                options.factor.threads = threads;
-                options.cg.threads = threads;
-                let r = screen_grid(&g, &tech, &options).unwrap();
-                reports.push((r.to_json(), r.render()));
-            }
-            for pair in reports.windows(2) {
-                assert_eq!(pair[0].0, pair[1].0, "{method:?}: json bytes differ");
-                assert_eq!(pair[0].1, pair[1].1, "{method:?}: rendered bytes differ");
-            }
-        }
-    }
-
-    #[test]
-    fn nominal_reuse_follows_the_resolved_engine() {
-        use emgrid_sparse::method::AUTO_DIRECT_LIMIT;
-        use emgrid_sparse::{Ordering, Preconditioner};
-        let (small, large) = (AUTO_DIRECT_LIMIT, AUTO_DIRECT_LIMIT + 1);
-        let with = |f: &dyn Fn(&mut ScreenOptions)| {
-            let mut o = ScreenOptions::default();
-            f(&mut o);
-            o
-        };
-        let cases: Vec<(&str, ScreenOptions, bool, bool)> = vec![
-            ("defaults", ScreenOptions::default(), true, true),
-            ("direct", with(&|o| o.method = Method::Direct), true, false),
-            ("cg", with(&|o| o.method = Method::Cg), false, true),
-            (
-                "threads",
-                with(&|o| {
-                    o.factor.threads = 4;
-                    o.cg.threads = 8;
-                }),
-                true,
-                true,
-            ),
-            // Options of the engine that does not run are irrelevant.
-            (
-                "nd ordering",
-                with(&|o| o.factor.ordering = Ordering::Nd),
-                false,
-                true,
-            ),
-            (
-                "cg tolerance",
-                with(&|o| o.cg.tolerance = 1e-12),
-                true,
-                false,
-            ),
-            (
-                "ic0",
-                with(&|o| {
-                    o.method = Method::Cg;
-                    o.cg.preconditioner = Preconditioner::IncompleteCholesky;
-                }),
-                false,
-                false,
-            ),
-            // Selection knobs never touch the solve.
-            ("top_k", with(&|o| o.top_k = Some(3)), true, true),
-        ];
-        for (label, options, at_small, at_large) in cases {
-            assert_eq!(
-                reuses_nominal(&options, small),
-                at_small,
-                "{label}, n = {small}"
-            );
-            assert_eq!(
-                reuses_nominal(&options, large),
-                at_large,
-                "{label}, n = {large}"
-            );
-        }
-    }
-
-    #[test]
-    fn reused_and_resolved_screens_have_identical_bytes() {
-        // The rule's premise: the engine `auto` picks, at default options
-        // and any thread count, reproduces the grid's nominal solution bit
-        // for bit, so reusing it leaves every report byte where a second
-        // solve would have put it.
-        let g = grid(14, 12);
-        let dc = g.dc();
-        let bits = |s: &DcSolution| s.voltages().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let again = dc
-            .solve_with(
-                Method::Direct,
-                &FactorOptions::default().with_threads(4),
-                &CgOptions::default(),
-            )
-            .unwrap();
-        assert_eq!(bits(&again), bits(g.nominal_solution()));
-
-        let tech = Technology::default();
-        let bytes = |options: ScreenOptions| screen_grid(&g, &tech, &options).unwrap().to_json();
-        let reference = bytes(ScreenOptions::default());
-        let mut direct = ScreenOptions {
-            method: Method::Direct,
-            ..ScreenOptions::default()
-        };
-        direct.factor.threads = 4;
-        assert_eq!(bytes(direct), reference);
-        let mut threaded = ScreenOptions::default();
-        threaded.cg.threads = 4;
-        assert_eq!(bytes(threaded), reference);
     }
 
     /// Per-site stresses of two screens of one grid agree within
@@ -826,50 +644,54 @@ mod tests {
         assert_eq!(a.ranked()[0].site, b.ranked()[0].site);
     }
 
+    /// The grid `GridSpec::custom("t", nx, ny)` with its nominal solved by
+    /// `method`.
+    fn grid_solved_by(nx: usize, ny: usize, method: Method) -> PowerGrid {
+        let netlist = GridSpec::custom("t", nx, ny).generate();
+        PowerGrid::from_netlist_with(netlist, method, Ordering::Amd).unwrap()
+    }
+
     #[test]
     fn direct_and_cg_screens_agree_on_the_ranking() {
-        let g = grid(10, 8);
+        // The same grid built on each engine, CG at its default 1e-10
+        // relative residual.
         let tech = Technology::default();
-        let direct = screen_grid(
-            &g,
-            &tech,
-            &ScreenOptions {
-                method: Method::Direct,
-                ..ScreenOptions::default()
-            },
-        )
-        .unwrap();
-        let mut cg_options = ScreenOptions {
-            method: Method::Cg,
-            ..ScreenOptions::default()
+        let screen = |method| {
+            screen_grid(
+                &grid_solved_by(10, 8, method),
+                &tech,
+                &ScreenOptions::default(),
+            )
+            .unwrap()
         };
-        cg_options.cg.tolerance = 1e-12;
-        let cg = screen_grid(&g, &tech, &cg_options).unwrap();
+        let direct = screen(Method::Direct);
+        let cg = screen(Method::Cg);
+        assert_ne!(
+            direct.to_json(),
+            cg.to_json(),
+            "the engine reached the grid"
+        );
         assert_stresses_agree(&direct, &cg, 1e-6);
     }
 
     #[test]
     fn a_grid_past_the_cutover_screens_by_cg_and_agrees_with_direct() {
         use emgrid_sparse::method::AUTO_DIRECT_LIMIT;
-        // A two-layer 101×101 grid: 20,402 unknowns, just past the cutover.
-        let g = grid(101, 101);
-        let n = g.dc().unknown_count();
+        // A two-layer 101×101 grid: 20,402 unknowns, just past the cutover,
+        // so `auto` solves its nominal by AMG-CG.
+        let auto = grid(101, 101);
+        let n = auto.dc().unknown_count();
         assert!(n > AUTO_DIRECT_LIMIT, "{n} unknowns");
         assert_eq!(Method::Auto.resolve(n), Method::Cg);
         let tech = Technology::default();
-        // The default screen reuses the grid's nominal solution, which
-        // `auto` computed by AMG-CG at its default tolerance.
-        let auto = screen_grid(&g, &tech, &ScreenOptions::default()).unwrap();
-        let direct = screen_grid(
-            &g,
+        let by_auto = screen_grid(&auto, &tech, &ScreenOptions::default()).unwrap();
+        let by_direct = screen_grid(
+            &grid_solved_by(101, 101, Method::Direct),
             &tech,
-            &ScreenOptions {
-                method: Method::Direct,
-                ..ScreenOptions::default()
-            },
+            &ScreenOptions::default(),
         )
         .unwrap();
-        assert_stresses_agree(&direct, &auto, 1e-6);
+        assert_stresses_agree(&by_direct, &by_auto, 1e-6);
     }
 
     #[test]
@@ -881,7 +703,6 @@ mod tests {
             &ScreenOptions {
                 top_k: Some(4),
                 stress_threshold: Some(0.0),
-                ..ScreenOptions::default()
             },
         )
         .unwrap();

@@ -331,7 +331,7 @@ fn run_analyze(job: &ResolvedAnalyze, ctx: &JobCtx, env: &RunEnv<'_>) -> JobOutc
     };
 
     // Level 2: system Monte Carlo over the grid, checkpointed.
-    let grid = match PowerGrid::from_netlist(netlist) {
+    let grid = match PowerGrid::from_netlist_with(netlist, job.method, job.ordering) {
         Ok(g) => g,
         Err(e) => return JobOutcome::Failed(format!("grid construction failed: {e}")),
     };
@@ -344,16 +344,10 @@ fn run_analyze(job: &ResolvedAnalyze, ctx: &JobCtx, env: &RunEnv<'_>) -> JobOutc
         Some(s) => {
             let screen_start = Instant::now();
             let options = ScreenOptions {
-                method: job.method,
-                factor: job.factor,
                 top_k: s.top_k,
                 stress_threshold: s.stress_threshold,
-                ..ScreenOptions::default()
             };
-            let report = match screen_grid(&grid, &Technology::default(), &options) {
-                Ok(report) => report,
-                Err(e) => return JobOutcome::Failed(format!("screening failed: {e}")),
-            };
+            let Ok(report) = screen_grid(&grid, &Technology::default(), &options);
             env.record_phase(ctx.id, "screen", screen_start);
             if report.selected_scores().is_empty() {
                 return JobOutcome::Failed(
@@ -366,8 +360,7 @@ fn run_analyze(job: &ResolvedAnalyze, ctx: &JobCtx, env: &RunEnv<'_>) -> JobOutc
     };
 
     let mut grid_mc = PowerGridMc::new(grid, reliability)
-        .with_system_criterion(SystemCriterion::IrDropFraction(0.10))
-        .with_factor_options(job.factor);
+        .with_system_criterion(SystemCriterion::IrDropFraction(0.10));
     if let Some(v) = &mc.variation {
         // Temperature enters the grid level as a first-order ln-TTF sigma
         // (Ea/(kB·T²)·σ_T); linewidth scales per-site current directly.

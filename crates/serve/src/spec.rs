@@ -15,14 +15,14 @@
 //!
 //! Label strings stay labels inside the spec; [`JobSpec::resolve`] turns
 //! an accepted spec into the [`ResolvedJob`] a worker actually runs —
-//! configurations, criteria, scheduler settings and the sparse-solver
-//! [`FactorOptions`] — in one validated step.
+//! configurations, criteria, scheduler settings and the grid's solve
+//! engine and ordering — in one validated step.
 
 use std::fmt;
 
 use emgrid_fea::geometry::{IntersectionPattern, ViaArrayGeometry};
 use emgrid_runtime::{EarlyStop, RuntimeConfig};
-use emgrid_sparse::{FactorOptions, Method, Ordering};
+use emgrid_sparse::{Method, Ordering};
 use emgrid_via::{FailureCriterion, Variation, ViaArrayConfig};
 
 use crate::json::Json;
@@ -207,9 +207,9 @@ impl VariationSpec {
     }
 }
 
-/// The `solver` block of an `analyze` spec: which sparse factorization
-/// the grid solves run. Maps onto [`FactorOptions`]; changes wall time,
-/// never the statistics.
+/// The `solver` block of an `analyze` spec: which engine solves the
+/// grid's nominal operating point, and which ordering its direct factors
+/// use. Changes wall time and rounding, never what the statistics mean.
 ///
 /// Three of its labels are kept only so documents that carry them keep
 /// validating to the same canonical bytes, which sweep ids hash: they are
@@ -228,9 +228,10 @@ pub struct SolverSpec {
     /// The `kernels` label (`auto`, `scalar` or `blocked`): a no-op, since
     /// the solver has one kernel path.
     pub kernels: &'static str,
-    /// Linear-solve engine for whole-grid operating-point solves (the
-    /// screening pass): `auto`, `direct` or `cg`. `auto` picks by problem
-    /// size at run time.
+    /// Linear-solve engine for the grid's nominal operating point, which
+    /// the screening pass ranks on and the level-2 Monte Carlo takes its
+    /// nominal currents from: `auto`, `direct` or `cg`. `auto` picks by
+    /// problem size at run time.
     pub method: Method,
 }
 
@@ -246,16 +247,6 @@ impl Default for SolverSpec {
 }
 
 impl SolverSpec {
-    /// The factorization options this block resolves to. Solve threading
-    /// stays at 1: the Monte Carlo scheduler already parallelizes across
-    /// trials, so nested solver threads would only oversubscribe.
-    pub fn factor_options(&self) -> FactorOptions {
-        FactorOptions {
-            ordering: ordering_of(self.ordering),
-            threads: 1,
-        }
-    }
-
     fn to_json(self) -> Json {
         let mut pairs = vec![
             ("ordering".into(), Json::s(self.ordering)),
@@ -379,9 +370,9 @@ pub struct ResolvedAnalyze {
     pub repair_vias: Option<f64>,
     /// Screening prefilter parameters, if the spec asked for one.
     pub screening: Option<ScreeningSpec>,
-    /// Factorization options for the grid solves.
-    pub factor: FactorOptions,
-    /// Operating-point solve engine for the screening pass.
+    /// Fill-reducing ordering of the grid's direct factors.
+    pub ordering: Ordering,
+    /// Solve engine of the grid's nominal operating point.
     pub method: Method,
 }
 
@@ -666,7 +657,7 @@ impl JobBody {
                 grid_trials: *grid_trials,
                 repair_vias: *repair_vias,
                 screening: *screening,
-                factor: solver.factor_options(),
+                ordering: ordering_of(solver.ordering),
                 method: solver.method,
             })),
             JobBody::Fea {
@@ -922,15 +913,15 @@ fn get_pattern_label(doc: &Json) -> Result<String, SpecError> {
 struct SolverProfile {
     /// Whether the supernode toggle may vary per job.
     supernodal: bool,
-    /// Whether the operating-point solve `method` (the screening pass's
-    /// engine) may be set.
+    /// Whether the engine of the grid's nominal solve (`method`) may be
+    /// set.
     method: bool,
     /// Appended to unknown-or-disallowed-key messages to say why.
     rejection_note: &'static str,
 }
 
-/// `analyze` exposes every solver knob, including the screening pass's
-/// operating-point `method`.
+/// `analyze` exposes every solver knob, including the `method` of the
+/// grid's nominal solve.
 const ANALYZE_SOLVER: SolverProfile = SolverProfile {
     supernodal: true,
     method: true,
@@ -1236,10 +1227,6 @@ mod tests {
         };
         let mut checked = 0;
         for o in ["natural", "rcm", "amd", "nd"] {
-            let factor = FactorOptions {
-                ordering: resolved(o),
-                threads: 1,
-            };
             for supernodal in [None, Some(true), Some(false)] {
                 for kernels in [None, Some("scalar")] {
                     let head = match supernodal {
@@ -1260,7 +1247,7 @@ mod tests {
                     let ResolvedJob::Analyze(a) = s.resolve().unwrap() else {
                         panic!("wrong kind")
                     };
-                    assert_eq!(a.factor, factor, "{text}");
+                    assert_eq!(a.ordering, resolved(o), "{text}");
                     checked += 1;
                 }
             }
@@ -1281,7 +1268,7 @@ mod tests {
                 let ResolvedJob::Fea(f) = s.resolve().unwrap() else {
                     panic!("wrong kind")
                 };
-                assert_eq!(f.ordering, factor.ordering, "{text}");
+                assert_eq!(f.ordering, resolved(o), "{text}");
                 checked += 1;
             }
         }
@@ -1402,7 +1389,7 @@ mod tests {
         let ResolvedJob::Analyze(a) = s.resolve().unwrap() else {
             panic!("wrong kind")
         };
-        assert_eq!(a.factor.ordering, Ordering::Nd);
+        assert_eq!(a.ordering, Ordering::Nd);
         assert_eq!(a.deck, DeckSource::Benchmark("pg1m".into()));
         assert_eq!(spec(&s.to_json().to_string()).unwrap(), s);
         assert!(spec(r#"{"kind":"analyze","benchmark":"pg100k"}"#).is_ok());

@@ -7,8 +7,8 @@
 //! factor's fill does not. [`Method`] names the choice the way
 //! [`crate::ldl::Ordering`] names orderings — `auto`, `direct` or `cg` —
 //! and [`Method::resolve`] turns `Auto` into a concrete engine from the
-//! matrix dimension alone, so every knob surface (CLI, job specs, screen
-//! options) can thread one label through to [`solve_spd`].
+//! matrix dimension alone, so every knob surface (CLI, job specs) can
+//! thread one label through a power grid's constructor to [`solve_spd`].
 
 use crate::cg::{conjugate_gradient, CgOptions};
 use crate::csr::CsrMatrix;
@@ -43,7 +43,7 @@ use crate::ldl::{FactorOptions, LdlFactor};
 /// on the factor, so their nominal solves keep their bits.
 pub const AUTO_DIRECT_LIMIT: usize = 20_000;
 
-/// Which linear-solve engine runs under a screening or analysis pass.
+/// Which linear-solve engine solves a power grid's operating point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Method {
     /// Pick [`Method::Direct`] or [`Method::Cg`] from the problem size at

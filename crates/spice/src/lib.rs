@@ -23,6 +23,7 @@
 //!
 //! ```
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
+//! use emgrid_sparse::{Method, Ordering};
 //! use emgrid_spice::{parser, mna::DcAnalysis};
 //!
 //! let deck = "\
@@ -32,7 +33,7 @@
 //! R2 mid 0 1k
 //! .end";
 //! let netlist = parser::parse(deck)?;
-//! let solution = DcAnalysis::new(&netlist)?.solve()?;
+//! let solution = DcAnalysis::new(&netlist)?.solve_with(Method::Auto, Ordering::Amd)?;
 //! let mid = netlist.node_id("mid").expect("node exists");
 //! assert!((solution.voltage_of(mid) - 0.9).abs() < 1e-9);
 //! # Ok(())

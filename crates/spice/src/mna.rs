@@ -10,7 +10,9 @@
 use std::error::Error;
 use std::fmt;
 
-use emgrid_sparse::{solve_spd, CgOptions, CsrMatrix, FactorOptions, Method, SparseError};
+use emgrid_sparse::{
+    solve_spd, CgOptions, CsrMatrix, FactorOptions, Method, Ordering, SparseError,
+};
 
 use crate::lint::Dsu;
 use crate::netlist::{Element, Netlist, Node};
@@ -272,27 +274,11 @@ impl DcAnalysis {
         }
     }
 
-    /// Solves the system with the engine picked by problem size: the direct
-    /// factorization up to [`emgrid_sparse::method::AUTO_DIRECT_LIMIT`]
-    /// unknowns, AMG-preconditioned CG above it, where it is the faster
-    /// engine and keeps a chip-scale grid's operating point `O(nnz)` in
-    /// time and memory instead of paying a factor's fill. Both engines are
-    /// deterministic for any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MnaError::Singular`] when either engine fails (a
-    /// non-positive pivot, or CG not converging).
-    pub fn solve(&self) -> Result<DcSolution, MnaError> {
-        Ok(self.solve_with(
-            Method::Auto,
-            &FactorOptions::default(),
-            &CgOptions::default(),
-        )?)
-    }
-
-    /// Solves the system with the engine `method` resolves to, under that
-    /// engine's options ([`solve_spd`]).
+    /// Solves the system with the engine `method` resolves to
+    /// ([`solve_spd`]): the direct factorization under `ordering`, or
+    /// AMG-preconditioned CG to the default 1e-10 relative residual. Both
+    /// run on one thread and are deterministic, and the thread count of
+    /// either engine never changes a bit of its result.
     ///
     /// CG starts every unknown at the highest fixed voltage (the supply of
     /// a power grid, ground included), not at zero: a grid's nodes sit
@@ -303,14 +289,9 @@ impl DcAnalysis {
     ///
     /// # Errors
     ///
-    /// Returns the engine's [`SparseError`] (a non-positive pivot, or CG
-    /// not converging).
-    pub fn solve_with(
-        &self,
-        method: Method,
-        factor: &FactorOptions,
-        cg: &CgOptions,
-    ) -> Result<DcSolution, SparseError> {
+    /// Returns [`MnaError::Singular`] when the engine fails (a
+    /// non-positive pivot, or CG not converging).
+    pub fn solve_with(&self, method: Method, ordering: Ordering) -> Result<DcSolution, MnaError> {
         let n = self.unknown_count();
         let start = (method.resolve(n) == Method::Cg).then(|| {
             let supply = self.pinned.iter().flatten().copied().fold(0.0, f64::max);
@@ -321,10 +302,16 @@ impl DcAnalysis {
             &self.rhs,
             start.as_deref(),
             method,
-            factor,
-            cg,
+            &FactorOptions::default().with_ordering(ordering),
+            &CgOptions::default(),
         )?;
         Ok(self.solution_from_unknowns(&x))
+    }
+
+    /// The default engine (`auto` under AMD), for tests.
+    #[cfg(test)]
+    pub(crate) fn solve(&self) -> Result<DcSolution, MnaError> {
+        self.solve_with(Method::Auto, Ordering::Amd)
     }
 
     /// Assembles a [`DcSolution`] from an externally-computed unknown vector
@@ -580,12 +567,11 @@ I3 n3 0 0.001
         // while the direct engine lands within rounding of it.
         let n = parse("V1 p 0 1.2\nR1 p a 1.0\nR2 a b 3.0\nR3 b c 0.5\n").unwrap();
         let dc = DcAnalysis::new(&n).unwrap();
-        let (factor, cg) = (FactorOptions::default(), CgOptions::default());
-        let s = dc.solve_with(Method::Cg, &factor, &cg).unwrap();
+        let s = dc.solve_with(Method::Cg, Ordering::Amd).unwrap();
         for node in ["a", "b", "c"] {
             assert_eq!(s.voltage(n.node_id(node).unwrap()), 1.2, "{node}");
         }
-        let d = dc.solve_with(Method::Direct, &factor, &cg).unwrap();
+        let d = dc.solve_with(Method::Direct, Ordering::Amd).unwrap();
         assert!((d.voltage(n.node_id("c").unwrap()) - 1.2).abs() < 1e-12);
     }
 
