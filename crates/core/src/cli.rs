@@ -20,8 +20,8 @@ use emgrid_sparse::{Method, Ordering};
 use emgrid_spice::writer::write_string;
 use emgrid_spice::{lint, parse, repair_shorted_vias, GridSpec};
 use emgrid_via::{
-    FailureCriterion, FeaOptions, LayerPair, StressCache, StressTable, Variation, ViaArrayConfig,
-    ViaArrayMc,
+    CharacterizationResult, FailureCriterion, FeaOptions, LayerPair, StressCache, StressTable,
+    VarianceDecomposition, Variation, ViaArrayConfig, ViaArrayMc,
 };
 
 /// A CLI failure: the message to print to stderr.
@@ -66,7 +66,7 @@ COMMANDS:
                     [--ordering amd|nd] (the grid's nominal solve and
                                          Monte Carlo factor)
                     [--edge-current-factor <f>] [--temperature-sigma <degC>]
-                    [--linewidth-sigma <f>]
+                    [--linewidth-sigma <f>] [--variance-analysis]
     screen        linear-time steady-state EM screening: rank every via
                   array of a deck by steady-state stress, no Monte Carlo
                     <deck.sp> [--repair-vias <ohms>]
@@ -127,9 +127,10 @@ The characterize and analyze commands model on-die variation:
 array current, --temperature-sigma and --linewidth-sigma sample
 spatially correlated per-via temperature and linewidth fields each trial
 (from per-trial RNG sub-streams, so results stay bit-identical for any
-thread count). characterize additionally takes --variance-analysis: it
-replays the same trials with the fields frozen and reports how much of
-the ln-TTF variance the correlated fields add on top of void nucleation.
+thread count). Both also take --variance-analysis: it replays the
+level-1 trials with the fields frozen and reports how much of the ln-TTF
+variance the correlated fields add on top of void nucleation; analyze
+prints that level-1 split too, as analyze jobs record it.
 
 The screen command solves one operating point, decomposes the grid into
 interconnect trees, and prints every via array ranked by its steady-state
@@ -533,9 +534,8 @@ fn parse_criterion(args: &[String]) -> Result<FailureCriterion, CliError> {
     }
 }
 
-/// One bounded, non-negative variation flag. The bounds mirror the serve
-/// spec layer's, so a flag combination that works here also works as a
-/// `variation` block in a job spec.
+/// One non-negative variation flag, at most `max`: its field of
+/// `Variation::MAX`, which a job spec's `variation` block checks too.
 fn variation_flag(args: &[String], name: &str, max: f64) -> Result<Option<f64>, CliError> {
     match option_value(args, name) {
         None => Ok(None),
@@ -556,9 +556,10 @@ fn variation_flag(args: &[String], name: &str, max: f64) -> Result<Option<f64>, 
 /// legacy single-stream RNG draws (and their exact historical bytes);
 /// passing any flag — even at zero — opts into the sub-stream draws.
 fn parse_variation(args: &[String]) -> Result<Option<Variation>, CliError> {
-    let edge = variation_flag(args, "--edge-current-factor", 10.0)?;
-    let temperature = variation_flag(args, "--temperature-sigma", 100.0)?;
-    let linewidth = variation_flag(args, "--linewidth-sigma", 0.5)?;
+    let max = Variation::MAX;
+    let edge = variation_flag(args, "--edge-current-factor", max.edge_current_factor)?;
+    let temperature = variation_flag(args, "--temperature-sigma", max.temperature_sigma_c)?;
+    let linewidth = variation_flag(args, "--linewidth-sigma", max.linewidth_sigma)?;
     let variance = args.iter().any(|a| a == "--variance-analysis");
     if edge.is_none() && temperature.is_none() && linewidth.is_none() && !variance {
         return Ok(None);
@@ -641,6 +642,39 @@ fn cmd_irdrop(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// The decomposition `--variance-analysis` asks for, of `result`, the run
+/// of `model` at `seed`. Callers ask after the run's lognormal fit, whose
+/// error names a run too short for either.
+fn flagged_variance(
+    args: &[String],
+    model: &ViaArrayMc,
+    result: &CharacterizationResult,
+    seed: u64,
+    runtime: &RuntimeConfig,
+) -> Option<VarianceDecomposition> {
+    args.iter().any(|a| a == "--variance-analysis").then(|| {
+        model
+            .variance_decomposition(result, seed, runtime, None)
+            .expect("an uncancelled replay returns a decomposition")
+    })
+}
+
+fn write_variation(out: &mut String, v: &Variation) {
+    let _ = writeln!(
+        out,
+        "variation      : edge factor {}, sigma_T {} degC, sigma_w {}",
+        v.edge_current_factor, v.temperature_sigma_c, v.linewidth_sigma
+    );
+}
+
+fn write_variance(out: &mut String, d: &VarianceDecomposition) {
+    let _ = writeln!(
+        out,
+        "ln-TTF variance: total {:.4} (void {:.4} + environment {:.4})",
+        d.total, d.void, d.environment
+    );
+}
+
 fn cmd_characterize(args: &[String]) -> Result<String, CliError> {
     let (config, label) = parse_array(args)?;
     let criterion = parse_criterion(args)?;
@@ -648,17 +682,11 @@ fn cmd_characterize(args: &[String]) -> Result<String, CliError> {
     let seed = parse_u64(args, "--seed", 1)?;
     let runtime = parse_runtime(args)?;
     let variation = parse_variation(args)?;
-    let variance_analysis = args.iter().any(|a| a == "--variance-analysis");
     let mut model = ViaArrayMc::from_reference_table(&config, Technology::default(), 1e10);
     if let Some(v) = variation {
         model = model.with_variation(v);
     }
-    let (result, variance) = if variance_analysis {
-        let (result, decomposition) = model.characterize_with_variance(trials, seed, &runtime);
-        (result, Some(decomposition))
-    } else {
-        (model.characterize_with(trials, seed, &runtime), None)
-    };
+    let result = model.characterize_with(trials, seed, &runtime);
     let ecdf = result.ecdf(criterion);
     let fit = result
         .fit_lognormal(criterion)
@@ -666,18 +694,15 @@ fn cmd_characterize(args: &[String]) -> Result<String, CliError> {
     let ks = result
         .fit_quality(criterion)
         .map_err(|e| CliError(e.to_string()))?;
+    let variance = flagged_variance(args, &model, &result, seed, &runtime);
     let mut out = String::new();
     let _ = writeln!(
         out,
         "array {label} ({} pattern), criterion {criterion}, {trials} trials",
         config.pattern
     );
-    if let Some(v) = variation {
-        let _ = writeln!(
-            out,
-            "variation      : edge factor {}, sigma_T {} degC, sigma_w {}",
-            v.edge_current_factor, v.temperature_sigma_c, v.linewidth_sigma
-        );
+    if let Some(v) = &variation {
+        write_variation(&mut out, v);
     }
     let _ = writeln!(
         out,
@@ -696,12 +721,8 @@ fn cmd_characterize(args: &[String]) -> Result<String, CliError> {
         fit.sigma(),
         ks
     );
-    if let Some(d) = variance {
-        let _ = writeln!(
-            out,
-            "ln-TTF variance: total {:.4} (void {:.4} + environment {:.4})",
-            d.total, d.void, d.environment
-        );
+    if let Some(d) = &variance {
+        write_variance(&mut out, d);
     }
     let _ = writeln!(out, "{}", format_report(result.report()));
     Ok(out)
@@ -721,20 +742,18 @@ fn cmd_analyze(args: &[String]) -> Result<String, CliError> {
     if let Some(v) = variation {
         level1 = level1.with_variation(v);
     }
-    let reliability = level1
-        .characterize_with(trials, seed, &runtime)
+    let characterization = level1.characterize_with(trials, seed, &runtime);
+    let reliability = characterization
         .reliability(criterion)
         .map_err(|e| CliError(e.to_string()))?;
+    let variance = flagged_variance(args, &level1, &characterization, seed, &runtime);
     let grid = PowerGrid::from_netlist_with(netlist, Method::Auto, ordering)
         .map_err(|e| CliError(e.to_string()))?;
     let sites = grid.via_sites().len();
     let mut mc = PowerGridMc::new(grid, reliability)
         .with_system_criterion(SystemCriterion::IrDropFraction(0.10));
-    if let Some(v) = variation {
-        mc = mc.with_variation(GridVariation {
-            ttf_ln_sigma: v.grid_ttf_ln_sigma(&Technology::default()),
-            linewidth_sigma: v.linewidth_sigma,
-        });
+    if let Some(v) = &variation {
+        mc = mc.with_variation(GridVariation::from_via(v, &Technology::default()));
     }
     let result = mc
         .run_with(grid_trials, seed ^ 0xc11, &runtime)
@@ -744,12 +763,11 @@ fn cmd_analyze(args: &[String]) -> Result<String, CliError> {
         out,
         "{sites} via arrays as {label}/{criterion}; {grid_trials} grid trials"
     );
-    if let Some(v) = variation {
-        let _ = writeln!(
-            out,
-            "variation      : edge factor {}, sigma_T {} degC, sigma_w {}",
-            v.edge_current_factor, v.temperature_sigma_c, v.linewidth_sigma
-        );
+    if let Some(v) = &variation {
+        write_variation(&mut out, v);
+    }
+    if let Some(d) = &variance {
+        write_variance(&mut out, d);
     }
     let _ = writeln!(
         out,
@@ -1680,6 +1698,37 @@ mod tests {
         assert!(run(&argv("characterize --edge-current-factor lots")).is_err());
         assert!(run(&argv("characterize --temperature-sigma 1000")).is_err());
         assert!(run(&argv("characterize --linewidth-sigma 0.9")).is_err());
+    }
+
+    #[test]
+    fn variance_analysis_follows_the_lognormal_fit() {
+        // The decomposition needs the two samples the fit needs: a one-trial
+        // run fails on the fit with or without it, and never panics.
+        let bare = run(&argv("characterize --trials 1")).unwrap_err();
+        assert_eq!(bare.0, "invalid value 1 for parameter `samples.len`");
+        let analyzed = run(&argv("characterize --variance-analysis --trials 1")).unwrap_err();
+        assert_eq!(analyzed.0, bare.0);
+    }
+
+    #[test]
+    fn analyze_prints_the_level1_variance_decomposition() {
+        let deck = run(&argv("generate --profile pg1")).unwrap();
+        let path = std::env::temp_dir().join("emgrid_cli_test_variance.sp");
+        std::fs::write(&path, deck).unwrap();
+        let level1 = "--trials 400 --seed 4 --temperature-sigma 5 --linewidth-sigma 0.05 \
+                      --variance-analysis";
+        let mut args = vec!["analyze".into(), path.to_string_lossy().into_owned()];
+        args.extend(argv(&format!("--grid-trials 10 {level1}")));
+        let out = run(&args).unwrap();
+        std::fs::remove_file(path).ok();
+        // The split an analyze job records for these settings, on the line
+        // characterize prints it, under the variation line.
+        let split = "ln-TTF variance: total 0.1782 (void 0.0142 + environment 0.1640)";
+        let lines: Vec<&str> = out.lines().collect();
+        assert!(lines[1].starts_with("variation      :"), "{out}");
+        assert_eq!(lines[2], split, "{out}");
+        let characterized = run(&argv(&format!("characterize {level1}"))).unwrap();
+        assert!(characterized.contains(split), "{characterized}");
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! * the [`Technology`] parameter set that calibrates both, with defaults
 //!   that land the nominal 4×4 via array at `j = 1×10¹⁰ A/m²`, 105 °C in the
 //!   paper's multi-year TTF range,
-//! * an optional void-**growth** stage ([`void_growth`]) — negligible for
-//!   the slit voids of Cu technology per the paper, but implemented for
-//!   completeness and for ablation studies against Al-era TTF models.
+//! * a void-**growth** model ([`void_growth`]) — negligible for the slit
+//!   voids of Cu technology per the paper; it checks that nucleation-only
+//!   argument and is not a Monte Carlo option.
 //!
 //! # Example
 //!

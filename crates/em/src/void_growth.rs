@@ -1,9 +1,10 @@
-//! Optional void-growth stage (extension beyond the paper's main model).
+//! Void-growth time, the check on the paper's nucleation-only model.
 //!
 //! For Al-era technologies the TTF was `t_n + t_g` — nucleation plus the
 //! time for the void to grow to a catastrophic size. The paper (after \[10\])
-//! argues that Cu slit voids under vias grow so fast that `TTF ≈ t_n`; this
-//! module implements the growth term anyway so that claim can be examined
+//! argues that Cu slit voids under vias grow so fast that `TTF ≈ t_n`, so
+//! both Monte Carlo levels take a via's life to be its nucleation time.
+//! This module implements the growth term so that claim can be examined
 //! quantitatively (`slit_growth_is_fast_relative_to_nucleation` below
 //! checks it at the nominal operating point).
 

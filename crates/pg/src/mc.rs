@@ -15,6 +15,7 @@ use std::fmt::Write as _;
 use std::str::SplitWhitespace;
 
 use emgrid_em::nucleation::rescale_remaining_life;
+use emgrid_em::Technology;
 use emgrid_runtime::persist::{decode_f64, push_f64};
 use emgrid_runtime::{
     run_trials_session, Checkpoint, CheckpointError, RunReport, RuntimeConfig, TrialRecord,
@@ -27,7 +28,7 @@ use emgrid_stats::Rng;
 use emgrid_via::variation::{
     random_walk_field, CHANNEL_FIELD, CHANNEL_GEOMETRY, CHANNEL_VOID, MIN_RELATIVE_WIDTH,
 };
-use emgrid_via::ViaArrayReliability;
+use emgrid_via::{Variation, ViaArrayReliability};
 
 use crate::irdrop::IrDropReport;
 use crate::model::{PgError, PowerGrid};
@@ -128,6 +129,19 @@ pub struct GridVariation {
     /// multiplier (a narrower site sees a higher current density); `0`
     /// disables it.
     pub linewidth_sigma: f64,
+}
+
+impl GridVariation {
+    /// The grid-level image of a via array's on-die variation under
+    /// `tech`: the temperature field as its first-order ln-TTF sigma, the
+    /// linewidth sigma as it is. Edge loading acts inside the array, so it
+    /// reaches the grid only through the level-1 fit.
+    pub fn from_via(variation: &Variation, tech: &Technology) -> GridVariation {
+        GridVariation {
+            ttf_ln_sigma: variation.grid_ttf_ln_sigma(tech),
+            linewidth_sigma: variation.linewidth_sigma,
+        }
+    }
 }
 
 /// One trial's sampled per-site fields.

@@ -9,6 +9,12 @@
 //! cancellation (client delete or daemon shutdown) commits a final
 //! checkpoint via the runtime's session machinery and reports
 //! [`JobOutcome::Cancelled`] so a later restart can pick the work back up.
+//!
+//! The level-1 pieces are the library's, shared with the CLI: a
+//! `variance_analysis` spec's decomposition is
+//! [`ViaArrayMc::variance_decomposition`] under the job's cancel token,
+//! after the lognormal fit, and an analyze job's grid-level variation is
+//! [`GridVariation::from_via`].
 
 use std::collections::{HashMap, VecDeque};
 use std::path::Path;
@@ -25,8 +31,8 @@ use emgrid_screen::{screen_grid, ScreenOptions};
 use emgrid_spice::ingest::{ingest, IngestLimits, IngestOptions};
 use emgrid_spice::GridSpec;
 use emgrid_via::{
-    CharacterizationResult, FailureCriterion, FeaOptions, LayerPair, StressCache, StressTable,
-    VarianceDecomposition, ViaArrayMc, ViaCheckpoint, ViaSession,
+    CharacterizationResult, FeaOptions, LayerPair, StressCache, StressTable, ViaArrayMc,
+    ViaCheckpoint, ViaSession,
 };
 
 use crate::json::Json;
@@ -205,28 +211,32 @@ fn run_characterize(mc: &ResolvedMc, ctx: &JobCtx, env: &RunEnv<'_>) -> JobOutco
     // Variation is opt-in; unvaried result documents keep their
     // historical bytes.
     if let Some(v) = &mc.variation {
-        let variance = if v.variance_analysis {
-            match frozen_variance(&model, v, mc, ctx, &result) {
-                Some(d) => Some(d),
-                None => return JobOutcome::Cancelled,
-            }
-        } else {
-            None
+        let Some(block) = variation_doc(&model, v, mc, ctx, &result) else {
+            return JobOutcome::Cancelled;
         };
-        doc.push(("variation".into(), variation_doc(v, variance.as_ref())));
+        doc.push(("variation".into(), block));
     }
     JobOutcome::Done(Json::Obj(doc).to_string())
 }
 
 /// The result-document `variation` block: the knobs that shaped the run,
-/// plus the variance decomposition when the spec asked for one.
-fn variation_doc(v: &VariationSpec, variance: Option<&VarianceDecomposition>) -> Json {
+/// plus the variance decomposition of `result`, the level-1 run of
+/// `model`, when the spec asked for one. `None` means the job was
+/// cancelled during the decomposition's replay.
+fn variation_doc(
+    model: &ViaArrayMc,
+    v: &VariationSpec,
+    mc: &ResolvedMc,
+    ctx: &JobCtx,
+    result: &CharacterizationResult,
+) -> Option<Json> {
     let mut pairs = vec![
         ("edge_current_factor".into(), Json::n(v.edge_current_factor)),
         ("temperature_sigma_c".into(), Json::n(v.temperature_sigma_c)),
         ("linewidth_sigma".into(), Json::n(v.linewidth_sigma)),
     ];
-    if let Some(d) = variance {
+    if v.variance_analysis {
+        let d = model.variance_decomposition(result, mc.seed, &mc.runtime, Some(&ctx.cancel))?;
         pairs.push((
             "variance".into(),
             Json::Obj(vec![
@@ -236,48 +246,7 @@ fn variation_doc(v: &VariationSpec, variance: Option<&VarianceDecomposition>) ->
             ]),
         ));
     }
-    Json::Obj(pairs)
-}
-
-/// Runs the frozen-fields companion Monte Carlo (same seed; the void
-/// sub-stream is shared trial for trial) and decomposes the open-circuit
-/// `ln TTF` variance over the common committed prefix. `None` means the
-/// companion run was cancelled.
-fn frozen_variance(
-    model: &ViaArrayMc,
-    spec: &VariationSpec,
-    mc: &ResolvedMc,
-    ctx: &JobCtx,
-    varied: &CharacterizationResult,
-) -> Option<VarianceDecomposition> {
-    let frozen_model = model.clone().with_variation(spec.to_via().frozen_fields());
-    let session = ViaSession {
-        cancel: Some(&ctx.cancel),
-        ..ViaSession::default()
-    };
-    let frozen = frozen_model.characterize_session(mc.trials, mc.seed, &mc.runtime, session)?;
-    if frozen.report().cancelled {
-        return None;
-    }
-    let ln = |xs: Vec<f64>| -> Vec<f64> {
-        xs.into_iter()
-            .map(|x| x.max(f64::MIN_POSITIVE).ln())
-            .collect()
-    };
-    let lv = ln(varied.ttf_samples(FailureCriterion::OpenCircuit));
-    let lf = ln(frozen.ttf_samples(FailureCriterion::OpenCircuit));
-    let common = lv.len().min(lf.len());
-    if common < 2 {
-        return Some(VarianceDecomposition {
-            total: 0.0,
-            void: 0.0,
-            environment: 0.0,
-        });
-    }
-    Some(VarianceDecomposition::from_ln_samples(
-        &lv[..common],
-        &lf[..common],
-    ))
+    Some(Json::Obj(pairs))
 }
 
 fn run_analyze(job: &ResolvedAnalyze, ctx: &JobCtx, env: &RunEnv<'_>) -> JobOutcome<String> {
@@ -362,12 +331,8 @@ fn run_analyze(job: &ResolvedAnalyze, ctx: &JobCtx, env: &RunEnv<'_>) -> JobOutc
     let mut grid_mc = PowerGridMc::new(grid, reliability)
         .with_system_criterion(SystemCriterion::IrDropFraction(0.10));
     if let Some(v) = &mc.variation {
-        // Temperature enters the grid level as a first-order ln-TTF sigma
-        // (Ea/(kB·T²)·σ_T); linewidth scales per-site current directly.
-        grid_mc = grid_mc.with_variation(GridVariation {
-            ttf_ln_sigma: v.to_via().grid_ttf_ln_sigma(&Technology::default()),
-            linewidth_sigma: v.linewidth_sigma,
-        });
+        grid_mc =
+            grid_mc.with_variation(GridVariation::from_via(&v.to_via(), &Technology::default()));
     }
     if let Some(report) = &screen {
         grid_mc = grid_mc.with_active_sites(&report.selected_sites());
@@ -422,15 +387,10 @@ fn run_analyze(job: &ResolvedAnalyze, ctx: &JobCtx, env: &RunEnv<'_>) -> JobOutc
     // Variation rides in its own block, like screening below; unvaried
     // documents keep their historical bytes.
     if let Some(v) = &mc.variation {
-        let variance = if v.variance_analysis {
-            match frozen_variance(&model, v, mc, ctx, &characterization) {
-                Some(d) => Some(d),
-                None => return JobOutcome::Cancelled,
-            }
-        } else {
-            None
+        let Some(block) = variation_doc(&model, v, mc, ctx, &characterization) else {
+            return JobOutcome::Cancelled;
         };
-        doc.push(("variation".into(), variation_doc(v, variance.as_ref())));
+        doc.push(("variation".into(), block));
     }
     // Screened jobs record both the screen scores and the MC results in
     // one document; unscreened jobs keep their historical bytes.

@@ -840,15 +840,20 @@ fn get_variation(doc: &Json) -> Result<Option<VariationSpec>, SpecError> {
         ));
     };
     let mut variation = VariationSpec::default();
+    let max = Variation::MAX;
     for (key, value) in pairs {
         match key.as_str() {
             "edge_current_factor" => {
-                variation.edge_current_factor = variation_magnitude(key, value, 10.0)?
+                variation.edge_current_factor =
+                    variation_magnitude(key, value, max.edge_current_factor)?
             }
             "temperature_sigma_c" => {
-                variation.temperature_sigma_c = variation_magnitude(key, value, 100.0)?
+                variation.temperature_sigma_c =
+                    variation_magnitude(key, value, max.temperature_sigma_c)?
             }
-            "linewidth_sigma" => variation.linewidth_sigma = variation_magnitude(key, value, 0.5)?,
+            "linewidth_sigma" => {
+                variation.linewidth_sigma = variation_magnitude(key, value, max.linewidth_sigma)?
+            }
             "variance_analysis" => {
                 variation.variance_analysis = value.as_bool().ok_or_else(|| {
                     SpecError::field(

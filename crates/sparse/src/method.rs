@@ -13,7 +13,7 @@
 use crate::cg::{conjugate_gradient, CgOptions};
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
-use crate::ldl::{FactorOptions, LdlFactor};
+use crate::ldl::{FactorOptions, LdlFactor, Ordering};
 
 /// Above this many unknowns `Auto` switches from the direct factorization
 /// to AMG-preconditioned CG.
@@ -90,10 +90,11 @@ impl Method {
 
 /// Solves the SPD system `A x = b` with the engine `method` resolves to.
 ///
-/// The direct path factors with `factor` and runs one triangular solve;
-/// the CG path runs CG under `cg` (AMG-preconditioned by default), from
-/// `x0` when given and from zero otherwise. The direct path has no use for
-/// `x0`.
+/// The direct path factors under `ordering` and runs one triangular solve;
+/// the CG path runs AMG-preconditioned CG to the default 1e-10 relative
+/// residual ([`CgOptions::default`]), from `x0` when given and from zero
+/// otherwise. The direct path has no use for `x0`, the CG path none for
+/// `ordering`. Both run on one thread.
 ///
 /// # Errors
 ///
@@ -104,12 +105,14 @@ pub fn solve_spd(
     b: &[f64],
     x0: Option<&[f64]>,
     method: Method,
-    factor: &FactorOptions,
-    cg: &CgOptions,
+    ordering: Ordering,
 ) -> Result<Vec<f64>, SparseError> {
     match method.resolve(a.rows()) {
-        Method::Direct => Ok(LdlFactor::factor_with(a, factor)?.solve(b)),
-        Method::Cg => Ok(conjugate_gradient(a, b, x0, cg)?.x),
+        Method::Direct => {
+            let options = FactorOptions::default().with_ordering(ordering);
+            Ok(LdlFactor::factor_with(a, &options)?.solve(b))
+        }
+        Method::Cg => Ok(conjugate_gradient(a, b, x0, &CgOptions::default())?.x),
         Method::Auto => unreachable!("resolve never returns Auto"),
     }
 }
@@ -165,21 +168,17 @@ mod tests {
     fn both_engines_agree_through_solve_spd() {
         let a = laplacian(14, 13);
         let b: Vec<f64> = (0..14 * 13).map(|i| ((i * 7) % 9) as f64 - 4.0).collect();
-        let factor = FactorOptions::default();
-        let cg = CgOptions {
-            tolerance: 1e-12,
-            ..CgOptions::default()
-        };
-        let direct = solve_spd(&a, &b, None, Method::Direct, &factor, &cg).unwrap();
-        let iterative = solve_spd(&a, &b, None, Method::Cg, &factor, &cg).unwrap();
-        let auto = solve_spd(&a, &b, None, Method::Auto, &factor, &cg).unwrap();
+        let amd = Ordering::Amd;
+        let direct = solve_spd(&a, &b, None, Method::Direct, amd).unwrap();
+        let iterative = solve_spd(&a, &b, None, Method::Cg, amd).unwrap();
+        let auto = solve_spd(&a, &b, None, Method::Auto, amd).unwrap();
         // A start vector reaches CG only.
         let start = vec![1.0; b.len()];
         assert_eq!(
-            solve_spd(&a, &b, Some(&start), Method::Direct, &factor, &cg).unwrap(),
+            solve_spd(&a, &b, Some(&start), Method::Direct, amd).unwrap(),
             direct
         );
-        let warm = solve_spd(&a, &b, Some(&start), Method::Cg, &factor, &cg).unwrap();
+        let warm = solve_spd(&a, &b, Some(&start), Method::Cg, amd).unwrap();
         assert_eq!(auto, direct, "auto at this size must take the direct path");
         let norm: f64 = direct.iter().map(|v| v * v).sum::<f64>().sqrt();
         for x in [&iterative, &warm] {

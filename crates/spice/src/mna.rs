@@ -10,9 +10,7 @@
 use std::error::Error;
 use std::fmt;
 
-use emgrid_sparse::{
-    solve_spd, CgOptions, CsrMatrix, FactorOptions, Method, Ordering, SparseError,
-};
+use emgrid_sparse::{solve_spd, CsrMatrix, Method, Ordering, SparseError};
 
 use crate::lint::Dsu;
 use crate::netlist::{Element, Netlist, Node};
@@ -297,14 +295,7 @@ impl DcAnalysis {
             let supply = self.pinned.iter().flatten().copied().fold(0.0, f64::max);
             vec![supply; n]
         });
-        let x = solve_spd(
-            &self.matrix,
-            &self.rhs,
-            start.as_deref(),
-            method,
-            &FactorOptions::default().with_ordering(ordering),
-            &CgOptions::default(),
-        )?;
+        let x = solve_spd(&self.matrix, &self.rhs, start.as_deref(), method, ordering)?;
         Ok(self.solution_from_unknowns(&x))
     }
 

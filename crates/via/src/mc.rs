@@ -8,13 +8,22 @@
 //! "recalculate new current flow, TTF for components" step). The trial
 //! records the absolute time of every via failure, from which any failure
 //! criterion can be evaluated after the fact.
+//!
+//! One trial body serves the nominal model and on-die variation
+//! ([`crate::variation`]). A varied trial first samples its fields (per-via
+//! life scales from the temperature field, inverse widths from the
+//! linewidth field, and the static edge weights), and the body rescales
+//! each via's current and life by them; a nominal trial reads no fields.
+//! [`ViaArrayMc::variance_decomposition`] replays a finished varied run
+//! with the fields frozen to split its `ln TTF` variance.
 
 use std::str::SplitWhitespace;
 
-use emgrid_em::void_growth::GrowthModel;
 use emgrid_em::{nucleation, Technology};
 use emgrid_runtime::persist::{decode_f64, push_f64};
-use emgrid_runtime::{Checkpoint, CheckpointError, RuntimeConfig, TrialRecord, TrialSession};
+use emgrid_runtime::{
+    CancelToken, Checkpoint, CheckpointError, RuntimeConfig, TrialRecord, TrialSession,
+};
 use emgrid_stats::Rng;
 
 use crate::array::{FailureCriterion, ViaArrayConfig};
@@ -88,8 +97,52 @@ pub struct ViaArrayMc {
     /// Total current density across the effective area, A/m².
     current_density: f64,
     current_model: CurrentModel,
-    growth: Option<GrowthModel>,
     variation: Option<Variation>,
+}
+
+/// One trial's sampled on-die variation, row-major per via.
+struct TrialFields {
+    /// Multiplier on each via's life (hotter → below one).
+    life_scale: Vec<f64>,
+    /// Multiplier on each via's current density (narrower → above one).
+    inv_width: Vec<f64>,
+    /// Static current weights, when edge loading is on.
+    edge_weights: Option<Vec<f64>>,
+}
+
+impl TrialFields {
+    /// Samples the temperature field from `field_rng` and the linewidth
+    /// field from `geom_rng`; a source whose sigma is zero draws nothing.
+    fn sample<R: Rng + ?Sized>(
+        var: &Variation,
+        tech: &Technology,
+        rows: usize,
+        cols: usize,
+        field_rng: &mut R,
+        geom_rng: &mut R,
+    ) -> TrialFields {
+        let life_scale = if var.temperature_sigma_c > 0.0 {
+            variation::correlated_field_2d(rows, cols, field_rng)
+                .iter()
+                .map(|&f| Variation::temperature_life_scale(tech, var.temperature_sigma_c * f))
+                .collect()
+        } else {
+            vec![1.0; rows * cols]
+        };
+        let inv_width = if var.linewidth_sigma > 0.0 {
+            variation::correlated_field_2d(rows, cols, geom_rng)
+                .iter()
+                .map(|&f| 1.0 / (1.0 + var.linewidth_sigma * f).max(variation::MIN_RELATIVE_WIDTH))
+                .collect()
+        } else {
+            vec![1.0; rows * cols]
+        };
+        TrialFields {
+            life_scale,
+            inv_width,
+            edge_weights: (var.edge_current_factor > 0.0).then(|| var.edge_weights(rows, cols)),
+        }
+    }
 }
 
 impl ViaArrayMc {
@@ -117,7 +170,6 @@ impl ViaArrayMc {
             sigma_t,
             current_density,
             current_model: CurrentModel::default(),
-            growth: None,
             variation: None,
         }
     }
@@ -158,13 +210,6 @@ impl ViaArrayMc {
         self
     }
 
-    /// Adds a void-growth stage to every via lifetime (default: nucleation
-    /// only, per the paper's Cu slit-void argument).
-    pub fn with_growth(mut self, growth: GrowthModel) -> Self {
-        self.growth = Some(growth);
-        self
-    }
-
     /// Enables on-die variation: trials draw void, temperature-field, and
     /// linewidth-field samples from independent derived sub-streams instead
     /// of the legacy single trial stream (default: nominal model).
@@ -193,16 +238,6 @@ impl ViaArrayMc {
         self.current_density
     }
 
-    /// Full lifetime of one via at current density `j` given its sampled
-    /// critical stress.
-    fn via_life(&self, sigma_c: f64, sigma_t: f64, j: f64) -> f64 {
-        let mut life = nucleation::nucleation_time(&self.tech, sigma_c, sigma_t, j);
-        if let Some(g) = &self.growth {
-            life += g.growth_time(&self.tech, j);
-        }
-        life
-    }
-
     /// The state every trial's current redistribution starts from: all
     /// vias alive (for the network model, the plate network factored
     /// once). Trials clone it.
@@ -216,27 +251,75 @@ impl ViaArrayMc {
         )
     }
 
-    /// Runs one Monte Carlo trial.
+    /// Runs one nominal Monte Carlo trial (the configured variation, if
+    /// any, is not applied).
     pub fn simulate_once<R: Rng + ?Sized>(&self, rng: &mut R) -> ViaArraySample {
-        self.trial(rng, self.all_alive_currents())
+        self.trial(rng, self.all_alive_currents(), None)
     }
 
-    /// [`ViaArrayMc::simulate_once`] from a prepared all-alive state.
+    /// Runs trial `t` of a run at `seed` on its `(seed, trial)` randomness:
+    /// the legacy single stream for the nominal model, or three derived
+    /// sub-streams (void draws / temperature field / linewidth field)
+    /// under variation, so enabling one source never shifts another's
+    /// sequence.
+    fn run_one_trial(&self, seed: u64, t: usize, all_alive: &ViaCurrents) -> ViaArraySample {
+        let s = t as u64;
+        match &self.variation {
+            None => {
+                let mut rng = emgrid_stats::stream_rng(seed, s);
+                self.trial(&mut rng, all_alive.clone(), None)
+            }
+            Some(var) => {
+                let mut void_rng = emgrid_stats::substream_rng(seed, s, variation::CHANNEL_VOID);
+                let mut field_rng = emgrid_stats::substream_rng(seed, s, variation::CHANNEL_FIELD);
+                let mut geom_rng =
+                    emgrid_stats::substream_rng(seed, s, variation::CHANNEL_GEOMETRY);
+                let fields = TrialFields::sample(
+                    var,
+                    &self.tech,
+                    self.config.geometry.rows,
+                    self.config.geometry.cols,
+                    &mut field_rng,
+                    &mut geom_rng,
+                );
+                self.trial(&mut void_rng, all_alive.clone(), Some(&fields))
+            }
+        }
+    }
+
+    /// One trial from a prepared all-alive state, its critical stresses
+    /// drawn from `rng`. Under variation, `fields` reweights the current
+    /// split by the edge weights, scales each via's current density by its
+    /// inverse width and its life by its life scale.
     fn trial<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         mut redistribution: ViaCurrents,
+        fields: Option<&TrialFields>,
     ) -> ViaArraySample {
         let n = self.config.count();
         let sc_dist = self.tech.critical_stress_distribution();
         let sigma_c: Vec<f64> = (0..n).map(|_| sc_dist.sample(rng)).collect();
 
+        let total_current = self.current_density * self.config.effective_area_m2();
+        let weights = fields.and_then(|f| f.edge_weights.as_deref());
         let via_area = self.config.via_area_m2();
+        let density = |v: usize, current: f64| match fields {
+            Some(f) => current * f.inv_width[v] / via_area,
+            None => current / via_area,
+        };
         let mut alive = vec![true; n];
-        let currents = redistribution.currents(&alive);
-        let mut j: Vec<f64> = currents.iter().map(|i| i / via_area).collect();
+        let currents = weighted_currents(&mut redistribution, &alive, total_current, weights);
+        let mut j: Vec<f64> = (0..n).map(|v| density(v, currents[v])).collect();
         let mut remaining: Vec<f64> = (0..n)
-            .map(|v| self.via_life(sigma_c[v], self.sigma_t[v], j[v]))
+            .map(|v| {
+                let life =
+                    nucleation::nucleation_time(&self.tech, sigma_c[v], self.sigma_t[v], j[v]);
+                match fields {
+                    Some(f) => life * f.life_scale[v],
+                    None => life,
+                }
+            })
             .collect();
 
         let mut t = 0.0;
@@ -258,10 +341,10 @@ impl ViaArrayMc {
             }
             // Elapse time on survivors, then rescale for the new currents.
             redistribution.fail(victim);
-            let currents = redistribution.currents(&alive);
+            let currents = weighted_currents(&mut redistribution, &alive, total_current, weights);
             for v in 0..n {
                 if alive[v] {
-                    let j_new = currents[v] / via_area;
+                    let j_new = density(v, currents[v]);
                     let left = (remaining[v] - dt).max(0.0);
                     remaining[v] = nucleation::rescale_remaining_life(left, j[v], j_new);
                     j[v] = j_new;
@@ -271,150 +354,56 @@ impl ViaArrayMc {
         ViaArraySample { failure_times }
     }
 
-    /// Runs one variation-enabled trial.
+    /// The random-walk variance decomposition of `varied`, a finished run
+    /// of this simulator at `seed`: replays its trial budget under
+    /// `runtime` with the correlated fields frozen
+    /// ([`Variation::frozen_fields`]) and splits the open-circuit `ln TTF`
+    /// variance into the void-nucleation part and the fields' part.
     ///
-    /// Critical-stress draws come from `void_rng`, the correlated
-    /// temperature field from `field_rng`, and the correlated linewidth
-    /// field from `geom_rng` — three independent sub-streams of the same
-    /// `(seed, trial)` pair (see [`emgrid_stats::substream_rng`]), so
-    /// enabling one variation source never shifts another's sequence.
-    pub fn simulate_once_varied<R: Rng + ?Sized>(
-        &self,
-        var: &Variation,
-        void_rng: &mut R,
-        field_rng: &mut R,
-        geom_rng: &mut R,
-    ) -> ViaArraySample {
-        let redistribution = self.all_alive_currents();
-        self.varied_trial(var, void_rng, field_rng, geom_rng, redistribution)
-    }
-
-    /// [`ViaArrayMc::simulate_once_varied`] from a prepared all-alive
-    /// state.
-    fn varied_trial<R: Rng + ?Sized>(
-        &self,
-        var: &Variation,
-        void_rng: &mut R,
-        field_rng: &mut R,
-        geom_rng: &mut R,
-        mut redistribution: ViaCurrents,
-    ) -> ViaArraySample {
-        let n = self.config.count();
-        let rows = self.config.geometry.rows;
-        let cols = self.config.geometry.cols;
-        let sc_dist = self.tech.critical_stress_distribution();
-        let sigma_c: Vec<f64> = (0..n).map(|_| sc_dist.sample(void_rng)).collect();
-
-        // Per-trial fields: a hotter via lives shorter by the Arrhenius
-        // factor; a narrower via sees a higher current density.
-        let life_scale: Vec<f64> = if var.temperature_sigma_c > 0.0 {
-            variation::correlated_field_2d(rows, cols, field_rng)
-                .iter()
-                .map(|&f| {
-                    Variation::temperature_life_scale(&self.tech, var.temperature_sigma_c * f)
-                })
-                .collect()
-        } else {
-            vec![1.0; n]
-        };
-        let inv_width: Vec<f64> = if var.linewidth_sigma > 0.0 {
-            variation::correlated_field_2d(rows, cols, geom_rng)
-                .iter()
-                .map(|&f| 1.0 / (1.0 + var.linewidth_sigma * f).max(variation::MIN_RELATIVE_WIDTH))
-                .collect()
-        } else {
-            vec![1.0; n]
-        };
-        let weights = (var.edge_current_factor > 0.0).then(|| var.edge_weights(rows, cols));
-
-        let total_current = self.current_density * self.config.effective_area_m2();
-        let via_area = self.config.via_area_m2();
-        let mut alive = vec![true; n];
-        let currents = weighted_currents(
-            &mut redistribution,
-            &alive,
-            total_current,
-            weights.as_deref(),
-        );
-        let mut j: Vec<f64> = (0..n)
-            .map(|v| currents[v] * inv_width[v] / via_area)
-            .collect();
-        let mut remaining: Vec<f64> = (0..n)
-            .map(|v| self.via_life(sigma_c[v], self.sigma_t[v], j[v]) * life_scale[v])
-            .collect();
-
-        let mut t = 0.0;
-        let mut failure_times = Vec::with_capacity(n);
-        for step in 0..n {
-            let (victim, dt) = alive
-                .iter()
-                .enumerate()
-                .filter(|&(_, &a)| a)
-                .map(|(v, _)| (v, remaining[v]))
-                .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite lifetimes"))
-                .expect("alive vias remain");
-            t += dt;
-            failure_times.push(t);
-            alive[victim] = false;
-            if step + 1 == n {
-                break;
-            }
-            redistribution.fail(victim);
-            let currents = weighted_currents(
-                &mut redistribution,
-                &alive,
-                total_current,
-                weights.as_deref(),
-            );
-            for v in 0..n {
-                if alive[v] {
-                    let j_new = currents[v] * inv_width[v] / via_area;
-                    let left = (remaining[v] - dt).max(0.0);
-                    remaining[v] = nucleation::rescale_remaining_life(left, j[v], j_new);
-                    j[v] = j_new;
-                }
-            }
-        }
-        ViaArraySample { failure_times }
-    }
-
-    /// Runs the variation-enabled characterization twice with the same seed
-    /// — once as configured, once with the correlated fields frozen — and
-    /// returns the full result next to the random-walk variance
-    /// decomposition of the open-circuit `ln TTF`.
-    ///
-    /// Void draws come from their own sub-stream, so the two runs share
-    /// critical-stress samples trial for trial and the difference isolates
-    /// the field contribution. With early termination the decomposition
-    /// uses the common committed prefix.
+    /// Void draws come from their own sub-stream, so the replay shares
+    /// critical-stress samples with `varied` trial for trial and the
+    /// difference isolates the field contribution. With early termination
+    /// the decomposition uses the common committed prefix. Returns `None`
+    /// when `cancel` stopped the replay.
     ///
     /// # Panics
     ///
-    /// Panics if no variation is configured or fewer than two trials
-    /// commit.
-    pub fn characterize_with_variance(
+    /// Panics if no variation is configured or fewer than two trials are
+    /// common to both runs. A run with a lognormal fit has at least two
+    /// samples, and an uncancelled replay commits at least two unless an
+    /// early-stop policy lets it stop below that.
+    pub fn variance_decomposition(
         &self,
-        trials: usize,
+        varied: &CharacterizationResult,
         seed: u64,
         runtime: &RuntimeConfig,
-    ) -> (CharacterizationResult, VarianceDecomposition) {
+        cancel: Option<&CancelToken>,
+    ) -> Option<VarianceDecomposition> {
         let var = self
             .variation
             .expect("variance analysis requires a configured variation");
-        let varied = self.characterize_with(trials, seed, runtime);
-        let mut frozen_mc = self.clone();
-        frozen_mc.variation = Some(var.frozen_fields());
-        let frozen = frozen_mc.characterize_with(trials, seed, runtime);
-        let ln = |xs: Vec<f64>| -> Vec<f64> {
-            xs.into_iter()
+        let frozen_mc = self.clone().with_variation(var.frozen_fields());
+        let session = ViaSession {
+            cancel,
+            ..ViaSession::default()
+        };
+        let trials = varied.report().trials_requested;
+        let frozen = frozen_mc.characterize_session(trials, seed, runtime, session)?;
+        if frozen.report().cancelled {
+            return None;
+        }
+        let ln = |r: &CharacterizationResult| -> Vec<f64> {
+            r.ttf_samples(FailureCriterion::OpenCircuit)
+                .into_iter()
                 .map(|x| x.max(f64::MIN_POSITIVE).ln())
                 .collect()
         };
-        let lv = ln(varied.ttf_samples(FailureCriterion::OpenCircuit));
-        let lf = ln(frozen.ttf_samples(FailureCriterion::OpenCircuit));
+        let (lv, lf) = (ln(varied), ln(&frozen));
         let common = lv.len().min(lf.len());
-        let decomposition = VarianceDecomposition::from_ln_samples(&lv[..common], &lf[..common]);
-        (varied, decomposition)
+        Some(VarianceDecomposition::from_ln_samples(
+            &lv[..common],
+            &lf[..common],
+        ))
     }
 
     /// Runs `trials` trials with a deterministic seed and collects the
@@ -485,31 +474,7 @@ impl ViaArrayMc {
             trials,
             runtime,
             session,
-            |t| {
-                Ok(match &self.variation {
-                    Some(var) => {
-                        let s = t as u64;
-                        let mut void_rng =
-                            emgrid_stats::substream_rng(seed, s, variation::CHANNEL_VOID);
-                        let mut field_rng =
-                            emgrid_stats::substream_rng(seed, s, variation::CHANNEL_FIELD);
-                        let mut geom_rng =
-                            emgrid_stats::substream_rng(seed, s, variation::CHANNEL_GEOMETRY);
-                        let redistribution = all_alive.clone();
-                        self.varied_trial(
-                            var,
-                            &mut void_rng,
-                            &mut field_rng,
-                            &mut geom_rng,
-                            redistribution,
-                        )
-                    }
-                    None => {
-                        let mut rng = emgrid_stats::stream_rng(seed, t as u64);
-                        self.trial(&mut rng, all_alive.clone())
-                    }
-                })
-            },
+            |t| Ok(self.run_one_trial(seed, t, &all_alive)),
             |s: &ViaArraySample| s.failure_times[open_circuit].max(f64::MIN_POSITIVE).ln(),
         );
         let (samples, report) = match result {
@@ -561,7 +526,6 @@ mod tests {
     use crate::array::FailureCriterion;
     use emgrid_em::SECONDS_PER_YEAR;
     use emgrid_fea::geometry::IntersectionPattern;
-    use emgrid_runtime::CancelToken;
     use emgrid_stats::{seeded_rng, OnlineStats};
     use proptest::prelude::*;
 
@@ -657,22 +621,6 @@ mod tests {
             crowded < uniform,
             "crowded {crowded} should be below uniform {uniform}"
         );
-    }
-
-    #[test]
-    fn growth_stage_adds_time() {
-        let config = ViaArrayConfig::paper_4x4(IntersectionPattern::Plus);
-        let tech = Technology::default();
-        let bare = ViaArrayMc::from_reference_table(&config, tech, 1e10)
-            .characterize(100, 19)
-            .ecdf(FailureCriterion::OpenCircuit)
-            .median();
-        let with_growth = ViaArrayMc::from_reference_table(&config, tech, 1e10)
-            .with_growth(GrowthModel::slit())
-            .characterize(100, 19)
-            .ecdf(FailureCriterion::OpenCircuit)
-            .median();
-        assert!(with_growth > bare);
     }
 
     #[test]
@@ -974,15 +922,28 @@ sample 415312d000000000 415c9c3800000000 7fefffffffffffff
             linewidth_sigma: 0.05,
             ..Variation::default()
         });
-        let (result, d) = mc.characterize_with_variance(120, 41, &RuntimeConfig::sequential());
-        assert_eq!(result.ttf_samples(FailureCriterion::OpenCircuit).len(), 120);
+        let runtime = RuntimeConfig::sequential();
+        let result = mc.characterize_with(120, 41, &runtime);
+        let d = mc
+            .variance_decomposition(&result, 41, &runtime, None)
+            .expect("uncancelled");
         assert!(d.total > d.void, "total {} void {}", d.total, d.void);
         assert!(d.environment > 0.0);
         assert!((d.environment - (d.total - d.void)).abs() < 1e-12);
+        // A token tripped before the replay commits nothing.
+        let token = CancelToken::new();
+        token.cancel();
+        assert_eq!(
+            mc.variance_decomposition(&result, 41, &runtime, Some(&token)),
+            None
+        );
 
         // Without fields the decomposition collapses onto the void term.
         let bare = paper_mc(IntersectionPattern::Plus).with_variation(Variation::default());
-        let (_, d0) = bare.characterize_with_variance(80, 41, &RuntimeConfig::sequential());
+        let result = bare.characterize_with(80, 41, &runtime);
+        let d0 = bare
+            .variance_decomposition(&result, 41, &runtime, None)
+            .expect("uncancelled");
         assert_eq!(d0.environment, 0.0);
         assert_eq!(d0.total, d0.void);
     }

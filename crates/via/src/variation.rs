@@ -44,10 +44,11 @@ pub const MIN_RELATIVE_WIDTH: f64 = 0.1;
 
 /// On-die variation knobs for a via-array Monte Carlo.
 ///
-/// The default is the nominal model: no edge weighting, no fields. A
-/// simulator configured with an inactive variation still routes its draws
-/// through the legacy single trial stream, so results stay byte-identical
-/// with pre-variation builds.
+/// The default has every source off: no edge weighting, no fields. A
+/// simulator configured with any variation, this all-zero one included,
+/// draws from the per-trial sub-streams; only one configured with none
+/// draws from the legacy single trial stream, so nominal results stay
+/// byte-identical with pre-variation builds.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Variation {
     /// Extra current weight per exposed array side: a via touching `s`
@@ -64,12 +65,13 @@ pub struct Variation {
 }
 
 impl Variation {
-    /// Whether any variation source is enabled.
-    pub fn is_active(&self) -> bool {
-        self.edge_current_factor > 0.0
-            || self.temperature_sigma_c > 0.0
-            || self.linewidth_sigma > 0.0
-    }
+    /// The largest value each knob accepts: the bounds that the CLI flags
+    /// and a job spec's `variation` block both check.
+    pub const MAX: Variation = Variation {
+        edge_current_factor: 10.0,
+        temperature_sigma_c: 100.0,
+        linewidth_sigma: 0.5,
+    };
 
     /// The same variation with both correlated fields frozen at nominal —
     /// the counterfactual the variance decomposition compares against.

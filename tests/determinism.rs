@@ -75,9 +75,12 @@ fn varied_characterization_is_thread_count_invariant() {
             par.ttf_samples(FailureCriterion::OpenCircuit),
         );
     }
-    let (_, d1) = mc.characterize_with_variance(96, 23, &RuntimeConfig::threaded(1));
-    let (_, d4) = mc.characterize_with_variance(96, 23, &RuntimeConfig::threaded(4));
-    assert_eq!(d1, d4);
+    let decomposition = |threads| {
+        let runtime = RuntimeConfig::threaded(threads);
+        let varied = mc.characterize_with(96, 23, &runtime);
+        mc.variance_decomposition(&varied, 23, &runtime, None)
+    };
+    assert_eq!(decomposition(1), decomposition(4));
 }
 
 /// The grid-level variation fields cross the same contract: every thread
@@ -90,10 +93,7 @@ fn varied_grid_mc_is_thread_count_invariant() {
         linewidth_sigma: 0.05,
         ..Variation::default()
     };
-    let mc = grid_mc().with_variation(GridVariation {
-        ttf_ln_sigma: var.grid_ttf_ln_sigma(&Technology::default()),
-        linewidth_sigma: var.linewidth_sigma,
-    });
+    let mc = grid_mc().with_variation(GridVariation::from_via(&var, &Technology::default()));
     let seq = mc.run_threaded(20, 29, 1).unwrap();
     for threads in [2, 8] {
         let par = mc.run_threaded(20, 29, threads).unwrap();
@@ -334,6 +334,97 @@ fn grid_mc_result_bits_are_pinned() {
     assert_eq!(
         digest, 0x523c_151a_2547_f3d5,
         "PG1 grid Monte Carlo result moved"
+    );
+}
+
+/// Pins every failure time of 4×4 Plus level-1 runs, nominal and under each
+/// variation source: the uniform and plate-network current models on the
+/// single trial stream, each source alone, all three together (also under
+/// the plate network), and an all-zero `Variation` (the sub-stream layout
+/// without perturbation). The all-three run's variance decomposition is
+/// pinned too. One trial body serves every run, so an edit to either of
+/// its arms that reorders a floating-point operation or a random draw
+/// fails here.
+#[test]
+fn via_mc_result_bits_are_pinned() {
+    const TRIALS: usize = 96;
+    const SEED: u64 = 47;
+    let runtime = RuntimeConfig::sequential();
+    let varied = |variation: Variation| via_mc().with_variation(variation);
+    let all_three = Variation {
+        edge_current_factor: 0.5,
+        temperature_sigma_c: 6.0,
+        linewidth_sigma: 0.05,
+    };
+    let runs = [
+        ("uniform", via_mc(), 0xfe3d_62b4_85dd_d4ba),
+        (
+            "network",
+            via_mc().with_current_model(CurrentModel::Network(Default::default())),
+            0x763c_27fc_3c38_0300,
+        ),
+        (
+            "edge",
+            varied(Variation {
+                edge_current_factor: 0.5,
+                ..Variation::default()
+            }),
+            0xaaf8_3639_8538_b545,
+        ),
+        (
+            "temperature",
+            varied(Variation {
+                temperature_sigma_c: 6.0,
+                ..Variation::default()
+            }),
+            0xe201_dc7f_3b0b_b88d,
+        ),
+        (
+            "linewidth",
+            varied(Variation {
+                linewidth_sigma: 0.05,
+                ..Variation::default()
+            }),
+            0x938f_5f64_f132_bf77,
+        ),
+        ("all three", varied(all_three), 0x9c6a_3f3f_1416_2095),
+        (
+            "all zero",
+            varied(Variation::default()),
+            0x5b9d_f2da_f909_63a1,
+        ),
+        (
+            "network, all three",
+            varied(all_three).with_current_model(CurrentModel::Network(Default::default())),
+            0xfdef_9679_10cf_062c,
+        ),
+    ];
+    for (label, mc, pinned) in runs {
+        let r = mc.characterize_with(TRIALS, SEED, &runtime);
+        let digest = fnv1a(
+            r.samples()
+                .iter()
+                .flat_map(|s| s.failure_times.iter().map(|t| t.to_bits())),
+        );
+        assert_eq!(
+            digest, pinned,
+            "{label} level-1 result moved: {digest:#018x}"
+        );
+    }
+
+    let mc = varied(all_three);
+    let d = mc
+        .variance_decomposition(
+            &mc.characterize_with(TRIALS, SEED, &runtime),
+            SEED,
+            &runtime,
+            None,
+        )
+        .expect("uncancelled");
+    let digest = fnv1a([d.total, d.void, d.environment].map(f64::to_bits));
+    assert_eq!(
+        digest, 0xea62_9b47_f349_5c8b,
+        "variance decomposition moved: {digest:#018x}"
     );
 }
 
